@@ -24,6 +24,7 @@ from .numerics import (
     TWO_PI,
     SampledMatrixField,
     circular_gaps,
+    cyclic_match,
     lift_angle_array,
     match_step,
     normal_unitary_eig,
@@ -164,14 +165,32 @@ def winding_pass_slack(thetas: np.ndarray, *, margin_scale: float = 4.0) -> floa
     return slack
 
 
-def _gapped_angle_branches(u: SampledMatrixField, tol: Tolerances,
-                           winding_guard: bool
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Eigen data of a unitary field with a guaranteed spectral gap.
+@dataclass(frozen=True)
+class _FieldSpectrum:
+    """Spectral data of one unitary field, computed once and shared by the
+    branch lower bound, the geodesic bound and the constructive path.
 
-    Returns (thetas (n, grid), lam, vecs, eps_used, residual); when the raw
-    field has near-coincident eigenvalues the angle-sorted spectrum is
-    jittered by e^{i j eps} in place (the eigenbasis is untouched).
+    lam, vecs, residual: the raw normal eigendecomposition. angles: the
+    spectral angles after jitter (angle(lam) when none fired), eps_used the
+    jitter scale. thetas (n, grid): the lift of angles. pass_slack: the
+    winding-pass slack of thetas, 0 when the guard was not run.
+    """
+
+    lam: np.ndarray
+    vecs: np.ndarray
+    residual: float
+    angles: np.ndarray
+    eps_used: float
+    thetas: np.ndarray
+    pass_slack: float
+
+
+def _field_spectrum(u: SampledMatrixField, tol: Tolerances,
+                    winding_guard: bool) -> _FieldSpectrum:
+    """Decompose and lift a unitary field with a guaranteed spectral gap.
+
+    When the raw field has near-coincident eigenvalues the angle-sorted
+    spectrum is jittered by e^{i j eps} (the eigenbasis is untouched).
     """
     lam, vecs, residual = normal_unitary_eig(u.samples, tol)
     angles = np.angle(lam)
@@ -181,17 +200,16 @@ def _gapped_angle_branches(u: SampledMatrixField, tol: Tolerances,
                            axis=1, kind="stable")
         for attempt in range(6):
             eps_used = tol.eps_jitter * (1.7 ** attempt)
-            jittered = lam * np.exp(1j * eps_used * (ranks + 1))
-            if np.min(circular_gaps(np.angle(jittered))) >= tol.gap_tol:
-                lam = jittered
-                angles = np.angle(lam)
+            jittered = np.angle(lam * np.exp(1j * eps_used * (ranks + 1)))
+            if np.min(circular_gaps(jittered)) >= tol.gap_tol:
+                angles = jittered
                 break
         else:
             raise SpectralCollisionError("jitter failed to open a spectral gap")
-    anchors = np.sort(angles[0])
-    thetas = lift_angle_array(angles, anchors, tol.tie_tol)
+    thetas = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
     pass_slack = winding_pass_slack(thetas) if winding_guard else 0.0
-    return thetas, lam, vecs, eps_used, residual, pass_slack
+    return _FieldSpectrum(lam, vecs, residual, angles, eps_used, thetas,
+                          pass_slack)
 
 
 def cel_lower_distinct(u: SampledMatrixField,
@@ -207,22 +225,24 @@ def cel_lower_distinct(u: SampledMatrixField,
     """
     if u.flavor != "unitary":
         raise FlavorError("cel_lower_distinct needs a unitary field")
-    thetas, _, _, eps_used, residual, pass_slack = _gapped_angle_branches(
-        u, tol, winding_guard=True)
+    return _lower_distinct(_field_spectrum(u, tol, winding_guard=True), u.dim)
+
+
+def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
     values = []
-    for j in range(thetas.shape[0]):
-        v, k = _minmax_over_shifts(float(thetas[j].min()), float(thetas[j].max()),
-                                   TWO_PI)
+    for j in range(spec.thetas.shape[0]):
+        v, k = _minmax_over_shifts(float(spec.thetas[j].min()),
+                                   float(spec.thetas[j].max()), TWO_PI)
         values.append((float(v), k))
     best_j = int(np.argmax([v for v, _ in values]))
-    eps_report = u.dim * eps_used + 10 * residual + pass_slack
+    eps_report = dim * spec.eps_used + 10 * spec.residual + spec.pass_slack
     return CelBound(
         lower=values[best_j][0],
         upper=INF,
         lower_method="distinct-eigenvalue-branches",
         epsilon_report=eps_report,
         certificate={"branch": best_j, "shift": values[best_j][1],
-                     "jitter": eps_used},
+                     "jitter": spec.eps_used},
     )
 
 
@@ -546,7 +566,8 @@ def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
         c = max(lo[j], remaining - tail_hi)
         shifts[j] = c
         remaining -= c
-    assert remaining == 0
+    if remaining != 0:
+        raise AssertionError(f"shift vector misses its total by {remaining}")
     return shifts, float(best_cap)
 
 
@@ -569,12 +590,16 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
         raise CommutatorError(
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
+    spec = _field_spectrum(u, tol, winding_guard=False)
+    return _cu_path(u, spec, det_resid, s_points, tol)
+
+
+def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
+             s_points: int, tol: Tolerances) -> CuPathResult:
     n = u.dim
-    thetas, lam, vecs, eps_used, residual, _ = _gapped_angle_branches(
-        u, tol, winding_guard=False)
-    h = thetas / TWO_PI
+    h = spec.thetas / TWO_PI
     sums = h.sum(axis=0)
-    jitter_sum = eps_used * n * (n + 1) / 2.0 / TWO_PI
+    jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
     winding = int(round(float(sums[0]) - jitter_sum))
     sum_defect = float(np.max(np.abs(sums - winding - jitter_sum)))
     if sum_defect > 1e-6:
@@ -587,13 +612,13 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
     shifts, cap = _minimax_integer_shifts(mins, maxs, -winding)
     h_norm = h + shifts[:, None]
     max_norm = float(np.max(np.abs(h_norm)))
-    eps_report = n * eps_used + 10.0 * residual + 2.0 * det_resid
+    eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
     limit = (n - 1) / n + eps_report / TWO_PI + 1e-9
     if max_norm >= limit + 1e-12:
         raise AssertionError(
             f"normalized branch norm {max_norm:.6f} exceeds (k-1)/k + slack "
             f"{limit:.6f} (impossible for det = 1 inputs)")
-    vecs_paired = _pair_columns(vecs, lam, h_norm, tol)
+    vecs_paired = _pair_columns(spec.vecs, spec.angles, h_norm)
     s_grid = np.linspace(0.0, 1.0, s_points)
     path = UnitaryPath2D.from_spectral(h_norm, vecs_paired, s_grid, tol)
     # d v_s/ds has op norm 2 pi max_j |h_j(t)| pointwise, so the rectifiable
@@ -606,8 +631,8 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
         winding=winding, max_branch_norm=max_norm, n_repairs=n_swaps)
 
 
-def _pair_columns(vecs: np.ndarray, lam: np.ndarray, h: np.ndarray,
-                  tol: Tolerances) -> np.ndarray:
+def _pair_columns(vecs: np.ndarray, angles: np.ndarray, h: np.ndarray
+                  ) -> np.ndarray:
     """Permute eigenvector columns per grid point so that column j carries
     the eigenvalue e^{2 pi i h[j, t]}.
 
@@ -615,29 +640,24 @@ def _pair_columns(vecs: np.ndarray, lam: np.ndarray, h: np.ndarray,
     circular gaps >= gap_tol, so the (order-preserving) assignment is
     unambiguous; the match residual is checked.
     """
-    n, grid = h.shape
+    n = h.shape[0]
     target = np.mod(h.T, 1.0) * TWO_PI          # (grid, n)
-    have = np.mod(np.angle(lam), TWO_PI)        # (grid, n)
+    have = np.mod(angles, TWO_PI)               # (grid, n)
     tsort = np.argsort(target, axis=1, kind="stable")
     hsort = np.argsort(have, axis=1, kind="stable")
     tvals = np.take_along_axis(target, tsort, axis=1)
     hvals = np.take_along_axis(have, hsort, axis=1)
-    costs = np.stack(
-        [np.max(np.abs(_wrap_angle(tvals - np.roll(hvals, -s, axis=1))), axis=1)
-         for s in range(n)], axis=1)            # (grid, n_shifts)
+    # shift s pairs hvals[:, j] with tvals[:, (j + s) % n]
+    _, costs = cyclic_match(hvals, tvals)
     best = np.argmin(costs, axis=1)
     worst = float(np.max(np.take_along_axis(costs, best[:, None], axis=1)))
     if worst > 1e-6:
         raise ArithmeticError(f"branch/eigenvalue pairing residual {worst:.3e}")
-    rolled = np.stack([np.roll(hsort, -s, axis=1) for s in range(n)], axis=1)
-    chosen = np.take_along_axis(rolled, best[:, None, None], axis=1)[:, 0, :]
-    perm = np.empty_like(chosen)
-    np.put_along_axis(perm, tsort, chosen, axis=1)
+    perm = np.empty_like(hsort)
+    slots = (np.arange(n)[None, :] + best[:, None]) % n
+    np.put_along_axis(perm, np.take_along_axis(tsort, slots, axis=1), hsort,
+                      axis=1)
     return np.take_along_axis(vecs, perm[:, None, :], axis=2)
-
-
-def _wrap_angle(x: np.ndarray) -> np.ndarray:
-    return -(np.mod(-x + math.pi, TWO_PI) - math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +674,11 @@ def geodesic_upper_bound(u: SampledMatrixField,
     if u.flavor != "unitary":
         raise FlavorError("geodesic_upper_bound needs a unitary field")
     lam, _, _ = normal_unitary_eig(u.samples, tol)
-    theta = np.abs(np.angle(lam))
-    peak = float(theta.max())
+    return _geodesic(lam, tol)
+
+
+def _geodesic(lam: np.ndarray, tol: Tolerances) -> float:
+    peak = float(np.abs(np.angle(lam)).max())
     if math.pi - peak < tol.gap_tol:
         return INF
     return peak
@@ -664,13 +687,19 @@ def geodesic_upper_bound(u: SampledMatrixField,
 def bound_sandwich(u: SampledMatrixField, *, s_points: int = 17,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> CelBound:
     """Combined certified bounds: branch lower bound against the best of the
-    geodesic and constructive uppers."""
-    low = cel_lower_distinct(u, tol)
-    geo = geodesic_upper_bound(u, tol)
-    upper, method = geo, "principal-log-geodesic"
-    det = np.linalg.det(u.samples)
-    if float(np.max(np.abs(det - 1.0))) <= tol.tol_det:
-        cu = cu_upper_bound_path(u, s_points=s_points, tol=tol)
+    geodesic and constructive uppers.
+
+    The field is decomposed and lifted once; the three bounds share that
+    spectral data (the geodesic reads the raw, unjittered angles).
+    """
+    if u.flavor != "unitary":
+        raise FlavorError("bound_sandwich needs a unitary field")
+    spec = _field_spectrum(u, tol, winding_guard=True)
+    low = _lower_distinct(spec, u.dim)
+    upper, method = _geodesic(spec.lam, tol), "principal-log-geodesic"
+    det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
+    if det_resid <= tol.tol_det:
+        cu = _cu_path(u, spec, det_resid, s_points, tol)
         if cu.length < upper:
             upper, method = cu.length, "cu-constructive-path"
     return CelBound(

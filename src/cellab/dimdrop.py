@@ -118,7 +118,8 @@ def tower(n_stages: int) -> list[TowerStage]:
 
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
     """Exact invariant checks for one tower step; raises on violation."""
-    assert cur.index == prev.index + 1
+    if cur.index != prev.index + 1:
+        raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1
     if not (sympy.isprime(k0) and sympy.isprime(k1)):
         raise AssertionError("transition factors must be prime")
@@ -338,7 +339,8 @@ def push_element(e: SymbolicElement, patterns: PatternMultiset) -> SymbolicEleme
     the connecting map cannot change it and is not represented.
     """
     out = compose_spectral(patterns.plf_entries(), e)
-    assert out.total_rank == e.total_rank * patterns.total
+    if out.total_rank != e.total_rank * patterns.total:
+        raise AssertionError("push-forward rank is not rank(e) * #patterns")
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainRangeError, FlavorError, UnsupportedPaddingError
-from .numerics import SampledMatrixField, jacobi_eigh
+from .numerics import TWO_PI, SampledMatrixField, cyclic_match, jacobi_eigh
 
 QLike = Fraction | int | str
 
@@ -281,14 +281,16 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
         cums.append(cum)
     total = cums[0][-1]
     rank_cuts = sorted(set().union(*[set(c) for c in cums]))
-    assert rank_cuts[0] == 0 and rank_cuts[-1] == total
+    if rank_cuts[0] != 0 or rank_cuts[-1] != total:
+        raise AssertionError("rank cuts do not span 0..total multiplicity")
     out: list[tuple[PiecewiseLinearFn, int]] = []
     for lo, hi in zip(rank_cuts, rank_cuts[1:]):
         values = []
         for i in range(n_int):
             # the order-part containing ranks (lo, hi]
             part = bisect_right(cums[i], lo) - 1
-            assert cums[i][part] <= lo and hi <= cums[i][part + 1]
+            if not (cums[i][part] <= lo and hi <= cums[i][part + 1]):
+                raise AssertionError("rank range straddles two sorted entries")
             f = fns[orders[i][part]]
             if i == 0:
                 values.append(f(cuts[0]))
@@ -296,7 +298,8 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
                 # continuity of the k-th lowest across the cut
                 left = values[-1]
                 right = f(cuts[i])
-                assert left == right, "sorted branch discontinuity"
+                if left != right:
+                    raise AssertionError("sorted branch discontinuity")
             values.append(f(cuts[i + 1]))
         out.append((PiecewiseLinearFn(tuple(cuts), tuple(values)).simplified(),
                     hi - lo))
@@ -599,12 +602,7 @@ def pset_distance_circle(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n == 0:
         return 0.0
-    two_pi = 2.0 * np.pi
-    xs = np.sort(np.mod(np.asarray(x, dtype=float), two_pi))
-    ys = np.sort(np.mod(np.asarray(y, dtype=float), two_pi))
-    best = np.inf
-    for shift in range(n):
-        d = np.roll(xs, -shift) - ys
-        d = np.abs(-(np.mod(-d + np.pi, two_pi) - np.pi))
-        best = min(best, float(d.max()))
-    return best
+    xs = np.sort(np.mod(np.asarray(x, dtype=float), TWO_PI))
+    ys = np.sort(np.mod(np.asarray(y, dtype=float), TWO_PI))
+    _, costs = cyclic_match(ys[None], xs[None])
+    return float(costs.min())

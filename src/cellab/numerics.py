@@ -328,6 +328,23 @@ def circular_gaps(angles: np.ndarray) -> np.ndarray:
     return np.minimum(diffs.min(axis=-1), wrap)
 
 
+def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """All order-preserving matchings on the circle between rows of angles.
+
+    a_sorted, b_sorted: (m, n), each row sorted ascending. Shift s matches
+    a[:, j] with b[:, (j + s) % n]. Returns (moves, costs): moves (m, n, n)
+    indexed [row, shift, j] holds the increments b - a wrapped to (-pi, pi],
+    costs (m, n) the largest |move| per row and shift. An optimal bottleneck
+    matching of two multisets on the circle is order preserving, so every
+    circle matching in the package scans exactly these shifts.
+    """
+    n = a_sorted.shape[-1]
+    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    moves = _wrap_to_pi(b_sorted[:, idx] - a_sorted[:, None, :])
+    return moves, np.max(np.abs(moves), axis=-1)
+
+
 def match_step(prev_thetas: np.ndarray, new_angles: np.ndarray,
                tie_tol: float) -> np.ndarray:
     """Angle increments matching branch values to the next spectrum.
@@ -345,12 +362,20 @@ def match_step(prev_thetas: np.ndarray, new_angles: np.ndarray,
     n = prev_thetas.shape[0]
     if n == 1:
         return _wrap_to_pi(new_angles - prev_thetas)
+    return _match_row(prev_thetas, new_angles, tie_tol)[0]
+
+
+def _match_row(prev_thetas: np.ndarray, new_angles: np.ndarray,
+               tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """match_step for n >= 2 branches: (increments, slots), where slots[k]
+    is the branch matched to the k-th smallest of mod(new_angles, 2 pi)."""
+    n = prev_thetas.shape[0]
     order_a = np.argsort(np.mod(prev_thetas, TWO_PI), kind="stable")
     order_b = np.argsort(np.mod(new_angles, TWO_PI), kind="stable")
     a_sorted = np.mod(prev_thetas, TWO_PI)[order_a]
     b_sorted = np.mod(new_angles, TWO_PI)[order_b]
-    moves = [_wrap_to_pi(np.roll(b_sorted, -shift) - a_sorted) for shift in range(n)]
-    costs = [float(np.max(np.abs(d))) for d in moves]
+    moves, costs = cyclic_match(a_sorted[None], b_sorted[None])
+    moves, costs = moves[0], costs[0]
     best_shift = int(np.argmin(costs))
     best_cost = costs[best_shift]
     best_values = np.sort(a_sorted + moves[best_shift])
@@ -366,7 +391,9 @@ def match_step(prev_thetas: np.ndarray, new_angles: np.ndarray,
     deltas[order_a] = moves[best_shift]
     if np.max(np.abs(deltas)) >= math.pi - tie_tol:
         raise MatchingAmbiguityError("branch step of size pi: wraparound ambiguous")
-    return deltas
+    slots = np.empty(n, dtype=np.intp)
+    slots[(np.arange(n) + best_shift) % n] = order_a
+    return deltas, slots
 
 
 def lift_branches(field: SampledMatrixField, anchors: np.ndarray | None = None,
@@ -406,35 +433,91 @@ def lift_branches(field: SampledMatrixField, anchors: np.ndarray | None = None,
     return lift
 
 
+# A previous row with a circular gap at most this small is an exact
+# collision: which branch continues where is settled by match_step's
+# stable tie-break on the lifted values, not by the sorted angles.
+_COLLISION_GAP = 1e-9
+# Cost decisions closer than this to a threshold (a tie between shifts,
+# a step of pi) are left to match_step on the lifted values, whose mod 2pi
+# may differ from the principal angles in the last bits.
+_DECISION_MARGIN = 1e-9
+# Rows per cyclic_match batch: bounds the (rows, n, n) cost tensor.
+_MATCH_BATCH = 1 << 20
+
+
 def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
                      tie_tol: float) -> np.ndarray:
     """Continuously unwrap an (grid, n) array of spectral angles into
-    branch functions (n, grid) starting from the given anchors."""
+    branch functions (n, grid) starting from the given anchors.
+
+    The result is bit-identical to applying match_step grid point by grid
+    point. Each step's best cyclic shift depends only on the sorted
+    principal angles of the previous and the current row, so all shifts
+    come from one batched cyclic_match. A branch's slot in the sorted row
+    is carried along by the chosen shifts, which gives every branch its
+    matched target value c; the values then follow match_step's own
+    arithmetic, theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)),
+    in an n-wide loop over the grid. Rows after an exact collision and rows
+    whose decision sits within _DECISION_MARGIN of a tie or of a step of pi
+    run match_step itself, so a refusal raises at the loop's grid index
+    with the loop's message.
+    """
     grid, n = angles.shape
-    thetas = np.empty((n, grid))
-    thetas[:, 0] = anchors
-    for i in range(1, grid):
+    thetas = np.empty((grid, n))
+    thetas[0] = anchors
+    if n == 1:
+        for i in range(1, grid):
+            thetas[i] = thetas[i - 1] + _wrap_to_pi(angles[i] - thetas[i - 1])
+        return thetas.T.copy()
+    b_sorted = np.sort(np.mod(angles[1:], TWO_PI), axis=1)
+    a_sorted = np.concatenate(
+        [np.sort(np.mod(anchors, TWO_PI))[None], b_sorted[:-1]])
+    shifts = np.empty(grid - 1, dtype=np.intp)
+    decided = np.empty(grid - 1, dtype=bool)
+    rows = max(1, _MATCH_BATCH // (n * n))
+    for lo in range(0, grid - 1, rows):
+        _, costs = cyclic_match(a_sorted[lo:lo + rows], b_sorted[lo:lo + rows])
+        best = np.argmin(costs, axis=1)
+        best_cost = np.take_along_axis(costs, best[:, None], axis=1)
+        near = costs - best_cost <= tie_tol + _DECISION_MARGIN
+        shifts[lo:lo + rows] = best
+        decided[lo:lo + rows] = (
+            (np.sum(near, axis=1) == 1)
+            & (best_cost[:, 0] < math.pi - tie_tol - _DECISION_MARGIN))
+    decided &= circular_gaps(a_sorted) > _COLLISION_GAP
+    # Slot k of row i holds the branch at frame position (k - frame[i]) % n;
+    # in this frame a branch keeps its position across decided rows.
+    frame = np.cumsum(np.where(decided, shifts, 0)) % n
+    targets = np.take_along_axis(
+        b_sorted, (np.arange(n)[None, :] + frame[:, None]) % n, axis=1)
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.argsort(np.mod(anchors, TWO_PI), kind="stable")] = np.arange(n)
+    start = 1
+    for stop in [*(np.flatnonzero(~decided) + 1).tolist(), grid]:
+        c = targets[start - 1:stop - 1][:, pos]
+        for i in range(start, stop):
+            prev = thetas[i - 1]
+            thetas[i] = prev + _wrap_to_pi(c[i - start] - np.mod(prev, TWO_PI))
+        if stop == grid:
+            break
         try:
-            deltas = match_step(thetas[:, i - 1], angles[i], tie_tol)
+            deltas, slots = _match_row(thetas[stop - 1], angles[stop], tie_tol)
         except MatchingAmbiguityError as exc:
             raise SpectralCollisionError(
-                f"ambiguous branch continuation at grid index {i}: {exc}",
-                t_index=i) from exc
-        thetas[:, i] = thetas[:, i - 1] + deltas
-    return thetas
+                f"ambiguous branch continuation at grid index {stop}: {exc}",
+                t_index=stop) from exc
+        thetas[stop] = thetas[stop - 1] + deltas
+        pos[slots] = (np.arange(n) - frame[stop - 1]) % n
+        start = stop + 1
+    return thetas.T.copy()
 
 
 def _multiset_circle_distance(a: np.ndarray, b: np.ndarray) -> float:
     """max over rows of the circular multiset distance between angle rows."""
-    n = a.shape[1]
     sa = np.sort(np.mod(a, TWO_PI), axis=1)
     sb = np.sort(np.mod(b, TWO_PI), axis=1)
-    best = np.full(a.shape[0], np.inf)
-    # optimal bottleneck matching on the circle is order preserving
-    for shift in range(n):
-        cand = np.max(np.abs(_wrap_to_pi(np.roll(sa, -shift, axis=1) - sb)), axis=1)
-        best = np.minimum(best, cand)
-    return float(np.max(best))
+    _, costs = cyclic_match(sb, sa)
+    return float(np.max(np.min(costs, axis=1)))
 
 
 def lift_fidelity(lift: BranchLift, field: SampledMatrixField,

@@ -343,7 +343,8 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
         "split_top": Fraction(2 * (q - 1) * (pow2 - 1), q * pow2),
     }
     floor_pi = min(cases.values())
-    assert floor_pi == cases["split_top"]
+    if floor_pi != cases["split_top"]:
+        raise AssertionError("the split-top case is not the floor")
     ordered_log_pi, _ = _ordered_log_pi(pushed)
     cu = verify_cu(pushed)
     dich_count = dichotomy_modular_count(sn.p, sn.q)

@@ -394,3 +394,43 @@ def test_celbound_serialization_and_invariant():
     assert obj["upper"] == 2.0
     with pytest.raises(ValueError):
         CelBound(lower=2.0, upper=1.0)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_bound_sandwich_decomposes_and_lifts_once(monkeypatch):
+    import cellab.cel as cel_mod
+
+    u = random_unitary_field(np.random.default_rng(5), 3, 257, amplitude=0.4,
+                             det_one=True)
+    want = (cel_lower_distinct(u), geodesic_upper_bound(u),
+            cu_upper_bound_path(u, s_points=17))
+    counts = {}
+    for name in ("normal_unitary_eig", "lift_angle_array"):
+        _count_calls(monkeypatch, cel_mod, name, counts)
+    _count_calls(monkeypatch, np.linalg, "det", counts)
+    b = bound_sandwich(u)
+    assert counts == {"normal_unitary_eig": 1, "lift_angle_array": 1, "det": 1}
+    low, geo, cu = want
+    assert b.lower == low.lower and b.epsilon_report == low.epsilon_report
+    assert b.certificate == low.certificate
+    assert b.upper == min(geo, cu.length)
+
+
+def test_bound_sandwich_refuses_like_the_lower_bound():
+    u = random_unitary_field(np.random.default_rng(1), 3, 129, amplitude=2.5,
+                             det_one=True)
+    with pytest.raises(SpectralCollisionError) as alone:
+        cel_lower_distinct(u)
+    with pytest.raises(SpectralCollisionError) as combined:
+        bound_sandwich(u)
+    assert combined.value.t_index == alone.value.t_index == 15
+    assert str(combined.value) == str(alone.value)
