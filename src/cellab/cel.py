@@ -25,6 +25,7 @@ from .numerics import (
     SampledMatrixField,
     circular_gaps,
     cyclic_match,
+    jitter_spectrum,
     lift_angle_array,
     match_step,
     normal_unitary_eig,
@@ -95,6 +96,14 @@ def _minmax_over_shifts(m, M, two: Fraction | float):
     return best, best_k
 
 
+def _max_over_branches(mins, maxs, two: Fraction | float):
+    """The scalar min-max of the branch with ranges [mins[j], maxs[j]] that
+    has the largest one: (first such branch j, its value, its shift)."""
+    per = [_minmax_over_shifts(lo, hi, two) for lo, hi in zip(mins, maxs)]
+    best_j = max(range(len(per)), key=lambda j: per[j][0])
+    return best_j, *per[best_j]
+
+
 def scalar_cel(alpha) -> Fraction | float:
     """Exponential length of the scalar unitary t -> exp(i alpha(t)).
 
@@ -103,15 +112,7 @@ def scalar_cel(alpha) -> Fraction | float:
     (returns radians). The min-max is attained at range endpoints, hence
     exact for piecewise-linear input.
     """
-    if isinstance(alpha, PiecewiseLinearFn):
-        value, _ = _minmax_over_shifts(alpha.min_value(), alpha.max_value(),
-                                       Fraction(2))
-        return value
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sampled alpha must be one-dimensional")
-    value, _ = _minmax_over_shifts(float(arr.min()), float(arr.max()), TWO_PI)
-    return float(value)
+    return scalar_cel_certificate(alpha)[0]
 
 
 def scalar_cel_certificate(alpha):
@@ -119,6 +120,8 @@ def scalar_cel_certificate(alpha):
     if isinstance(alpha, PiecewiseLinearFn):
         return _minmax_over_shifts(alpha.min_value(), alpha.max_value(), Fraction(2))
     arr = np.asarray(alpha, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sampled alpha must be one-dimensional")
     return _minmax_over_shifts(float(arr.min()), float(arr.max()), TWO_PI)
 
 
@@ -196,16 +199,8 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances,
     angles = np.angle(lam)
     eps_used = 0.0
     if np.min(circular_gaps(angles)) < tol.gap_tol:
-        ranks = np.argsort(np.argsort(angles, axis=1, kind="stable"),
-                           axis=1, kind="stable")
-        for attempt in range(6):
-            eps_used = tol.eps_jitter * (1.7 ** attempt)
-            jittered = np.angle(lam * np.exp(1j * eps_used * (ranks + 1)))
-            if np.min(circular_gaps(jittered)) >= tol.gap_tol:
-                angles = jittered
-                break
-        else:
-            raise SpectralCollisionError("jitter failed to open a spectral gap")
+        jittered, eps_used = jitter_spectrum(lam, tol)
+        angles = np.angle(jittered)
     thetas = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
     pass_slack = winding_pass_slack(thetas) if winding_guard else 0.0
     return _FieldSpectrum(lam, vecs, residual, angles, eps_used, thetas,
@@ -229,20 +224,16 @@ def cel_lower_distinct(u: SampledMatrixField,
 
 
 def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
-    values = []
-    for j in range(spec.thetas.shape[0]):
-        v, k = _minmax_over_shifts(float(spec.thetas[j].min()),
-                                   float(spec.thetas[j].max()), TWO_PI)
-        values.append((float(v), k))
-    best_j = int(np.argmax([v for v, _ in values]))
+    best_j, value, shift = _max_over_branches(
+        spec.thetas.min(axis=1).tolist(), spec.thetas.max(axis=1).tolist(),
+        TWO_PI)
     eps_report = dim * spec.eps_used + 10 * spec.residual + spec.pass_slack
     return CelBound(
-        lower=values[best_j][0],
+        lower=value,
         upper=INF,
         lower_method="distinct-eigenvalue-branches",
         epsilon_report=eps_report,
-        certificate={"branch": best_j, "shift": values[best_j][1],
-                     "jitter": spec.eps_used},
+        certificate={"branch": best_j, "shift": shift, "jitter": spec.eps_used},
     )
 
 
@@ -258,31 +249,18 @@ def cel_lower_ordered_log(e: EigenvalueListField,
     if e.is_exact:
         mins = [h.min_value() for h in e.exact]
         maxs = [h.max_value() for h in e.exact]
-        m, M = min(mins), max(maxs)
-        _check_window(m, M, Fraction(2))
-        per = [_minmax_over_shifts(lo, hi, Fraction(2))
-               for lo, hi in zip(mins, maxs)]
-        best_j = max(range(len(per)), key=lambda j: per[j][0])
-        value, shift = per[best_j]
-        return CelBound(
-            lower=float(value) * math.pi,
-            upper=INF,
-            lower_method="ordered-log-branches",
-            certificate={"branch": best_j, "shift": shift},
-            lower_pi=value,
-        )
-    s = e.samples
-    m, M = float(s.min()), float(s.max())
-    _check_window(m, M, TWO_PI)
-    per = [_minmax_over_shifts(float(row.min()), float(row.max()), TWO_PI)
-           for row in s]
-    best_j = max(range(len(per)), key=lambda j: per[j][0])
-    value, shift = per[best_j]
+        two, unit = Fraction(2), math.pi
+    else:
+        mins, maxs = e.samples.min(axis=1).tolist(), e.samples.max(axis=1).tolist()
+        two, unit = TWO_PI, 1.0
+    _check_window(min(mins), max(maxs), two)
+    best_j, value, shift = _max_over_branches(mins, maxs, two)
     return CelBound(
-        lower=float(value),
+        lower=float(value) * unit,
         upper=INF,
         lower_method="ordered-log-branches",
         certificate={"branch": best_j, "shift": shift},
+        lower_pi=value if e.is_exact else None,
     )
 
 
@@ -413,20 +391,15 @@ def path_lower_bound_branches(path: UnitaryPath2D,
         lam, _, _ = normal_unitary_eig(path.slice(i).samples, tol)
         angles = np.angle(lam)
         if np.min(circular_gaps(angles)) < tol.gap_tol:
-            ranks = np.argsort(np.argsort(angles, axis=1, kind="stable"),
-                               axis=1, kind="stable")
-            for attempt in range(6):
-                eps = tol.eps_jitter * (1.7 ** attempt)
-                jittered = angles + eps * (ranks + 1)
-                if np.min(circular_gaps(jittered)) >= tol.gap_tol:
-                    angles = jittered
-                    max_eps = max(max_eps, eps)
-                    break
-            else:
-                bad = int(np.nonzero(circular_gaps(angles) < tol.gap_tol)[0][0])
+            try:
+                jittered, eps = jitter_spectrum(lam, tol)
+            except SpectralCollisionError as exc:
                 raise SpectralCollisionError(
                     f"unresolvable spectral collision at (s_index={i}, "
-                    f"t_index={bad})", s_index=i, t_index=bad)
+                    f"t_index={exc.t_index})", s_index=i,
+                    t_index=exc.t_index) from exc
+            angles = np.angle(jittered)
+            max_eps = max(max_eps, eps)
         all_angles.append(angles)
     anchors = np.sort(all_angles[0][0])
     prev = lift_angle_array(all_angles[0], anchors, tol.tie_tol)
@@ -591,12 +564,27 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
     spec = _field_spectrum(u, tol, winding_guard=False)
-    return _cu_path(u, spec, det_resid, s_points, tol)
+    max_norm, h_norm, vecs, shifts, winding, eps_report, n_swaps = (
+        _cu_branches(spec, u.dim, det_resid))
+    path = UnitaryPath2D.from_spectral(h_norm, vecs,
+                                       np.linspace(0.0, 1.0, s_points), tol)
+    # d v_s/ds has op norm 2 pi max_j |h_j(t)| pointwise, so the rectifiable
+    # length is exactly 2 pi max_norm, independent of the s grid.
+    return CuPathResult(
+        path=path, length=TWO_PI * max_norm,
+        endpoint_error=path.slice(0).sup_distance(u),
+        eps_report=eps_report, shifts=tuple(int(c) for c in shifts),
+        winding=winding, max_branch_norm=max_norm, n_repairs=n_swaps)
 
 
-def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
-             s_points: int, tol: Tolerances) -> CuPathResult:
-    n = u.dim
+def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
+                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int,
+                            float, int]:
+    """The certified part of the constructive path, without building it:
+    the branch-sum defect, winding repair, integer shifts, the (k-1)/k norm
+    limit and the eigenvector pairing. Returns (max_norm, normalized
+    branches h (n, grid), paired eigenvectors, shifts, winding, eps_report,
+    number of repairs)."""
     h = spec.thetas / TWO_PI
     sums = h.sum(axis=0)
     jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
@@ -607,9 +595,7 @@ def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
             f"branch sum is not the constant winding number: defect {sum_defect:.3e}"
             " (impossible for det = 1 inputs)")
     h, _, n_swaps = _confine_branches(h)
-    mins = h.min(axis=1)
-    maxs = h.max(axis=1)
-    shifts, cap = _minimax_integer_shifts(mins, maxs, -winding)
+    shifts, _ = _minimax_integer_shifts(h.min(axis=1), h.max(axis=1), -winding)
     h_norm = h + shifts[:, None]
     max_norm = float(np.max(np.abs(h_norm)))
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
@@ -619,16 +605,7 @@ def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
             f"normalized branch norm {max_norm:.6f} exceeds (k-1)/k + slack "
             f"{limit:.6f} (impossible for det = 1 inputs)")
     vecs_paired = _pair_columns(spec.vecs, spec.angles, h_norm)
-    s_grid = np.linspace(0.0, 1.0, s_points)
-    path = UnitaryPath2D.from_spectral(h_norm, vecs_paired, s_grid, tol)
-    # d v_s/ds has op norm 2 pi max_j |h_j(t)| pointwise, so the rectifiable
-    # length is exactly 2 pi max_norm, independent of the s grid.
-    length = TWO_PI * max_norm
-    endpoint_error = path.slice(0).sup_distance(u)
-    return CuPathResult(
-        path=path, length=length, endpoint_error=endpoint_error,
-        eps_report=eps_report, shifts=tuple(int(c) for c in shifts),
-        winding=winding, max_branch_norm=max_norm, n_repairs=n_swaps)
+    return max_norm, h_norm, vecs_paired, shifts, winding, eps_report, n_swaps
 
 
 def _pair_columns(vecs: np.ndarray, angles: np.ndarray, h: np.ndarray
@@ -684,13 +661,15 @@ def _geodesic(lam: np.ndarray, tol: Tolerances) -> float:
     return peak
 
 
-def bound_sandwich(u: SampledMatrixField, *, s_points: int = 17,
+def bound_sandwich(u: SampledMatrixField, *,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> CelBound:
     """Combined certified bounds: branch lower bound against the best of the
     geodesic and constructive uppers.
 
     The field is decomposed and lifted once; the three bounds share that
-    spectral data (the geodesic reads the raw, unjittered angles).
+    spectral data (the geodesic reads the raw, unjittered angles). The
+    constructive length 2 pi max_j ||h_j|| is certified as in
+    cu_upper_bound_path, but the path itself is not built.
     """
     if u.flavor != "unitary":
         raise FlavorError("bound_sandwich needs a unitary field")
@@ -699,9 +678,9 @@ def bound_sandwich(u: SampledMatrixField, *, s_points: int = 17,
     upper, method = _geodesic(spec.lam, tol), "principal-log-geodesic"
     det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
     if det_resid <= tol.tol_det:
-        cu = _cu_path(u, spec, det_resid, s_points, tol)
-        if cu.length < upper:
-            upper, method = cu.length, "cu-constructive-path"
+        length = TWO_PI * _cu_branches(spec, u.dim, det_resid)[0]
+        if length < upper:
+            upper, method = length, "cu-constructive-path"
     return CelBound(
         lower=low.lower, upper=upper,
         lower_method=low.lower_method, upper_method=method,

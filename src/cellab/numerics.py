@@ -566,31 +566,47 @@ def principal_log(u: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
 # Jitter protocol for (near-)repeated eigenvalues
 # ---------------------------------------------------------------------------
 
-def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES,
-                   eps: float | None = None) -> tuple[SampledMatrixField, float]:
+def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+                    ) -> tuple[np.ndarray, float]:
+    """Multiply the j-th (angle-sorted) eigenvalue of every row of an (m, n)
+    spectrum by e^{i j eps}, until every row has a circular gap >= gap_tol.
+
+    eps starts at tol.eps_jitter and grows deterministically on a
+    re-collision, up to a small number of retries; then the collision is
+    refused with the grid index of the first row whose gap is below gap_tol
+    (before jitter, or after the last attempt when jitter closed it).
+    Returns the jittered spectrum and the eps used.
+    """
+    ranks = np.argsort(np.argsort(np.angle(lam), axis=1, kind="stable"),
+                       axis=1, kind="stable")
+    for attempt in range(6):
+        eps = tol.eps_jitter * (1.7 ** attempt)
+        jittered = lam * np.exp(1j * eps * (ranks + 1))
+        if np.min(circular_gaps(np.angle(jittered))) >= tol.gap_tol:
+            return jittered, eps
+    gaps = circular_gaps(np.angle(lam))
+    if np.min(gaps) >= tol.gap_tol:
+        gaps = circular_gaps(np.angle(jittered))
+    bad = int(np.argmax(gaps < tol.gap_tol))
+    raise SpectralCollisionError(
+        f"jitter failed to open a spectral gap (grid index {bad})", t_index=bad)
+
+
+def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
+                   ) -> tuple[SampledMatrixField, float]:
     """Multiply the j-th (angle-sorted) eigenvalue by e^{i j eps} pointwise.
 
     The numerical surrogate of a transversality perturbation: splits
     repeated eigenvalues so branch lifting applies. Returns the perturbed
-    field and the eps actually used (the gap is re-verified; eps grows
-    deterministically on a re-collision, up to a small number of retries).
-    The perturbed field differs from the input by at most n*eps in operator
-    norm.
+    field and the eps actually used (see jitter_spectrum). The perturbed
+    field differs from the input by at most n*eps in operator norm.
     """
     if field.flavor != "unitary":
         raise FlavorError("jitter_unitary needs a unitary field")
-    base = tol.eps_jitter if eps is None else eps
     lam, v, _ = normal_unitary_eig(field.samples, tol)
-    ranks = np.argsort(np.argsort(np.angle(lam), axis=1, kind="stable"),
-                       axis=1, kind="stable")
-    for attempt in range(6):
-        e = base * (1.7 ** attempt)
-        lam2 = lam * np.exp(1j * e * (ranks + 1))
-        if np.all(circular_gaps(np.angle(lam2)) >= tol.gap_tol):
-            samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
-            out = SampledMatrixField(samples, "unitary", tol=tol)
-            return out, e
-    raise SpectralCollisionError("jitter failed to open a spectral gap")
+    lam2, eps = jitter_spectrum(lam, tol)
+    samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
+    return SampledMatrixField(samples, "unitary", tol=tol), eps
 
 
 def min_circular_gap(field: SampledMatrixField,

@@ -19,10 +19,12 @@ from cellab.cel import (
     scalar_cel_certificate,
     winding_pass_slack,
 )
+from cellab.config import Tolerances
 from cellab.errors import CommutatorError, SpectralCollisionError, WindowError
 from cellab.funalg import EigenvalueListField, PiecewiseLinearFn
 from cellab.numerics import (
     SampledMatrixField,
+    jitter_unitary,
     random_hermitian,
     random_unitary_field,
     unitary_exp,
@@ -65,6 +67,9 @@ def test_scalar_cel_sampled():
     ts = np.linspace(0, 1, 513)
     assert abs(scalar_cel(PI * ts + 10 * PI) - PI) < 1e-12
     assert scalar_cel(np.zeros(5)) == 0
+    for fn in (scalar_cel, scalar_cel_certificate):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fn(np.zeros((2, 5)))
 
 
 def test_scalar_cel_shift_invariance_exact():
@@ -220,22 +225,36 @@ def test_path_length_concatenation_additive():
 
 
 def test_path_lower_bound_diagonal_homotopy():
-    # v_s = exp(i (1-s) H), H = diag(0.9, 0.3, -0.5): branch arc lengths are
-    # |H_jj|, the bound is their max
-    hvals = np.array([0.9, 0.3, -0.5])
-    h = np.tile(np.diag(hvals).astype(complex), (33, 1, 1))
+    # v_s = exp(i (1-s) H), H diagonal: branch arc lengths are |H_jj|, the
+    # bound is their max. The identity endpoint needs jitter; the pinned
+    # per-branch arcs were recorded when jitter still shifted the raw angles
+    # (angles + eps * rank) instead of multiplying by e^{i eps rank}.
+    cases = [
+        ([0.9, 0.3, -0.5],
+         [0.5000001000000012, 0.29999980000000015, 0.8999997]),
+        ([1.1, -0.7], [0.7000001000000005, 1.0999998]),
+        ([0.9, 0.3, -0.5, -1.3],
+         [1.3000001, 0.5000002000000001, 0.29999969999999987,
+          0.8999996000000001]),
+        ([2.1, -0.4, 0.6], [0.4000001000000002, 0.5999998, 2.0999997]),
+    ]
     s_grid = np.linspace(0, 1, 65)
+    for hvals, pinned in cases:
+        h = np.tile(np.diag(hvals).astype(complex), (33, 1, 1))
 
-    def provider(i):
-        return unitary_exp(SampledMatrixField(h * (1 - s_grid[i]),
-                                              "selfadjoint"))
+        def provider(i, h=h):
+            return unitary_exp(SampledMatrixField(h * (1 - s_grid[i]),
+                                                  "selfadjoint"))
 
-    p = UnitaryPath2D(s_grid, provider, dim=3, grid_size=33)
-    bound, cert = path_lower_bound_branches(p)
-    assert abs(bound - 0.9) < 1e-5  # identity endpoint is jitter-resolved
-    # per-branch arcs are |H_jj| (branch order = sorted anchors at s=0)
-    assert np.allclose(sorted(cert["per_branch"]), sorted(np.abs(hvals)),
-                       atol=1e-5)
+        p = UnitaryPath2D(s_grid, provider, dim=len(hvals), grid_size=33)
+        bound, cert = path_lower_bound_branches(p)
+        assert cert["jitter_slack"] > 0
+        assert abs(bound - max(np.abs(hvals))) < 1e-5
+        # per-branch arcs are |H_jj| (branch order = sorted anchors at s=0)
+        assert np.allclose(sorted(cert["per_branch"]), sorted(np.abs(hvals)),
+                           atol=1e-5)
+        assert np.allclose(cert["per_branch"], pinned, rtol=0, atol=1e-12)
+        assert abs(bound - max(pinned)) <= 1e-12
 
 
 def test_path_lower_bound_below_path_length(rng):
@@ -268,6 +287,30 @@ def test_path_lower_bound_scalar_comparison(rng):
     expect = sum(np.max(np.abs(alpha * (s_grid[i] - s_grid[i + 1])))
                  for i in range(32))
     assert abs(bound - expect) < 1e-12
+
+
+def test_jitter_refusal_carries_grid_index():
+    # diag(e^{i(c-t)}, e^{-i(c-t)}) on 11 points: at c = 1 the gap 2(1-t)
+    # first drops below 0.5 at t = 0.8 (grid index 8), and jitter of
+    # size ~1e-6 cannot open it to 0.5
+    tol = Tolerances(gap_tol=0.5)
+    ts = np.linspace(0, 1, 11)
+
+    def field(c):
+        return SampledMatrixField.diagonal_unitary(
+            np.stack([c - ts, ts - c], axis=1))
+
+    for refuse in (lambda: cel_lower_distinct(field(1.0), tol),
+                   lambda: jitter_unitary(field(1.0), tol)):
+        with pytest.raises(SpectralCollisionError, match="jitter") as exc:
+            refuse()
+        assert exc.value.t_index == 8
+    p = UnitaryPath2D.from_slices([field(2.0), field(1.0), field(1.0)])
+    with pytest.raises(SpectralCollisionError) as exc:
+        path_lower_bound_branches(p, tol)
+    assert (exc.value.s_index, exc.value.t_index) == (1, 8)
+    assert str(exc.value) == ("unresolvable spectral collision at "
+                              "(s_index=1, t_index=8)")
 
 
 def test_path_endpoint_metadata():
@@ -408,6 +451,7 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 def test_bound_sandwich_decomposes_and_lifts_once(monkeypatch):
     import cellab.cel as cel_mod
+    import cellab.numerics as numerics_mod
 
     u = random_unitary_field(np.random.default_rng(5), 3, 257, amplitude=0.4,
                              det_one=True)
@@ -417,12 +461,16 @@ def test_bound_sandwich_decomposes_and_lifts_once(monkeypatch):
     for name in ("normal_unitary_eig", "lift_angle_array"):
         _count_calls(monkeypatch, cel_mod, name, counts)
     _count_calls(monkeypatch, np.linalg, "det", counts)
+    # the constructive length is read without building the path
+    _count_calls(monkeypatch, numerics_mod, "operator_norm", counts)
+    _count_calls(monkeypatch, UnitaryPath2D, "from_spectral", counts)
     b = bound_sandwich(u)
     assert counts == {"normal_unitary_eig": 1, "lift_angle_array": 1, "det": 1}
+    assert counts.get("operator_norm", 0) == counts.get("from_spectral", 0) == 0
     low, geo, cu = want
     assert b.lower == low.lower and b.epsilon_report == low.epsilon_report
     assert b.certificate == low.certificate
-    assert b.upper == min(geo, cu.length)
+    assert b.upper.hex() == min(geo, cu.length).hex()
 
 
 def test_bound_sandwich_refuses_like_the_lower_bound():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -56,6 +57,26 @@ def test_parse_fn_spec_json_exact():
 def test_parse_fn_spec_bad_ramp():
     with pytest.raises(ValueError):
         parse_fn_spec("ramp:fast", 17)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: exact arithmetic, so the bytes are platform independent
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("witness jiang-su --m 1 --n 3",
+     "2c3c5340cda5a5c5e1b6e90736756aae691f816f26b245838d39b3168f86039d"),
+    ("witness chi --L 100",
+     "d0389ba11250324f49ed5b7a58726795f4b025e415118316963da61ba0b5e815"),
+    ("tower --stages 4",
+     "7a50a944cbb219b7a56d1e2d5125bc64dfac38fdd67d6c8d78d05e5ff533c7b5"),
+    ("scalar-cel ramp:3/2pi-neg",
+     "b473705e26205516ea0b20d943bc8bf9eb5f18a7a684f229ba7e7f851523b38e"),
+])
+def test_golden_stdout_digest(capsys, argv, sha256):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------
