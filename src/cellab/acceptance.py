@@ -195,10 +195,10 @@ def criterion_jiangsu_floor(cfg: RunConfig) -> CriterionResult:
                witness.format_pi(b3.lower_pi))
     # the full 2pi claim is a limit: the n-limit at stage m is
     # 2pi(q_m-1)/q_m, monotone toward 2pi along stages 1..4
-    limits = [Fraction(2 * (s.q - 1), s.q) for s in dimdrop.tower(4)]
+    limits = [Fraction(2 * (s.q - 1), s.q) for s in stages[:4]]
     mono = all(a < b for a, b in zip(limits, limits[1:])) and limits[-1] < 2
     gap_shrinks = all(2 - lim <= Fraction(2, s.q)
-                      for lim, s in zip(limits, dimdrop.tower(4)))
+                      for lim, s in zip(limits, stages))
     chk.record("stage limits 2pi(q_m-1)/q_m increase toward 2pi over m=1..4",
                mono and gap_shrinks,
                ", ".join(witness.format_pi(v) for v in limits))

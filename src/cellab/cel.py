@@ -10,6 +10,7 @@ value, except where an exact formula applies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,7 +130,7 @@ def scalar_cel_certificate(alpha):
 # Eigenvalue-branch lower bounds
 # ---------------------------------------------------------------------------
 
-def winding_pass_slack(thetas: np.ndarray, *, margin_scale: float = 4.0) -> float:
+def winding_pass_slack(thetas: np.ndarray) -> float:
     """Certify lifted branches against invisible winding passes.
 
     If two branches come closer on the circle than the local sampling can
@@ -144,7 +145,7 @@ def winding_pass_slack(thetas: np.ndarray, *, margin_scale: float = 4.0) -> floa
     if n == 1:
         return 0.0
     motion = float(np.max(np.abs(np.diff(thetas, axis=1)))) if grid > 1 else 0.0
-    margin = margin_scale * motion + 1e-6
+    margin = 4.0 * motion + 1e-6
     escape = 4.0 * margin
     slack = 0.0
     for i in range(n - 1):
@@ -440,69 +441,49 @@ class CuPathResult:
     max_branch_norm: float      # max_j ||h_j||_inf after normalization
     n_repairs: int = 0          # winding-crossing tail swaps applied
 
-    def bound(self) -> CelBound:
-        return CelBound(
-            lower=0.0, upper=self.length,
-            lower_method="trivial", upper_method="cu-constructive-path",
-            epsilon_report=self.eps_report,
-            certificate={"shifts": list(self.shifts), "winding": self.winding},
-        )
+
+def _winding_pass(h: np.ndarray) -> tuple[int, int, int, int] | None:
+    """(i, j, k, m) for the first pair i < j and first grid step k where
+    floor(h_i - h_j) changes and m, the larger floor, is nonzero; else None.
+    A change with m = 0 is a genuine value crossing, not a winding pass."""
+    for i, j in itertools.combinations(range(h.shape[0]), 2):
+        fl = np.floor(h[i] - h[j])
+        top = np.maximum(fl[:-1], fl[1:])
+        passes = np.flatnonzero((fl[1:] != fl[:-1]) & (top != 0))
+        if passes.size:
+            k = int(passes[0])
+            return i, j, k, int(top[k])
+    return None
 
 
-def _confine_branches(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _confine_branches(h: np.ndarray) -> tuple[np.ndarray, int]:
     """Repair winding crossings so that branch differences never pass an
     integer (units of full turns).
 
     A continuous lift anchored at t=0 can let two branches pass each other
     modulo 1 between grid samples (the spectra stay distinct at every grid
     point, so the pass is invisible pointwise); constant integer shifts can
-    then no longer confine the family to a width-1 window. Whenever
-    floor(h_i - h_j) changes across a grid step, the tails are swapped with
-    the corresponding integer adjustment: the pointwise spectrum multiset
-    and the branch sum are unchanged, the seam jump is below one grid step,
-    and each swap removes one crossing. Returns (repaired h, column
-    permutation per grid point for re-pairing spectral projections, number
-    of swaps)."""
+    then no longer confine the family to a width-1 window. Each winding
+    pass found by _winding_pass is removed by swapping the tails with the
+    corresponding integer adjustment: the pointwise spectrum multiset and
+    the branch sum are unchanged and the seam jump is below one grid step.
+    Returns (repaired h, number of swaps)."""
     h = h.copy()
-    n, grid = h.shape
-    perm = np.tile(np.arange(n), (grid, 1))
-    swaps = 0
+    n = h.shape[0]
     max_rounds = 64 * n * n * (2 + int(np.max(np.abs(h))))
-    for _ in range(max_rounds):
-        found = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                e = h[i] - h[j]
-                fl = np.floor(e)
-                jumps = np.nonzero(fl[1:] != fl[:-1])[0]
-                for k in jumps:
-                    k = int(k)
-                    m = int(max(fl[k], fl[k + 1]))
-                    if m == 0:
-                        # a genuine value crossing, not a winding pass;
-                        # relabeling would not change the function multiset
-                        continue
-                    tail = slice(k + 1, grid)
-                    hi_tail = h[i, tail].copy()
-                    h[i, tail] = h[j, tail] + m
-                    h[j, tail] = hi_tail - m
-                    pi_tail = perm[tail, i].copy()
-                    perm[tail, i] = perm[tail, j]
-                    perm[tail, j] = pi_tail
-                    swaps += 1
-                    found = True
-                    break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return h, perm, swaps
+    for swaps in range(max_rounds):
+        found = _winding_pass(h)
+        if found is None:
+            return h, swaps
+        i, j, k, m = found
+        hi_tail = h[i, k + 1:].copy()
+        h[i, k + 1:] = h[j, k + 1:] + m
+        h[j, k + 1:] = hi_tail - m
     raise ArithmeticError("branch winding repair did not converge")
 
 
 def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
-                            ) -> tuple[np.ndarray, float]:
+                            ) -> np.ndarray:
     """Integer shifts c_j with sum c = total minimizing max_j ||h_j + c_j||.
 
     The achievable max-norms form a finite candidate set (one value per
@@ -517,21 +498,13 @@ def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
         for c in range(int(math.floor(center)) - 2, int(math.ceil(center)) + 3):
             cands.add(max(maxs[j] + c, -(mins[j] + c)))
     eps = 1e-12
-
-    def intervals(cap: float):
+    for cap in sorted(cands):
         lo = np.ceil(-cap - mins - eps).astype(np.int64)
         hi = np.floor(cap - maxs + eps).astype(np.int64)
-        return lo, hi
-
-    best_cap = None
-    for cap in sorted(cands):
-        lo, hi = intervals(cap)
         if np.all(lo <= hi) and lo.sum() <= total <= hi.sum():
-            best_cap = cap
             break
-    if best_cap is None:
+    else:
         raise ArithmeticError("no feasible integer shift vector")
-    lo, hi = intervals(best_cap)
     shifts = np.empty(nb, dtype=np.int64)
     remaining = total
     for j in range(nb):
@@ -541,7 +514,7 @@ def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
         remaining -= c
     if remaining != 0:
         raise AssertionError(f"shift vector misses its total by {remaining}")
-    return shifts, float(best_cap)
+    return shifts
 
 
 def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
@@ -594,8 +567,8 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
         raise AssertionError(
             f"branch sum is not the constant winding number: defect {sum_defect:.3e}"
             " (impossible for det = 1 inputs)")
-    h, _, n_swaps = _confine_branches(h)
-    shifts, _ = _minimax_integer_shifts(h.min(axis=1), h.max(axis=1), -winding)
+    h, n_swaps = _confine_branches(h)
+    shifts = _minimax_integer_shifts(h.min(axis=1), h.max(axis=1), -winding)
     h_norm = h + shifts[:, None]
     max_norm = float(np.max(np.abs(h_norm)))
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid

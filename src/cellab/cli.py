@@ -167,10 +167,11 @@ def cmd_witness(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tower(args, cfg: RunConfig) -> int:
-    if args.stages < 1:
-        print("error: --stages must be >= 1", file=sys.stderr)
+    try:
+        stages = dimdrop.tower(args.stages)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    stages = dimdrop.tower(args.stages)
     for prev, cur in zip(stages, stages[1:]):
         dimdrop.validate_stage_step(prev, cur)
     if cfg.output_format == "csv":
@@ -195,11 +196,15 @@ def cmd_curve(args, cfg: RunConfig) -> int:
                 for L in range(2, args.max_l + 1)]
         text = _csv_text(["L", "bound_over_pi", "bound_radians"], rows)
     elif kind == "jiangsu-floor":
-        stages = dimdrop.tower(args.max_n)
-        rows = []
-        for n in range(args.m + 1, args.max_n + 1):
-            rep = witness.jiangsu_witness(args.m, n, stages=stages)
-            rows.append([n, str(rep.lower_pi), float(rep.lower_pi) * math.pi])
+        try:
+            stages = dimdrop.tower(args.max_n)
+            rows = []
+            for n in range(args.m + 1, args.max_n + 1):
+                rep = witness.jiangsu_witness(args.m, n, stages=stages)
+                rows.append([n, str(rep.lower_pi), float(rep.lower_pi) * math.pi])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         text = _csv_text(["n", "floor_over_pi", "floor_radians"], rows)
     elif kind == "branches":
         if args.k is None:

@@ -17,7 +17,6 @@ class Tolerances:
     tol_unitary: float = 1e-9    # unitary flavor check
     tol_spec: float = 1e-9       # spectrum modulus / multiset re-enumeration
     tol_det: float = 1e-9        # determinant checks
-    tol_roundtrip: float = 1e-9  # exp/log round trip
     tol_eig: float = 1e-9        # eigenpair residual
     tol_membership: float = 1e-9
     tie_tol: float = 1e-12       # branch-matching ambiguity threshold

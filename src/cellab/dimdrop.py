@@ -106,10 +106,18 @@ def next_stage(s: TowerStage) -> TowerStage:
                       k0=k0, k1=k1, r0=r0, r1=r1)
 
 
+# Stage 8 runs nextprime on 2,496-digit integers (~22 s on a 2-core VM);
+# stage 9 would need it on ~7,500-digit ones.
+MAX_STAGES = 8
+
+
 def tower(n_stages: int) -> list[TowerStage]:
     """Stages 1..n_stages; each later stage carries its transition data."""
     if n_stages < 1:
         raise ValueError("need at least one stage")
+    if n_stages > MAX_STAGES:
+        raise ValueError(f"{n_stages} stages requested; the tower is capped at "
+                         f"MAX_STAGES = {MAX_STAGES}")
     stages = [initial_stage()]
     while len(stages) < n_stages:
         stages.append(next_stage(stages[-1]))

@@ -306,13 +306,13 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     return out
 
 
-def kth_lowest_merge(entries: Sequence[tuple[PiecewiseLinearFn, int]],
-                     expand_limit: int = 10_000) -> "EigenvalueListField":
+def kth_lowest_merge(entries: Sequence[tuple[PiecewiseLinearFn, int]]
+                     ) -> "EigenvalueListField":
     """Eigenvalue-list field whose branch k at t is the k-th lowest value of
     the input multiset at t. Branches are continuous by construction."""
     blocks = merge_sorted_branches(entries)
     total = sum(m for _, m in blocks)
-    if total > expand_limit:
+    if total > 10_000:
         raise ValueError(f"refusing to expand {total} branches; "
                          "use merge_sorted_branches directly")
     branches: list[PiecewiseLinearFn] = []
@@ -356,10 +356,6 @@ class EigenvalueListField:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.exact) if self.is_exact else self.samples.shape[0]
-
     def variation(self) -> Fraction | float:
         """Largest oscillation (max - min over [0,1]) among the branches."""
         if self.is_exact:
@@ -367,11 +363,6 @@ class EigenvalueListField:
                        default=Fraction(0))
         spread = self.samples.max(axis=1) - self.samples.min(axis=1)
         return float(spread.max())
-
-    def branch_ranges(self):
-        if self.is_exact:
-            return [h.range() for h in self.exact]
-        return [(float(r.min()), float(r.max())) for r in self.samples]
 
 
 def symbolic_element(entries: Iterable[tuple[PiecewiseLinearFn, int]]
@@ -429,9 +420,6 @@ class SymbolicElement:
         for f, m in self.entries:
             acc = acc + f.scale(m)
         return acc
-
-    def branch_ranges(self) -> list[tuple[Fraction, Fraction]]:
-        return [f.range() for f, _ in self.entries]
 
     def padded(self, extra: int) -> "SymbolicElement":
         """Corner-embedding zero padding.

@@ -50,8 +50,11 @@ def projection_defect(a: np.ndarray) -> float:
 # Batched cyclic Jacobi for complex hermitian matrices
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True,
-                sweep_tol: float = 1e-14, max_sweeps: int = 60):
+_SWEEP_TOL = 1e-14  # Jacobi stop: largest off-diagonal entry / Frobenius norm
+_MAX_SWEEPS = 60
+
+
+def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     """Eigendecomposition of hermitian matrices by cyclic Jacobi rotations.
 
     a: (..., n, n) complex hermitian. Returns (w, v) with w ascending along
@@ -78,10 +81,10 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True,
         return w, None
 
     scale = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
-    thr = sweep_tol * np.maximum(scale, 1e-300)
+    thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
     offdiag_mask = ~np.eye(n, dtype=bool)
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.max(np.abs(A[:, offdiag_mask]), axis=1)
         if np.all(off <= thr):
             break
@@ -218,7 +221,7 @@ class SampledMatrixField:
     __slots__ = ("samples", "flavor")
 
     def __init__(self, samples: np.ndarray, flavor: str = "general", *,
-                 tol: Tolerances = DEFAULT_TOLERANCES, validate: bool = True):
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         samples = np.array(samples, dtype=np.complex128)
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValueError("samples must have shape (grid_size, n, n)")
@@ -228,13 +231,12 @@ class SampledMatrixField:
             raise ValueError(f"unknown flavor {flavor!r}")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples contain non-finite entries")
-        if validate:
-            if flavor == "selfadjoint" and hermitian_defect(samples) > tol.tol_sym:
-                raise FlavorError("field is not selfadjoint within tol_sym")
-            if flavor == "unitary" and unitary_defect(samples) > tol.tol_unitary:
-                raise FlavorError("field is not unitary within tol_unitary")
-            if flavor == "projection" and projection_defect(samples) > tol.tol_sym:
-                raise FlavorError("field is not a projection within tol_sym")
+        if flavor == "selfadjoint" and hermitian_defect(samples) > tol.tol_sym:
+            raise FlavorError("field is not selfadjoint within tol_sym")
+        if flavor == "unitary" and unitary_defect(samples) > tol.tol_unitary:
+            raise FlavorError("field is not unitary within tol_unitary")
+        if flavor == "projection" and projection_defect(samples) > tol.tol_sym:
+            raise FlavorError("field is not a projection within tol_sym")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "flavor", flavor)
@@ -296,14 +298,6 @@ class BranchLift:
     """
 
     thetas: np.ndarray
-
-    @property
-    def n_branches(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def grid_size(self) -> int:
-        return self.thetas.shape[1]
 
     @property
     def anchors(self) -> np.ndarray:
@@ -635,19 +629,19 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,
                          *, amplitude: float = 1.0, det_one: bool = False,
-                         n_modes: int = 3, max_log_norm: float | None = None,
+                         max_log_norm: float | None = None,
                          tol: Tolerances = DEFAULT_TOLERANCES
                          ) -> SampledMatrixField:
     """Smooth random unitary field u(t) = exp(iH(t)).
 
-    H(t) is a low-frequency combination of fixed random hermitian
+    H(t) is a low-frequency combination of three fixed random hermitian
     generators; with det_one the generators are traceless, so
     det(u(t)) = 1 identically. max_log_norm rescales H so that its sup
     operator norm does not exceed it (keeps all spectral angles away from
     the -1 branch cut when set below pi).
     """
-    gens = [random_hermitian(rng, n, traceless=det_one) for _ in range(n_modes)]
-    coeffs = rng.standard_normal(n_modes)
+    gens = [random_hermitian(rng, n, traceless=det_one) for _ in range(3)]
+    coeffs = rng.standard_normal(len(gens))
     ts = np.linspace(0.0, 1.0, grid_size)
     h = np.zeros((grid_size, n, n), dtype=np.complex128)
     for k, (g, c) in enumerate(zip(gens, coeffs)):

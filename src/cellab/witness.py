@@ -379,7 +379,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
         upper=math.inf, cu=cu, passed=passed, extras=extras)
 
 
-def minimal_jiangsu_n(m: int, target_pi: Fraction, *, max_extra: int = 64,
+def minimal_jiangsu_n(m: int, target_pi: Fraction, *,
                       stages: list[TowerStage] | None = None) -> int:
     """Smallest n > m whose floor bound reaches the target; the reachable
     supremum at stage m is 2(q_m - 1)/q_m."""
@@ -391,8 +391,8 @@ def minimal_jiangsu_n(m: int, target_pi: Fraction, *, max_extra: int = 64,
     if t >= limit:
         raise ValueError(
             f"target {t} not reachable from stage {m}: supremum is {limit}")
-    for r in range(1, max_extra + 1):
+    for r in range(1, 65):
         pow2 = 1 << r
         if Fraction(2 * (q - 1) * (pow2 - 1), q * pow2) >= t:
             return m + r
-    raise ValueError("target not reached within max_extra steps")
+    raise ValueError("target not reached within 64 steps")

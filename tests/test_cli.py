@@ -163,6 +163,18 @@ def test_tower_bad_stage_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "tower --stages 9",
+    "witness jiang-su --m 1 --n 9",
+    "curve jiangsu-floor --max-n 9",
+])
+def test_stage_cap_refused_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "MAX_STAGES = 8" in err
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
