@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,10 +22,18 @@ PI = math.pi
 
 @dataclass
 class CriterionResult:
+    """Named sub-checks with measured values; passed while none is violated."""
+
     name: str
-    passed: bool
+    passed: bool = True
     details: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+
+    def record(self, label: str, passed: bool, measured: str = ""):
+        self.passed &= bool(passed)
+        mark = "ok" if passed else "VIOLATED"
+        suffix = f" [{measured}]" if measured else ""
+        self.details.append(f"  {label}: {mark}{suffix}")
 
     def summary_line(self, with_time: bool = True) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -34,37 +41,21 @@ class CriterionResult:
         return f"[{status}] {self.name}{timing}"
 
 
-class _Check:
-    """Collects named sub-checks with measured values."""
-
-    def __init__(self):
-        self.details: list[str] = []
-        self.ok = True
-
-    def record(self, label: str, passed: bool, measured: str = ""):
-        self.ok &= bool(passed)
-        mark = "ok" if passed else "VIOLATED"
-        suffix = f" [{measured}]" if measured else ""
-        self.details.append(f"  {label}: {mark}{suffix}")
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: finite-matrix equality
 # ---------------------------------------------------------------------------
 
-def criterion_finite_cel(cfg: RunConfig) -> CriterionResult:
+def criterion_finite_cel(cfg: RunConfig, res: CriterionResult) -> None:
     """For k in {2,3,4,8}: the extremal witness bound equals 2pi(k-1)/k
     exactly, and the constructive path stays within 1e-2 of it (in length
     and endpoint error) on the witness and 20 seeded determinant-1 fields."""
-    t0 = time.time()
-    chk = _Check()
     rng = np.random.default_rng(cfg.seed + 1)
     tol = cfg.tolerances
     for k in (2, 3, 4, 8):
         target_pi = Fraction(2 * (k - 1), k)
         target = float(target_pi) * PI
         rep = witness.pan_wang_report(k)
-        chk.record(f"k={k} exact witness lower == {witness.format_pi(target_pi)}",
+        res.record(f"k={k} exact witness lower == {witness.format_pi(target_pi)}",
                    rep.lower_pi == target_pi and rep.passed,
                    f"lower={witness.format_pi(rep.lower_pi)}")
         w = witness.pan_wang_witness(k)
@@ -75,68 +66,62 @@ def criterion_finite_cel(cfg: RunConfig) -> CriterionResult:
         worst_len = -math.inf
         worst_end = -math.inf
         for f in fields:
-            res = cel.cu_upper_bound_path(f, tol=tol)
-            worst_len = max(worst_len, res.length - target)
-            worst_end = max(worst_end, res.endpoint_error)
-        chk.record(f"k={k} path length <= 2pi(k-1)/k + 1e-2 on 21 fields",
+            path = cel.cu_upper_bound_path(f, tol=tol)
+            worst_len = max(worst_len, path.length - target)
+            worst_end = max(worst_end, path.endpoint_error)
+        res.record(f"k={k} path length <= 2pi(k-1)/k + 1e-2 on 21 fields",
                    worst_len <= 1e-2, f"max excess={worst_len:.3e}")
-        chk.record(f"k={k} endpoint error <= 1e-2",
+        res.record(f"k={k} endpoint error <= 1e-2",
                    worst_end <= 1e-2, f"max={worst_end:.3e}")
-    return CriterionResult("finite-cel", chk.ok, chk.details, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 2: chi witness
 # ---------------------------------------------------------------------------
 
-def criterion_chi_witness(cfg: RunConfig) -> CriterionResult:
+def criterion_chi_witness(cfg: RunConfig, res: CriterionResult) -> None:
     """L in {4, 100, 10^4}, [c,d] = [0.3, 0.7], x branch = t: exact lower
     bound 2pi(1 - 1/L), zero tolerance; exact determinant-1 certificate."""
-    t0 = time.time()
-    chk = _Check()
     x = funalg.symbolic_element([(PiecewiseLinearFn.identity(), 1)])
     for L in (4, 100, 10_000):
         target = 2 - Fraction(2, L)
         _, rep = witness.chi_witness(L, x, Fraction(3, 10), Fraction(7, 10))
-        chk.record(f"L={L} lower == {witness.format_pi(target)} exactly",
+        res.record(f"L={L} lower == {witness.format_pi(target)} exactly",
                    rep.lower_pi == target,
                    f"lower={witness.format_pi(rep.lower_pi)}")
-        chk.record(f"L={L} determinant-1 certificate exact",
+        res.record(f"L={L} determinant-1 certificate exact",
                    rep.cu.exact and rep.cu.passed,
                    f"residual={rep.cu.residual}")
-    return CriterionResult("chi-witness", chk.ok, chk.details, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: tower regression
 # ---------------------------------------------------------------------------
 
-def criterion_tower(cfg: RunConfig) -> CriterionResult:
+def criterion_tower(cfg: RunConfig, res: CriterionResult) -> None:
     """Stage 2 equals (26,51,1326,13,17,17,13); stages 3-4 satisfy all
     invariants and the composed endpoint multiplicity laws at every level;
     the dichotomy is empty exhaustively for d <= 1e4 and modularly at
     stages 2-4."""
-    t0 = time.time()
-    chk = _Check()
     stages = dimdrop.tower(4)
     s2 = stages[1]
     expected = (26, 51, 1326, 13, 17, 17, 13)
     got = (s2.p, s2.q, s2.d, s2.k0, s2.k1, s2.r0, s2.r1)
-    chk.record("stage 2 == (26,51,1326,13,17,17,13)", got == expected, str(got))
+    res.record("stage 2 == (26,51,1326,13,17,17,13)", got == expected, str(got))
     for prev, cur in zip(stages, stages[1:]):
         try:
             dimdrop.validate_stage_step(prev, cur)
-            chk.record(f"stage {cur.index} invariants", True,
+            res.record(f"stage {cur.index} invariants", True,
                        f"d={cur.d}")
         except AssertionError as exc:
-            chk.record(f"stage {cur.index} invariants", False, str(exc))
+            res.record(f"stage {cur.index} invariants", False, str(exc))
     for m in range(1, 4):
         for n in range(m + 1, 5):
             pats = dimdrop.connecting_patterns(stages, m, n)
             rep = dimdrop.boundary_check(pats, target=stages[n - 1],
                                          source=stages[m - 1])
             unital = pats.total == stages[n - 1].d // stages[m - 1].d
-            chk.record(f"boundary law + unitality {m}->{n}",
+            res.record(f"boundary law + unitality {m}->{n}",
                        rep.ok and unital,
                        f"levels={pats.level}, total={pats.total}")
     # dichotomy: every coprime pair with d <= 1e4, all K (vectorized)
@@ -149,25 +134,22 @@ def criterion_tower(cfg: RunConfig) -> CriterionResult:
             pairs += 1
             if dimdrop.dichotomy_violations(p, q).size:
                 bad_pairs += 1
-    chk.record("dichotomy empty for all coprime p,q with pq <= 1e4",
+    res.record("dichotomy empty for all coprime p,q with pq <= 1e4",
                bad_pairs == 0, f"{pairs} pairs scanned")
     for s in stages[1:]:
-        chk.record(f"dichotomy modular count at stage {s.index}",
+        res.record(f"dichotomy modular count at stage {s.index}",
                    dimdrop.dichotomy_modular_count(s.p, s.q) == 0,
                    f"p,q ~ {len(str(s.p))}/{len(str(s.q))} digits")
-    return CriterionResult("tower", chk.ok, chk.details, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 4: tower witness floor
 # ---------------------------------------------------------------------------
 
-def criterion_jiangsu_floor(cfg: RunConfig) -> CriterionResult:
+def criterion_jiangsu_floor(cfg: RunConfig, res: CriterionResult) -> None:
     """m=1, n in {2,3,5}: exact top pushed branch and floor bound, floor
     monotone in n, block padding irrelevant; stage-limit monotone toward
     2pi over stages 1..4."""
-    t0 = time.time()
-    chk = _Check()
     stages = dimdrop.tower(5)
     q1 = stages[0].q
     floors = {}
@@ -180,18 +162,18 @@ def criterion_jiangsu_floor(cfg: RunConfig) -> CriterionResult:
              (1, Fraction(q1 - 1, q1))])
         target = Fraction(2 * (q1 - 1) * (pow2 - 1), q1 * pow2)
         top_ok = rep.extras["top_branch"] == mu
-        chk.record(f"n={n} top pushed branch == mu formula", top_ok,
+        res.record(f"n={n} top pushed branch == mu formula", top_ok,
                    f"mult={rep.extras['top_multiplicity']}")
-        chk.record(f"n={n} floor == {witness.format_pi(target)} exactly",
+        res.record(f"n={n} floor == {witness.format_pi(target)} exactly",
                    rep.lower_pi == target and rep.passed,
                    f"floor={witness.format_pi(rep.lower_pi)}")
         floors[n] = rep.lower_pi
-    chk.record("floor monotone in n",
+    res.record("floor monotone in n",
                floors[2] < floors[3] < floors[5],
                " < ".join(witness.format_pi(floors[n]) for n in (2, 3, 5)))
     b1 = witness.jiangsu_witness(1, 2, block_k=1, stages=stages)
     b3 = witness.jiangsu_witness(1, 2, block_k=3, stages=stages)
-    chk.record("block_k in {1,3} agree", b1.lower_pi == b3.lower_pi,
+    res.record("block_k in {1,3} agree", b1.lower_pi == b3.lower_pi,
                witness.format_pi(b3.lower_pi))
     # the full 2pi claim is a limit: the n-limit at stage m is
     # 2pi(q_m-1)/q_m, monotone toward 2pi along stages 1..4
@@ -199,10 +181,9 @@ def criterion_jiangsu_floor(cfg: RunConfig) -> CriterionResult:
     mono = all(a < b for a, b in zip(limits, limits[1:])) and limits[-1] < 2
     gap_shrinks = all(2 - lim <= Fraction(2, s.q)
                       for lim, s in zip(limits, stages))
-    chk.record("stage limits 2pi(q_m-1)/q_m increase toward 2pi over m=1..4",
+    res.record("stage limits 2pi(q_m-1)/q_m increase toward 2pi over m=1..4",
                mono and gap_shrinks,
                ", ".join(witness.format_pi(v) for v in limits))
-    return CriterionResult("jiangsu-floor", chk.ok, chk.details, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +200,12 @@ def _random_plf(rng: np.random.Generator, *, n_knots: int = 4, lo=-2, hi=2,
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
 
 
-def criterion_properties(cfg: RunConfig) -> CriterionResult:
+def criterion_properties(cfg: RunConfig, res: CriterionResult) -> None:
     """Seeded property suites at pinned counts: scalar 1-Lipschitz
     stability (200), EV monotonicity under spectral composition (200,
     exact), interval persistence of sorted merges (500 vs a dense-sampling
     oracle), bound sandwich (100), eigenvalue stability under perturbation
     (200, Weyl)."""
-    t0 = time.time()
-    chk = _Check()
     tol = cfg.tolerances
 
     # 1-Lipschitz: |cel(alpha) - cel(beta)| <= sup|alpha - beta|
@@ -241,7 +220,7 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         sup = max(abs(dist.min_value()), abs(dist.max_value()))
         lips_ok &= abs(cf - cg) <= sup
         worst = max(worst, abs(cf - cg) - sup)
-    chk.record("scalar formula 1-Lipschitz (200 exact pairs)", lips_ok,
+    res.record("scalar formula 1-Lipschitz (200 exact pairs)", lips_ok,
                f"max slack used={worst}")
     samp_ok = True
     for _ in range(200):
@@ -249,7 +228,7 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         b = a + rng.standard_normal(33) * 0.1
         ca, cb = cel.scalar_cel(a), cel.scalar_cel(b)
         samp_ok &= abs(ca - cb) <= float(np.max(np.abs(a - b))) + 1e-9
-    chk.record("scalar formula 1-Lipschitz (200 sampled pairs, 1e-9)", samp_ok)
+    res.record("scalar formula 1-Lipschitz (200 sampled pairs, 1e-9)", samp_ok)
 
     # EV monotonicity under composition, exact
     rng = np.random.default_rng(cfg.seed + 52)
@@ -264,7 +243,7 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         pats = _random_patterns(rng)
         out = funalg.compose_spectral(pats, src)
         ev_ok &= out.variation() <= src.variation()
-    chk.record("EV never grows under spectral composition (200 exact cases)",
+    res.record("EV never grows under spectral composition (200 exact cases)",
                ev_ok)
 
     # interval persistence: no merged branch covers [c,d] unless an input does
@@ -286,8 +265,8 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         stacked = np.sort(np.stack([f.sample(dense) for f in fns]), axis=0)
         exact = np.stack([f.sample(dense) for f, _ in merged])
         oracle_ok &= bool(np.max(np.abs(stacked - exact)) < 1e-12)
-    chk.record("interval persistence of sorted merges (500 families)", pers_ok)
-    chk.record("merge agrees with dense-sampling oracle (1e4 points)", oracle_ok)
+    res.record("interval persistence of sorted merges (500 families)", pers_ok)
+    res.record("merge agrees with dense-sampling oracle (1e4 points)", oracle_ok)
 
     # bound sandwich on 100 seeded unitaries
     rng = np.random.default_rng(cfg.seed + 54)
@@ -300,7 +279,7 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         b = cel.bound_sandwich(u, tol=tol)
         sand_ok &= b.lower <= b.upper + 1e-6
         worst_gap = max(worst_gap, b.lower - b.upper)
-    chk.record("bound sandwich lower <= upper on 100 unitaries (1e-6)",
+    res.record("bound sandwich lower <= upper on 100 unitaries (1e-6)",
                sand_ok, f"max lower-upper={worst_gap:.3e}")
 
     # Weyl stability on 200 hermitian pairs
@@ -314,9 +293,8 @@ def criterion_properties(cfg: RunConfig) -> CriterionResult:
         wb, _ = numerics.jacobi_eigh(b, compute_v=False)
         gap = float(np.max(np.abs(wa - wb)))
         weyl_ok &= gap <= numerics.operator_norm(a - b) + 1e-9
-    chk.record("eigenvalue stability |l_j(A)-l_j(B)| <= ||A-B|| (200 pairs, 1e-9)",
+    res.record("eigenvalue stability |l_j(A)-l_j(B)| <= ||A-B|| (200 pairs, 1e-9)",
                weyl_ok)
-    return CriterionResult("properties", chk.ok, chk.details, time.time() - t0)
 
 
 def _clamp01(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -349,38 +327,35 @@ def _random_patterns(rng: np.random.Generator) -> list[tuple[PiecewiseLinearFn, 
 # Criterion 6: dense oracle consistency
 # ---------------------------------------------------------------------------
 
-def criterion_oracle_dense(cfg: RunConfig) -> CriterionResult:
+def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
     """The first-stage witness realized densely in dim 6 at the production
     grid: branch lower bound sits in [4pi/3 - 1e-4, best upper bound], in
     the order the k=6 frame value 2pi*5/6 dictates."""
-    t0 = time.time()
-    chk = _Check()
     tol = cfg.tolerances
     stage1 = dimdrop.tower(1)[0]
     f = witness.dense_stage_witness_field(stage1, cfg.grid_size,
                                           dense_limit=cfg.dense_limit, tol=tol)
     alg = stage1.algebra()
     member = dimdrop.membership_check(f, alg, tol)
-    chk.record("dense witness lies in I[2,6,3]", member.ok,
+    res.record("dense witness lies in I[2,6,3]", member.ok,
                f"defect={member.defect:.2e}")
     low = cel.cel_lower_distinct(f, tol)
-    res = cel.cu_upper_bound_path(f, tol=tol)
+    path = cel.cu_upper_bound_path(f, tol=tol)
     geo = cel.geodesic_upper_bound(f, tol)
-    upper = min(res.length, geo)
+    upper = min(path.length, geo)
     lo_target = 4 * PI / 3
     frame_value = 2 * PI * 5 / 6
-    chk.record("lower >= 4pi/3 - 1e-4", low.lower >= lo_target - 1e-4,
+    res.record("lower >= 4pi/3 - 1e-4", low.lower >= lo_target - 1e-4,
                f"lower={low.lower:.8f}")
-    chk.record("lower <= best upper bound", low.lower <= upper + 1e-6,
-               f"upper={upper:.8f} (constructive={res.length:.6f}, "
+    res.record("lower <= best upper bound", low.lower <= upper + 1e-6,
+               f"upper={upper:.8f} (constructive={path.length:.6f}, "
                f"geodesic={'inf' if geo == math.inf else f'{geo:.6f}'})")
-    chk.record("k=6 frame value 2pi*5/6 >= 4pi/3",
+    res.record("k=6 frame value 2pi*5/6 >= 4pi/3",
                frame_value >= lo_target - 1e-12,
                f"{frame_value:.6f} >= {lo_target:.6f}")
-    chk.record("constructive upper <= 2pi*5/6 + 1e-2",
-               res.length <= frame_value + 1e-2,
-               f"length={res.length:.6f}")
-    return CriterionResult("oracle-dense", chk.ok, chk.details, time.time() - t0)
+    res.record("constructive upper <= 2pi*5/6 + 1e-2",
+               path.length <= frame_value + 1e-2,
+               f"length={path.length:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +375,15 @@ SUITE_ORDER = list(CRITERIA)
 
 
 def run_suite(names: list[str], cfg: RunConfig) -> list[CriterionResult]:
-    """Run the named criteria (deterministic output order); criteria run in
-    parallel up to cfg.jobs, each internally pure."""
-    for name in names:
-        if name not in CRITERIA:
-            raise KeyError(name)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {name: pool.submit(CRITERIA[name], cfg) for name in names}
-            return [futures[name].result() for name in names]
-    return [CRITERIA[name](cfg) for name in names]
+    """Run the named criteria in order in the calling thread, each timed and
+    named by its CRITERIA key. cfg.jobs is accepted and has no effect."""
+    # an unknown name raises KeyError before any criterion runs
+    criteria = [(name, CRITERIA[name]) for name in names]
+    results = []
+    for name, criterion in criteria:
+        res = CriterionResult(name)
+        t0 = time.perf_counter()
+        criterion(cfg, res)
+        res.elapsed = time.perf_counter() - t0
+        results.append(res)
+    return results

@@ -265,7 +265,8 @@ def _common_flags() -> argparse.ArgumentParser:
     c.add_argument("--config", help="JSON run config (fallback: $CELLAB_CONFIG)")
     c.add_argument("--grid", type=int, help="grid size (>= 17, default 2049)")
     c.add_argument("--seed", type=int, help="seed for randomized suites")
-    c.add_argument("--jobs", type=int, help="parallel criteria (default 1)")
+    c.add_argument("--jobs", type=int,
+                   help="accepted, no effect: criteria run in order")
     c.add_argument("--format", choices=("json", "csv"), help="output format")
     c.add_argument("--out", help="write output to this path instead of stdout")
     return c

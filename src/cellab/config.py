@@ -40,7 +40,7 @@ class RunConfig:
 
     grid_size: int = DEFAULT_GRID
     seed: int = 20_240_601
-    jobs: int = 1
+    jobs: int = 1  # accepted for old command lines and configs; no effect
     dense_limit: int = DEFAULT_DENSE_LIMIT
     output_format: str = "json"  # json | csv
     tolerances: Tolerances = DEFAULT_TOLERANCES

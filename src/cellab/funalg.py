@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainRangeError, FlavorError, UnsupportedPaddingError
-from .numerics import TWO_PI, SampledMatrixField, cyclic_match, jacobi_eigh
+from .numerics import SampledMatrixField, jacobi_eigh, multiset_circle_distance
 
 QLike = Fraction | int | str
 
@@ -587,10 +587,7 @@ def pset_distance_circle(x: Sequence[float], y: Sequence[float]) -> float:
     matching is order preserving, so only cyclic shifts are scanned."""
     if len(x) != len(y):
         raise ValueError(f"cardinality mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n == 0:
+    if len(x) == 0:
         return 0.0
-    xs = np.sort(np.mod(np.asarray(x, dtype=float), TWO_PI))
-    ys = np.sort(np.mod(np.asarray(y, dtype=float), TWO_PI))
-    _, costs = cyclic_match(ys[None], xs[None])
-    return float(costs.min())
+    return multiset_circle_distance(np.asarray(x, dtype=float)[None],
+                                    np.asarray(y, dtype=float)[None])

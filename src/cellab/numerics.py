@@ -421,7 +421,7 @@ def lift_branches(field: SampledMatrixField, anchors: np.ndarray | None = None,
             raise ValueError("anchors are not logarithms of the spectrum at t=0")
     thetas = lift_angle_array(angles, anchors, tol.tie_tol)
     lift = BranchLift(thetas=thetas)
-    err = _multiset_circle_distance(lift.thetas.T, angles)
+    err = multiset_circle_distance(lift.thetas.T, angles)
     if err > 1e-7:
         raise ArithmeticError(f"lift fidelity violated: {err:.3e}")
     return lift
@@ -506,7 +506,7 @@ def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
     return thetas.T.copy()
 
 
-def _multiset_circle_distance(a: np.ndarray, b: np.ndarray) -> float:
+def multiset_circle_distance(a: np.ndarray, b: np.ndarray) -> float:
     """max over rows of the circular multiset distance between angle rows."""
     sa = np.sort(np.mod(a, TWO_PI), axis=1)
     sb = np.sort(np.mod(b, TWO_PI), axis=1)
@@ -518,7 +518,7 @@ def lift_fidelity(lift: BranchLift, field: SampledMatrixField,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Hausdorff-on-the-circle distance between lift values and the spectrum."""
     lam, _, _ = normal_unitary_eig(field.samples, tol)
-    return _multiset_circle_distance(lift.thetas.T, np.angle(lam))
+    return multiset_circle_distance(lift.thetas.T, np.angle(lam))
 
 
 # ---------------------------------------------------------------------------

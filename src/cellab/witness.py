@@ -18,6 +18,7 @@ import numpy as np
 from .cel import CelBound, cel_lower_ordered_log, cu_upper_bound_path
 from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .dimdrop import (
+    MAX_STAGES,
     TowerStage,
     boundary_check,
     connecting_patterns,
@@ -382,7 +383,8 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
 def minimal_jiangsu_n(m: int, target_pi: Fraction, *,
                       stages: list[TowerStage] | None = None) -> int:
     """Smallest n > m whose floor bound reaches the target; the reachable
-    supremum at stage m is 2(q_m - 1)/q_m."""
+    supremum at stage m is 2(q_m - 1)/q_m. Refuses an n beyond the stage cap
+    dimdrop.MAX_STAGES, which jiangsu_witness could not build."""
     t = Fraction(target_pi)
     if stages is None:
         stages = tower(m)
@@ -391,8 +393,10 @@ def minimal_jiangsu_n(m: int, target_pi: Fraction, *,
     if t >= limit:
         raise ValueError(
             f"target {t} not reachable from stage {m}: supremum is {limit}")
-    for r in range(1, 65):
+    for r in range(1, MAX_STAGES - m + 1):
         pow2 = 1 << r
         if Fraction(2 * (q - 1) * (pow2 - 1), q * pow2) >= t:
             return m + r
-    raise ValueError("target not reached within 64 steps")
+    raise ValueError(
+        f"target {t} not reached by n <= {MAX_STAGES}: the answer lies beyond "
+        f"the stage cap MAX_STAGES = {MAX_STAGES}")

@@ -4,14 +4,17 @@ Each test prints the one-line pass/fail verdict (and the per-check details
 on failure) and asserts the criterion passed. Run with -s to see the lines.
 """
 
-from cellab.acceptance import CRITERIA
+import threading
+
+from cellab import acceptance
+from cellab.acceptance import run_suite
 from cellab.config import RunConfig
 
 CFG = RunConfig()  # grid 2049, fixed seed
 
 
 def _run(name):
-    result = CRITERIA[name](CFG)
+    result = run_suite([name], CFG)[0]
     print()
     print(result.summary_line())
     if not result.passed:
@@ -57,3 +60,23 @@ def test_oracle_consistency_dense_scale():
     # first-stage witness dense in dim 6 at grid 2049: lower bound within
     # [4pi/3 - 1e-4, best upper], frame ordering respected
     _run("oracle-dense")
+
+
+def test_run_suite_sequential_in_calling_thread(monkeypatch):
+    # criteria run in the given order on the caller's thread whatever
+    # cfg.jobs holds; each result is named by its key and timed
+    calls = []
+
+    def stub(label):
+        def criterion(cfg, res):
+            calls.append((label, threading.get_ident()))
+            res.record(label, True)
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {"first": stub("first"), "second": stub("second")})
+    results = run_suite(["second", "first"], RunConfig().replace(jobs=2))
+    me = threading.get_ident()
+    assert calls == [("second", me), ("first", me)]
+    assert [r.name for r in results] == ["second", "first"]
+    assert all(r.passed and r.elapsed > 0 for r in results)

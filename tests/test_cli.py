@@ -72,6 +72,10 @@ def test_parse_fn_spec_bad_ramp():
      "7a50a944cbb219b7a56d1e2d5125bc64dfac38fdd67d6c8d78d05e5ff533c7b5"),
     ("scalar-cel ramp:3/2pi-neg",
      "b473705e26205516ea0b20d943bc8bf9eb5f18a7a684f229ba7e7f851523b38e"),
+    ("acceptance chi-witness",
+     "a12dc31e6f91ceba5bfa28b593997fbafad983c55a4e7c2223100a7c2e3edf8b"),
+    ("acceptance jiangsu-floor",
+     "ac1b8369da6a6e80bee75e890a6fd769be7b8bee7fbae350d72e3a67b44a9dea"),
 ])
 def test_golden_stdout_digest(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv.split())
@@ -235,7 +239,8 @@ def test_byte_identical_outputs(tmp_path, capsys):
 
 
 def test_jobs_parallel_deterministic(tmp_path, capsys):
-    # parallel criteria assemble in deterministic order: payloads agree
+    # --jobs is accepted and has no effect: criteria run in order, so the
+    # payloads agree
     outs = []
     for jobs in ("1", "2"):
         path = tmp_path / f"acc-{jobs}.txt"

@@ -264,6 +264,9 @@ def test_minimal_jiangsu_n():
     assert minimal_jiangsu_n(1, F(2, 3)) == 2
     with pytest.raises(ValueError):
         minimal_jiangsu_n(1, F(4, 3))
+    # reachable only at n = 10, beyond the stage cap jiangsu_witness builds
+    with pytest.raises(ValueError, match="stage cap"):
+        minimal_jiangsu_n(1, F(133, 100))
 
 
 def test_stage_witness_element_rank():
