@@ -238,8 +238,7 @@ def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
     )
 
 
-def cel_lower_ordered_log(e: EigenvalueListField,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> CelBound:
+def cel_lower_ordered_log(e: EigenvalueListField) -> CelBound:
     """Lower bound from an eigenvalue list of a logarithm H with u=exp(iH).
 
     Precondition: the whole list fits a window [alpha, alpha+2pi] for some

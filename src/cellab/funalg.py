@@ -227,28 +227,6 @@ ZERO_FN = PiecewiseLinearFn.constant(0)
 # Exact sorted-branch merging (the k-th lowest machinery)
 # ---------------------------------------------------------------------------
 
-def _refined_cuts(fns: Sequence[PiecewiseLinearFn]) -> list[Fraction]:
-    """All breakpoints plus all pairwise crossing points."""
-    base = sorted(set().union(*[set(f.breakpoints) for f in fns]))
-    cuts = set(base)
-    for a, b in zip(base, base[1:]):
-        width = b - a
-        segs = []
-        for f in fns:
-            va, vb = f(a), f(b)
-            segs.append((va, (vb - va) / width))
-        for i in range(len(segs)):
-            vi, mi = segs[i]
-            for j in range(i + 1, len(segs)):
-                vj, mj = segs[j]
-                if mi == mj:
-                    continue
-                t = a + (vj - vi) / (mi - mj)
-                if a < t < b:
-                    cuts.add(t)
-    return sorted(cuts)
-
-
 def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
                           ) -> list[tuple[PiecewiseLinearFn, int]]:
     """Pointwise-sorted branch functions of a multiset of functions.
@@ -257,8 +235,10 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     multiplicities. Returns the distinct sorted-branch functions bottom to
     top as (function, multiplicity) with the same total; branch k of the
     underlying eigenvalue list is found by walking the cumulative counts.
-    Exact: crossings are resolved by rational refinement, so each returned
-    branch is again piecewise linear.
+    Exact: the cuts are all breakpoints plus all pairwise crossings, so
+    every entry is affine between consecutive cuts and each returned branch
+    is again piecewise linear. Entries are evaluated once per base knot and
+    once per cut; everything after reads that value table.
     """
     entries = [(f, int(m)) for f, m in entries if m != 0]
     if not entries:
@@ -266,14 +246,29 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     if any(m < 0 for _, m in entries):
         raise ValueError("multiplicities must be positive")
     fns = [f for f, _ in entries]
-    cuts = _refined_cuts(fns)
-    n_int = len(cuts) - 1
-    # per interval: entry order and cumulative multiplicity boundaries
+    base = sorted(set().union(*[f.breakpoints for f in fns]))
+    cuts = set(base)
+    # the value tables are indexed [knot][entry]
+    base_vals = [[f(t) for f in fns] for t in base]
+    for k, (a, b) in enumerate(zip(base, base[1:])):
+        width = b - a
+        segs = [(va, (vb - va) / width)
+                for va, vb in zip(base_vals[k], base_vals[k + 1])]
+        for i, (vi, mi) in enumerate(segs):
+            for vj, mj in segs[i + 1:]:
+                if mi == mj:
+                    continue
+                t = a + (vj - vi) / (mi - mj)
+                if a < t < b:
+                    cuts.add(t)
+    cuts = sorted(cuts)
+    vals = [[f(t) for f in fns] for t in cuts]
+    # per interval: entry order (by value at the midpoint, doubled) and
+    # cumulative multiplicity boundaries
     orders: list[list[int]] = []
     cums: list[list[int]] = []
-    for i in range(n_int):
-        mid = (cuts[i] + cuts[i + 1]) / 2
-        order = sorted(range(len(entries)), key=lambda e: (fns[e](mid), e))
+    for left, right in zip(vals, vals[1:]):
+        order = sorted(range(len(entries)), key=lambda e: (left[e] + right[e], e))
         cum = [0]
         for e in order:
             cum.append(cum[-1] + entries[e][1])
@@ -286,21 +281,18 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     out: list[tuple[PiecewiseLinearFn, int]] = []
     for lo, hi in zip(rank_cuts, rank_cuts[1:]):
         values = []
-        for i in range(n_int):
+        for i, (order, cum) in enumerate(zip(orders, cums)):
             # the order-part containing ranks (lo, hi]
-            part = bisect_right(cums[i], lo) - 1
-            if not (cums[i][part] <= lo and hi <= cums[i][part + 1]):
+            part = bisect_right(cum, lo) - 1
+            if not (cum[part] <= lo and hi <= cum[part + 1]):
                 raise AssertionError("rank range straddles two sorted entries")
-            f = fns[orders[i][part]]
+            e = order[part]
             if i == 0:
-                values.append(f(cuts[0]))
-            else:
+                values.append(vals[0][e])
+            elif values[-1] != vals[i][e]:
                 # continuity of the k-th lowest across the cut
-                left = values[-1]
-                right = f(cuts[i])
-                if left != right:
-                    raise AssertionError("sorted branch discontinuity")
-            values.append(f(cuts[i + 1]))
+                raise AssertionError("sorted branch discontinuity")
+            values.append(vals[i + 1][e])
         out.append((PiecewiseLinearFn(tuple(cuts), tuple(values)).simplified(),
                     hi - lo))
     return out
@@ -408,12 +400,6 @@ class SymbolicElement:
         not on the raw entries."""
         return max(f.max_value() - f.min_value() for f, _ in self.sorted_branches())
 
-    def top_branch(self) -> tuple[PiecewiseLinearFn, int]:
-        return self.sorted_branches()[-1]
-
-    def bottom_branch(self) -> tuple[PiecewiseLinearFn, int]:
-        return self.sorted_branches()[0]
-
     def weighted_sum(self) -> PiecewiseLinearFn:
         """sum over entries of multiplicity * branch (exact)."""
         acc = ZERO_FN
@@ -466,8 +452,7 @@ def compose_spectral(patterns: Sequence[tuple[PiecewiseLinearFn, int]],
 # Operations on sampled fields
 # ---------------------------------------------------------------------------
 
-def eigenvalue_list(a: SampledMatrixField,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> EigenvalueListField:
+def eigenvalue_list(a: SampledMatrixField) -> EigenvalueListField:
     """Sorted eigenvalue branches of a selfadjoint field."""
     if a.flavor != "selfadjoint":
         raise FlavorError("eigenvalue_list needs a selfadjoint field")
@@ -514,8 +499,7 @@ def functional_calculus(a, f: PiecewiseLinearFn,
     raise TypeError(f"cannot apply functional calculus to {type(a).__name__}")
 
 
-def determinant_field(u: SampledMatrixField,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def determinant_field(u: SampledMatrixField) -> np.ndarray:
     """Pointwise determinant of a unitary field (unit modulus)."""
     if u.flavor != "unitary":
         raise FlavorError("determinant_field needs a unitary field")

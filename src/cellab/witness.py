@@ -130,10 +130,10 @@ class WitnessReport:
         }
 
 
-def _ordered_log_pi(element: SymbolicElement) -> tuple[Fraction, dict]:
-    """Exact window lower bound from the element's sorted branch functions,
+def _ordered_log_pi(blocks: list[tuple[PiecewiseLinearFn, int]]
+                    ) -> tuple[Fraction, dict]:
+    """Exact window lower bound from sorted (branch, multiplicity) blocks,
     in coefficient-of-pi units (branches are h-units, hence scaled by 2)."""
-    blocks = element.sorted_branches()
     branches = tuple(f.scale(2) for f, _ in blocks)
     bound = cel_lower_ordered_log(EigenvalueListField(exact=branches))
     return bound.lower_pi, bound.certificate
@@ -174,7 +174,7 @@ def pan_wang_report(k: int, *, grid_size: int = DEFAULT_GRID,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> WitnessReport:
     w = pan_wang_witness(k)
     target = Fraction(2 * (k - 1), k)
-    lower_pi, cert = _ordered_log_pi(w.element)
+    lower_pi, cert = _ordered_log_pi(w.element.sorted_branches())
     cu = verify_cu(w.element)
     upper = math.inf
     extras: dict = {"certificate": cert}
@@ -223,7 +223,7 @@ def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
     element = symbolic_element(entries)
     if pad:
         element = element.padded(pad)
-    lower_pi, cert = _ordered_log_pi(element)
+    lower_pi, cert = _ordered_log_pi(element.sorted_branches())
     cu = verify_cu(element)
     target = 2 - Fraction(2, L)
     passed = cu.passed and lower_pi >= target
@@ -346,7 +346,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
     floor_pi = min(cases.values())
     if floor_pi != cases["split_top"]:
         raise AssertionError("the split-top case is not the floor")
-    ordered_log_pi, _ = _ordered_log_pi(pushed)
+    ordered_log_pi, _ = _ordered_log_pi(blocks)
     cu = verify_cu(pushed)
     dich_count = dichotomy_modular_count(sn.p, sn.q)
     if sn.d <= 10_000:

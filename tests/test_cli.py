@@ -66,6 +66,10 @@ def test_parse_fn_spec_bad_ramp():
 @pytest.mark.parametrize("argv, sha256", [
     ("witness jiang-su --m 1 --n 3",
      "2c3c5340cda5a5c5e1b6e90736756aae691f816f26b245838d39b3168f86039d"),
+    ("witness jiang-su --m 1 --n 5",
+     "83a63ca9ab11c2eec2a2ceafd9df4017eba2181bcbd18cd525eecf7e9d4815a8"),
+    ("witness jiang-su --m 2 --n 4",
+     "39ea52408d5e2272e79edc8b942422777dcf32e0f8abc07f2309a99982af90d2"),
     ("witness chi --L 100",
      "d0389ba11250324f49ed5b7a58726795f4b025e415118316963da61ba0b5e815"),
     ("tower --stages 4",

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -395,6 +398,51 @@ def test_merge_respects_multiplicity():
     g = PLF.constant(1)
     blocks = merge_sorted_branches([(f, 3), (g, 2)])
     assert [(fn.values[0], m) for fn, m in blocks] == [(0, 3), (1, 2)]
+
+
+def _golden_merge_families():
+    """Seeded families on a 1/12 knot grid with values in sixths, so that
+    crossings often land exactly on knots; each family also mixes in
+    duplicates, a constant, a function that agrees with another on a
+    sub-interval, and multiplicities up to 10**30."""
+    r = random.Random(20261018)
+    grid = [F(k, 12) for k in range(13)]
+
+    def value():
+        return F(r.randint(-6, 6), 6)
+
+    def rand_fn():
+        bps = [F(0)] + sorted(r.sample(grid[1:-1], r.randint(0, 3))) + [F(1)]
+        return PLF(tuple(bps), tuple(value() for _ in bps))
+
+    up = PLF.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 1)])
+    down = PLF.from_pairs([(0, 1), (F(1, 2), F(1, 2)), (1, 0)])
+    families = [[(up, 1), (down, 1)], [(up, 10**30), (down, 2), (up, 3)]]
+    for _ in range(60):
+        fns = [rand_fn() for _ in range(r.randint(1, 5))]
+        f = fns[0]
+        # an equal function with a redundant knot, and an exact copy
+        fns.append(PLF.from_pairs(sorted({(t, f(t)) for t in f.breakpoints}
+                                         | {(F(1, 2), f(F(1, 2)))})))
+        fns.append(PLF(f.breakpoints, f.values))
+        fns.append(PLF.constant(value()))
+        # agrees with f on [0, s], then leaves it
+        s = grid[r.randint(2, 10)]
+        fns.append(PLF.from_pairs(
+            [(t, f(t)) for t in sorted(set(f.breakpoints) | {s}) if t <= s]
+            + [(F(1), value())]))
+        if r.random() < 0.5:
+            fns.append(up)
+        r.shuffle(fns)
+        families.append([(g, r.choice([1, 1, 2, 3, 10**30])) for g in fns])
+    return families
+
+
+def test_merge_golden_digest():
+    out = [[(f.to_json_obj(), str(m)) for f, m in merge_sorted_branches(fam)]
+           for fam in _golden_merge_families()]
+    digest = hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
+    assert digest == "4589a6c02737d999ff175c3a9da2ced325222b6cf8f391ec529184638ef631fb"
 
 
 def test_interval_persistence_small_families(rng):

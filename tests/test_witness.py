@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cellab import funalg
 from cellab.cel import cel_lower_distinct, cu_upper_bound_path
 from cellab.dimdrop import membership_check, tower
 from cellab.errors import CoverageError
@@ -238,6 +239,21 @@ def test_jiangsu_envelope_and_ordered_log():
     assert rep.extras["ordered_log_pi"] == F(4, 3)
     rep3 = jiangsu_witness(1, 3, stages=stages)
     assert rep3.extras["ordered_log_pi"] >= rep3.lower_pi
+
+
+def test_jiangsu_merges_pushed_element_once(monkeypatch):
+    stages = tower(4)
+    calls = []
+    merge = funalg.merge_sorted_branches
+
+    def counting(entries):
+        calls.append(len(entries))
+        return merge(entries)
+
+    monkeypatch.setattr(funalg, "merge_sorted_branches", counting)
+    rep = jiangsu_witness(1, 4, stages=stages)
+    assert rep.passed
+    assert len(calls) == 1
 
 
 def test_jiangsu_from_higher_stage():
