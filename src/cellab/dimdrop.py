@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
-import sympy
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .funalg import PiecewiseLinearFn, SymbolicElement, compose_spectral
@@ -87,12 +87,136 @@ def initial_stage() -> TowerStage:
     return TowerStage(index=1, p=2, q=3, d=6)
 
 
+# ---------------------------------------------------------------------------
+# Prime search: trial division or a sieve by the primes below 2^16, exact
+# below 2^32, then Baillie-PSW above it (Baillie & Wagstaff 1980; Pomerance,
+# Selfridge & Wagstaff 1980). No composite is known to pass BPSW.
+# ---------------------------------------------------------------------------
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return tuple(compress(range(limit), sieve))
+
+
+_SMALL_PRIMES = _primes_below(1 << 16)
+# a number below 2^32 with no prime factor below 2^16 is 1 or prime
+_TRIAL_EXACT = 1 << 32
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _bpsw(n: int) -> bool:
+    """Baillie-PSW probable-prime test for odd n > 2^16 (a prime equal to
+    |D| would be refused): a strong Miller-Rabin test to base 2, then a
+    strong Lucas test with P = 1, Q = (1 - D)/4 for the first D in 5, -7, 9,
+    -11, ... with Jacobi symbol (D/n) = -1 (Selfridge's method A)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1 for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) >> 1
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _isprime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return n < _TRIAL_EXACT or _bpsw(n)
+
+
+def _nextprime(n: int) -> int:
+    """The least prime above n. Windows above n are sieved by small primes
+    (a small prime itself is never struck), and the survivors are tested in
+    order."""
+    if n < 2:
+        return 2
+    bits = n.bit_length()
+    width = max(256, 4 * bits)
+    lo = n + 1
+    while True:
+        sieve = bytearray([1]) * width  # sieve[i] stands for lo + i
+        top = lo + width - 1
+        # A survivor below 2^32 is taken as prime, so a window starting there
+        # is sieved up to the root of its top. Above 2^32 BPSW decides, and
+        # striking by p pays only while the Miller-Rabin tests it saves
+        # (about 1/p of them, each ~bits^3 work) cost more than the strike:
+        # bits^3/3000 was measured best from 35 to 923 bits, and from ~600
+        # bits on every p < 2^16 pays.
+        bound = math.isqrt(top) if lo < _TRIAL_EXACT else bits ** 3 // 3000
+        for p in _SMALL_PRIMES:
+            if p > bound:
+                break
+            start = -lo % p
+            if lo + start == p:
+                start += p
+            if p < width:
+                sieve[start::p] = bytes(len(range(start, width, p)))
+            elif start < width:
+                sieve[start] = 0
+        for i in compress(range(width), sieve):
+            c = lo + i
+            if c < _TRIAL_EXACT or _bpsw(c):
+                return c
+        lo += width
+
+
 def next_stage(s: TowerStage) -> TowerStage:
     """The successor stage: k0, k1 are the first two primes above 2*d, the
     sizes multiply, and r0 (r1) is the residue of k = k0*k1 in (0, q'] with
     q' | k - r0 (respectively in (0, p'] with p' | k - r1)."""
-    k0 = int(sympy.nextprime(2 * s.d))
-    k1 = int(sympy.nextprime(k0))
+    k0 = _nextprime(2 * s.d)
+    k1 = _nextprime(k0)
     p_next = k0 * s.p
     q_next = k1 * s.q
     k = k0 * k1
@@ -106,8 +230,8 @@ def next_stage(s: TowerStage) -> TowerStage:
                       k0=k0, k1=k1, r0=r0, r1=r1)
 
 
-# Stage 8 runs nextprime on 2,496-digit integers (~22 s on a 2-core VM);
-# stage 9 would need it on ~7,500-digit ones.
+# Stage 8 searches for primes above 2*d_7, an 833-digit integer (~8 s on
+# a 2-core VM); stage 9 would search above 2*d_8, which has 2,497 digits.
 MAX_STAGES = 8
 
 
@@ -129,11 +253,11 @@ def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
     if cur.index != prev.index + 1:
         raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1
-    if not (sympy.isprime(k0) and sympy.isprime(k1)):
+    if not (_isprime(k0) and _isprime(k1)):
         raise AssertionError("transition factors must be prime")
     if not (k0 > 2 * prev.d and k1 > 2 * prev.d and k0 < k1):
         raise AssertionError("need the first two primes above 2d")
-    if sympy.nextprime(2 * prev.d) != k0 or sympy.nextprime(k0) != k1:
+    if _nextprime(2 * prev.d) != k0 or _nextprime(k0) != k1:
         raise AssertionError("k0, k1 are not the first two primes above 2d")
     if cur.p != k0 * prev.p or cur.q != k1 * prev.q:
         raise AssertionError("sizes must multiply by the prime factors")

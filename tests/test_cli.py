@@ -74,6 +74,8 @@ def test_parse_fn_spec_bad_ramp():
      "d0389ba11250324f49ed5b7a58726795f4b025e415118316963da61ba0b5e815"),
     ("tower --stages 4",
      "7a50a944cbb219b7a56d1e2d5125bc64dfac38fdd67d6c8d78d05e5ff533c7b5"),
+    ("tower --stages 6",
+     "ab1ae2adbe4f1f49b5e0fd2b1a5ab49f01369b9b028ff77712caf3fafe8d7be7"),
     ("scalar-cel ramp:3/2pi-neg",
      "b473705e26205516ea0b20d943bc8bf9eb5f18a7a684f229ba7e7f851523b38e"),
     ("acceptance chi-witness",

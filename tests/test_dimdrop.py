@@ -1,6 +1,12 @@
+import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,9 @@ from cellab.dimdrop import (
     Pattern,
     PatternMultiset,
     TowerStage,
+    _bpsw,
+    _isprime,
+    _nextprime,
     boundary_check,
     compose_patterns,
     connecting_patterns,
@@ -96,6 +105,97 @@ def test_stage_validation_errors():
         TowerStage(index=1, p=2, q=3, d=7)
     with pytest.raises(ValueError):
         TowerStage(index=2, p=2, q=3, d=6, k0=5)
+
+
+# sha256 of the compact sorted-key JSON of stages 1-7, taken with sympy's
+# prime search before the in-house one replaced it
+TOWER7_SHA256 = "03c09e9e8302ca902c981dad3936e98a2ba19b1505e61a4de970e9b4f6effa05"
+
+
+def test_tower_seven_stages_frozen_digest():
+    text = json.dumps(tower_to_json_obj(tower(7)), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TOWER7_SHA256
+
+
+def _stage_from(prev: TowerStage, k0: int, k1: int) -> TowerStage:
+    """A successor with the given factors and sizes and residues made
+    consistent, so only the prime conditions can be wrong."""
+    p, q = k0 * prev.p, k1 * prev.q
+    k = k0 * k1
+    return TowerStage(index=prev.index + 1, p=p, q=q, d=p * q, k0=k0, k1=k1,
+                      r0=k % q or q, r1=k % p or p)
+
+
+def test_validate_stage_step_rejects_composite_k0():
+    prev, cur = tower(4)[2:4]
+    assert _stage_from(prev, cur.k0, cur.k1) == cur
+    # no factor below 2^16, so only the BPSW stage can reject it
+    a = _nextprime(math.isqrt(2 * prev.d))
+    bad = _stage_from(prev, a * _nextprime(a), cur.k1)
+    with pytest.raises(AssertionError, match="must be prime"):
+        validate_stage_step(prev, bad)
+
+
+def test_validate_stage_step_rejects_skipped_prime_k1():
+    prev, cur = tower(4)[2:4]
+    bad = _stage_from(prev, cur.k0, _nextprime(cur.k1))
+    with pytest.raises(AssertionError, match="first two primes"):
+        validate_stage_step(prev, bad)
+
+
+# ---------------------------------------------------------------------------
+# prime search
+# ---------------------------------------------------------------------------
+
+# 1093^2 and 3511^2 are squares of the Wieferich primes; 3825123056546413051
+# is a strong pseudoprime to every prime base up to 23 and has no factor
+# below 2^16, so only the Lucas half can reject it
+STRONG_BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 1093 ** 2,
+                             3511 ** 2, 3215031751, 3825123056546413051)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+CARMICHAEL = (561, 1105, 1729)
+
+
+@pytest.mark.parametrize("n", STRONG_BASE2_PSEUDOPRIMES
+                         + STRONG_LUCAS_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    assert not _isprime(n)
+    # each half of BPSW rejects the other half's pseudoprimes
+    assert not _bpsw(n)
+
+
+@pytest.mark.parametrize("e", (521, 607, 1279))
+def test_mersenne_primes(e):
+    assert _isprime(2 ** e - 1)
+    assert not _isprime(2 ** e + 1)
+
+
+def test_prime_search_small_values():
+    assert [n for n in range(30) if _isprime(n)] == [2, 3, 5, 7, 11, 13, 17,
+                                                      19, 23, 29]
+    assert [_nextprime(n) for n in (-5, 0, 1, 2, 3, 65520, 65521)] == [
+        2, 2, 2, 3, 5, 65521, 65537]
+    assert _nextprime(2 ** 32 - 6) == 2 ** 32 - 5
+    assert _nextprime(2 ** 32 - 5) == 2 ** 32 + 15
+
+
+def test_prime_search_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [_isprime(n) for n in range(10 ** 5)] == [
+        sympy.isprime(n) for n in range(10 ** 5)]
+    rng = random.Random(20260418)
+    for _ in range(2000):
+        n = rng.randrange(10 ** rng.randint(1, 60))
+        assert _nextprime(n) == sympy.nextprime(n), n
+
+
+def test_import_cli_does_not_load_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, cellab.cli; sys.exit('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------
