@@ -154,7 +154,7 @@ def criterion_jiangsu_floor(cfg: RunConfig, res: CriterionResult) -> None:
     q1 = stages[0].q
     floors = {}
     for n in (2, 3, 5):
-        rep = witness.jiangsu_witness(1, n, stages=stages)
+        rep = witness.jiangsu_witness(1, n)
         r = n - 1
         pow2 = 1 << r
         mu = PiecewiseLinearFn.from_pairs(
@@ -171,8 +171,8 @@ def criterion_jiangsu_floor(cfg: RunConfig, res: CriterionResult) -> None:
     res.record("floor monotone in n",
                floors[2] < floors[3] < floors[5],
                " < ".join(witness.format_pi(floors[n]) for n in (2, 3, 5)))
-    b1 = witness.jiangsu_witness(1, 2, block_k=1, stages=stages)
-    b3 = witness.jiangsu_witness(1, 2, block_k=3, stages=stages)
+    b1 = witness.jiangsu_witness(1, 2, block_k=1)
+    b3 = witness.jiangsu_witness(1, 2, block_k=3)
     res.record("block_k in {1,3} agree", b1.lower_pi == b3.lower_pi,
                witness.format_pi(b3.lower_pi))
     # the full 2pi claim is a limit: the n-limit at stage m is

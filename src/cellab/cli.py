@@ -197,10 +197,10 @@ def cmd_curve(args, cfg: RunConfig) -> int:
         text = _csv_text(["L", "bound_over_pi", "bound_radians"], rows)
     elif kind == "jiangsu-floor":
         try:
-            stages = dimdrop.tower(args.max_n)
+            dimdrop.tower(args.max_n)  # refuses a cap breach before any row
             rows = []
             for n in range(args.m + 1, args.max_n + 1):
-                rep = witness.jiangsu_witness(args.m, n, stages=stages)
+                rep = witness.jiangsu_witness(args.m, n)
                 rows.append([n, str(rep.lower_pi), float(rep.lower_pi) * math.pi])
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

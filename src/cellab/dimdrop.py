@@ -9,6 +9,7 @@ range by stage 5), patterns are dyadic-rational point evaluations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,16 +237,21 @@ MAX_STAGES = 8
 
 
 def tower(n_stages: int) -> list[TowerStage]:
-    """Stages 1..n_stages; each later stage carries its transition data."""
+    """Stages 1..n_stages in a fresh list; each later stage carries its
+    transition data."""
     if n_stages < 1:
         raise ValueError("need at least one stage")
     if n_stages > MAX_STAGES:
         raise ValueError(f"{n_stages} stages requested; the tower is capped at "
                          f"MAX_STAGES = {MAX_STAGES}")
-    stages = [initial_stage()]
-    while len(stages) < n_stages:
-        stages.append(next_stage(stages[-1]))
-    return stages
+    return [_stage(i) for i in range(1, n_stages + 1)]
+
+
+@functools.cache
+def _stage(index: int) -> TowerStage:
+    """Stage `index`, built once per process (stages are frozen, so sharing
+    them is safe)."""
+    return initial_stage() if index == 1 else next_stage(_stage(index - 1))
 
 
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
@@ -257,7 +263,7 @@ def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
         raise AssertionError("transition factors must be prime")
     if not (k0 > 2 * prev.d and k1 > 2 * prev.d and k0 < k1):
         raise AssertionError("need the first two primes above 2d")
-    if _nextprime(2 * prev.d) != k0 or _nextprime(k0) != k1:
+    if any(_isprime(c) for c in range(2 * prev.d + 1, k1) if c != k0):
         raise AssertionError("k0, k1 are not the first two primes above 2d")
     if cur.p != k0 * prev.p or cur.q != k1 * prev.q:
         raise AssertionError("sizes must multiply by the prime factors")
@@ -321,9 +327,6 @@ class Pattern:
             return Pattern("const", self.l << inner.r, self.r + inner.r)
         return Pattern(inner.kind, inner.l + (self.l << inner.r),
                        self.r + inner.r)
-
-
-IDENTITY_PATTERN = Pattern("affine", 0, 0)
 
 
 @dataclass(frozen=True)

@@ -252,10 +252,6 @@ class SampledMatrixField:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def ts(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid_size)
-
     def max_adjacent_step(self) -> float:
         """sup over adjacent grid pairs of the operator-norm difference."""
         d = self.samples[1:] - self.samples[:-1]

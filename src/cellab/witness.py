@@ -294,16 +294,14 @@ def _mu_bottom(q: int, r: int) -> PiecewiseLinearFn:
         [(0, Fraction(-((1 << r) - 1), den)), (1, Fraction(-1, q))])
 
 
-def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
-                    stages: list[TowerStage] | None = None) -> WitnessReport:
+def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
     """Stage-m witness pushed to stage n: verifies the extremal branch
     formulas, the endpoint multiplicity laws, the window envelope count,
     the coprimality dichotomy, and computes the case-analysis floor bound
     2 pi (q_m - 1)(2^{n-m} - 1) / (q_m 2^{n-m})."""
     if block_k < 1:
         raise ValueError("block_k must be positive")
-    if stages is None:
-        stages = tower(n)
+    stages = tower(n)
     if not (1 <= m < n <= len(stages)):
         raise ValueError(f"need 1 <= m < n <= {len(stages)}")
     sm, sn = stages[m - 1], stages[n - 1]
@@ -380,15 +378,12 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1, *,
         upper=math.inf, cu=cu, passed=passed, extras=extras)
 
 
-def minimal_jiangsu_n(m: int, target_pi: Fraction, *,
-                      stages: list[TowerStage] | None = None) -> int:
+def minimal_jiangsu_n(m: int, target_pi: Fraction) -> int:
     """Smallest n > m whose floor bound reaches the target; the reachable
     supremum at stage m is 2(q_m - 1)/q_m. Refuses an n beyond the stage cap
     dimdrop.MAX_STAGES, which jiangsu_witness could not build."""
     t = Fraction(target_pi)
-    if stages is None:
-        stages = tower(m)
-    q = stages[m - 1].q
+    q = tower(m)[m - 1].q
     limit = Fraction(2 * (q - 1), q)
     if t >= limit:
         raise ValueError(

@@ -82,6 +82,10 @@ def test_parse_fn_spec_bad_ramp():
      "a12dc31e6f91ceba5bfa28b593997fbafad983c55a4e7c2223100a7c2e3edf8b"),
     ("acceptance jiangsu-floor",
      "ac1b8369da6a6e80bee75e890a6fd769be7b8bee7fbae350d72e3a67b44a9dea"),
+    ("curve jiangsu-floor --m 1 --max-n 5",
+     "0e1245d7c4c9d1888839596586dcd7d1084eb2bf2248eb5f19cffdf696d2e666"),
+    ("acceptance tower",
+     "f849f0166f306559a7ba9d66f3be0f24d5ac7c6bfdde4c821df786b2f38d6a57"),
 ])
 def test_golden_stdout_digest(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv.split())

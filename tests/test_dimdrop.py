@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellab import dimdrop
 from cellab.dimdrop import (
     DimDropAlgebra,
     Pattern,
@@ -38,6 +39,7 @@ from cellab.dimdrop import (
 )
 from cellab.funalg import PiecewiseLinearFn, symbolic_element
 from cellab.numerics import SampledMatrixField, random_unitary
+from cellab.witness import jiangsu_witness, minimal_jiangsu_n
 
 PLF = PiecewiseLinearFn
 
@@ -142,6 +144,55 @@ def test_validate_stage_step_rejects_skipped_prime_k1():
     bad = _stage_from(prev, cur.k0, _nextprime(cur.k1))
     with pytest.raises(AssertionError, match="first two primes"):
         validate_stage_step(prev, bad)
+
+
+def test_validate_stage_step_refuses_a_search_that_skips_a_prime(monkeypatch):
+    # a window sieve that also strikes a small prime p itself skips 13 above
+    # 12 and gives stage 2 as (17, 19); the validator must not trust the
+    # search. next_stage is called directly, so no faulty stage is cached.
+    search = dimdrop._nextprime
+    monkeypatch.setattr(dimdrop, "_nextprime",
+                        lambda n: search(13) if search(n) == 13 else search(n))
+    prev = initial_stage()
+    bad = next_stage(prev)
+    assert (bad.k0, bad.k1) == (17, 19)
+    with pytest.raises(AssertionError, match="not the first two primes above 2d"):
+        validate_stage_step(prev, bad)
+
+
+@pytest.fixture
+def counted_next_stage(monkeypatch):
+    """Indices of the stages next_stage builds, from an empty stage cache."""
+    built = []
+    build = dimdrop.next_stage
+
+    def counting(s):
+        built.append(s.index + 1)
+        return build(s)
+
+    dimdrop._stage.cache_clear()
+    monkeypatch.setattr(dimdrop, "next_stage", counting)
+    yield built
+    dimdrop._stage.cache_clear()
+
+
+def test_tower_builds_each_stage_once_per_process(counted_next_stage):
+    tower(4)
+    tower(4)
+    jiangsu_witness(1, 4)
+    minimal_jiangsu_n(1, F(1))
+    assert counted_next_stage == [2, 3, 4]
+
+
+def test_tower_cap_refused_before_any_stage(counted_next_stage):
+    with pytest.raises(ValueError, match="MAX_STAGES"):
+        tower(9)
+    assert counted_next_stage == []
+
+
+def test_tower_returns_a_fresh_list():
+    tower(3).append(initial_stage())
+    assert len(tower(3)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,7 @@ def test_verify_cu_constant_winding_integer():
 # ---------------------------------------------------------------------------
 
 def test_jiangsu_n2_top_branch():
-    stages = tower(2)
-    rep = jiangsu_witness(1, 2, stages=stages)
+    rep = jiangsu_witness(1, 2)
     top = rep.extras["top_branch"]
     assert top == PLF.from_pairs([(0, F(1, 3)), (1, F(2, 3))])
     assert top.max_value() == F(2, 3)
@@ -204,10 +203,9 @@ def test_jiangsu_n3_floor_is_pi():
 
 
 def test_jiangsu_floor_formula_and_monotone():
-    stages = tower(4)
     prev = F(0)
     for n in (2, 3, 4):
-        rep = jiangsu_witness(1, n, stages=stages)
+        rep = jiangsu_witness(1, n)
         pow2 = 1 << (n - 1)
         assert rep.lower_pi == F(2 * 2 * (pow2 - 1), 3 * pow2)
         assert rep.lower_pi > prev
@@ -215,34 +213,30 @@ def test_jiangsu_floor_formula_and_monotone():
 
 
 def test_jiangsu_block_padding_agrees():
-    stages = tower(2)
-    r1 = jiangsu_witness(1, 2, block_k=1, stages=stages)
-    r3 = jiangsu_witness(1, 2, block_k=3, stages=stages)
+    r1 = jiangsu_witness(1, 2, block_k=1)
+    r3 = jiangsu_witness(1, 2, block_k=3)
     assert r1.lower_pi == r3.lower_pi
     assert r1.extras["top_branch"] == r3.extras["top_branch"]
     assert int(r3.extras["total_rank"]) == 3 * int(r1.extras["total_rank"])
 
 
 def test_jiangsu_bottom_branch_formula():
-    stages = tower(3)
-    rep = jiangsu_witness(1, 3, stages=stages)
+    rep = jiangsu_witness(1, 3)
     bottom = rep.extras["bottom_branch"]
     assert bottom == PLF.from_pairs([(0, F(-3, 12)), (1, F(-1, 3))])
 
 
 def test_jiangsu_envelope_and_ordered_log():
-    stages = tower(3)
-    rep = jiangsu_witness(1, 2, stages=stages)
+    rep = jiangsu_witness(1, 2)
     assert rep.extras["envelope_ok"]
     # the window bound on the pushed element itself is stronger than the
     # case floor at n=2
     assert rep.extras["ordered_log_pi"] == F(4, 3)
-    rep3 = jiangsu_witness(1, 3, stages=stages)
+    rep3 = jiangsu_witness(1, 3)
     assert rep3.extras["ordered_log_pi"] >= rep3.lower_pi
 
 
 def test_jiangsu_merges_pushed_element_once(monkeypatch):
-    stages = tower(4)
     calls = []
     merge = funalg.merge_sorted_branches
 
@@ -251,14 +245,14 @@ def test_jiangsu_merges_pushed_element_once(monkeypatch):
         return merge(entries)
 
     monkeypatch.setattr(funalg, "merge_sorted_branches", counting)
-    rep = jiangsu_witness(1, 4, stages=stages)
+    rep = jiangsu_witness(1, 4)
     assert rep.passed
     assert len(calls) == 1
 
 
 def test_jiangsu_from_higher_stage():
     stages = tower(3)
-    rep = jiangsu_witness(2, 3, stages=stages)
+    rep = jiangsu_witness(2, 3)
     q2 = stages[1].q
     assert rep.lower_pi == F(2 * (q2 - 1), 2 * q2)
     assert rep.passed
