@@ -24,7 +24,6 @@ from .funalg import EigenvalueListField, PiecewiseLinearFn
 from .numerics import (
     TWO_PI,
     SampledMatrixField,
-    circular_gaps,
     cyclic_match,
     jitter_spectrum,
     lift_angle_array,
@@ -175,9 +174,9 @@ class _FieldSpectrum:
     branch lower bound, the geodesic bound and the constructive path.
 
     lam, vecs, residual: the raw normal eigendecomposition. angles: the
-    spectral angles after jitter (angle(lam) when none fired), eps_used the
-    jitter scale. thetas (n, grid): the lift of angles. pass_slack: the
-    winding-pass slack of thetas, 0 when the guard was not run.
+    spectral angles jitter_spectrum returned (angle(lam) when the gap was
+    open), eps_used its eps. thetas (n, grid): the lift of angles; the
+    winding-pass guard on it runs in its only reader, _lower_distinct.
     """
 
     lam: np.ndarray
@@ -186,26 +185,16 @@ class _FieldSpectrum:
     angles: np.ndarray
     eps_used: float
     thetas: np.ndarray
-    pass_slack: float
 
 
-def _field_spectrum(u: SampledMatrixField, tol: Tolerances,
-                    winding_guard: bool) -> _FieldSpectrum:
-    """Decompose and lift a unitary field with a guaranteed spectral gap.
-
-    When the raw field has near-coincident eigenvalues the angle-sorted
-    spectrum is jittered by e^{i j eps} (the eigenbasis is untouched).
-    """
+def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
+    """Decompose and lift a unitary field, its spectral gap opened by
+    jitter_spectrum where needed (the eigenbasis is untouched)."""
     lam, vecs, residual = normal_unitary_eig(u.samples, tol)
-    angles = np.angle(lam)
-    eps_used = 0.0
-    if np.min(circular_gaps(angles)) < tol.gap_tol:
-        jittered, eps_used = jitter_spectrum(lam, tol)
-        angles = np.angle(jittered)
+    jittered, eps_used = jitter_spectrum(lam, tol)
+    angles = np.angle(jittered)
     thetas = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
-    pass_slack = winding_pass_slack(thetas) if winding_guard else 0.0
-    return _FieldSpectrum(lam, vecs, residual, angles, eps_used, thetas,
-                          pass_slack)
+    return _FieldSpectrum(lam, vecs, residual, angles, eps_used, thetas)
 
 
 def cel_lower_distinct(u: SampledMatrixField,
@@ -221,14 +210,15 @@ def cel_lower_distinct(u: SampledMatrixField,
     """
     if u.flavor != "unitary":
         raise FlavorError("cel_lower_distinct needs a unitary field")
-    return _lower_distinct(_field_spectrum(u, tol, winding_guard=True), u.dim)
+    return _lower_distinct(_field_spectrum(u, tol), u.dim)
 
 
 def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
+    pass_slack = winding_pass_slack(spec.thetas)
     best_j, value, shift = _max_over_branches(
         spec.thetas.min(axis=1).tolist(), spec.thetas.max(axis=1).tolist(),
         TWO_PI)
-    eps_report = dim * spec.eps_used + 10 * spec.residual + spec.pass_slack
+    eps_report = dim * spec.eps_used + 10 * spec.residual + pass_slack
     return CelBound(
         lower=value,
         upper=INF,
@@ -389,18 +379,15 @@ def path_lower_bound_branches(path: UnitaryPath2D,
     max_eps = 0.0
     for i in range(path.n_s):
         lam, _, _ = normal_unitary_eig(path.slice(i).samples, tol)
-        angles = np.angle(lam)
-        if np.min(circular_gaps(angles)) < tol.gap_tol:
-            try:
-                jittered, eps = jitter_spectrum(lam, tol)
-            except SpectralCollisionError as exc:
-                raise SpectralCollisionError(
-                    f"unresolvable spectral collision at (s_index={i}, "
-                    f"t_index={exc.t_index})", s_index=i,
-                    t_index=exc.t_index) from exc
-            angles = np.angle(jittered)
-            max_eps = max(max_eps, eps)
-        all_angles.append(angles)
+        try:
+            jittered, eps = jitter_spectrum(lam, tol)
+        except SpectralCollisionError as exc:
+            raise SpectralCollisionError(
+                f"unresolvable spectral collision at (s_index={i}, "
+                f"t_index={exc.t_index})", s_index=i,
+                t_index=exc.t_index) from exc
+        max_eps = max(max_eps, eps)
+        all_angles.append(np.angle(jittered))
     anchors = np.sort(all_angles[0][0])
     prev = lift_angle_array(all_angles[0], anchors, tol.tie_tol)
     winding_pass_slack(prev)
@@ -435,9 +422,7 @@ class CuPathResult:
     length: float               # exact rectifiable length of the built path
     endpoint_error: float       # sup ||v_0 - u||
     eps_report: float
-    shifts: tuple[int, ...]
     winding: int
-    max_branch_norm: float      # max_j ||h_j||_inf after normalization
     n_repairs: int = 0          # winding-crossing tail swaps applied
 
 
@@ -535,8 +520,8 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
         raise CommutatorError(
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
-    spec = _field_spectrum(u, tol, winding_guard=False)
-    max_norm, h_norm, vecs, shifts, winding, eps_report, n_swaps = (
+    spec = _field_spectrum(u, tol)
+    max_norm, h_norm, vecs, winding, eps_report, n_swaps = (
         _cu_branches(spec, u.dim, det_resid))
     path = UnitaryPath2D.from_spectral(h_norm, vecs,
                                        np.linspace(0.0, 1.0, s_points), tol)
@@ -545,18 +530,16 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
     return CuPathResult(
         path=path, length=TWO_PI * max_norm,
         endpoint_error=path.slice(0).sup_distance(u),
-        eps_report=eps_report, shifts=tuple(int(c) for c in shifts),
-        winding=winding, max_branch_norm=max_norm, n_repairs=n_swaps)
+        eps_report=eps_report, winding=winding, n_repairs=n_swaps)
 
 
 def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
-                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int,
-                            float, int]:
+                 ) -> tuple[float, np.ndarray, np.ndarray, int, float, int]:
     """The certified part of the constructive path, without building it:
     the branch-sum defect, winding repair, integer shifts, the (k-1)/k norm
     limit and the eigenvector pairing. Returns (max_norm, normalized
-    branches h (n, grid), paired eigenvectors, shifts, winding, eps_report,
-    number of repairs)."""
+    branches h (n, grid), paired eigenvectors, winding, eps_report, number
+    of repairs)."""
     h = spec.thetas / TWO_PI
     sums = h.sum(axis=0)
     jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
@@ -577,7 +560,7 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
             f"normalized branch norm {max_norm:.6f} exceeds (k-1)/k + slack "
             f"{limit:.6f} (impossible for det = 1 inputs)")
     vecs_paired = _pair_columns(spec.vecs, spec.angles, h_norm)
-    return max_norm, h_norm, vecs_paired, shifts, winding, eps_report, n_swaps
+    return max_norm, h_norm, vecs_paired, winding, eps_report, n_swaps
 
 
 def _pair_columns(vecs: np.ndarray, angles: np.ndarray, h: np.ndarray
@@ -645,7 +628,7 @@ def bound_sandwich(u: SampledMatrixField, *,
     """
     if u.flavor != "unitary":
         raise FlavorError("bound_sandwich needs a unitary field")
-    spec = _field_spectrum(u, tol, winding_guard=True)
+    spec = _field_spectrum(u, tol)
     low = _lower_distinct(spec, u.dim)
     upper, method = _geodesic(spec.lam, tol), "principal-log-geodesic"
     det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))

@@ -112,11 +112,10 @@ def cmd_scalar_cel(args, cfg: RunConfig) -> int:
         print(f"error: bad function spec: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out = getattr(args, "out", None)
+    value = scalar_cel(fn)
     if isinstance(fn, PiecewiseLinearFn):
-        value = scalar_cel(fn)
         _emit(witness.format_pi(value) + "\n", out)
     else:
-        value = scalar_cel(fn)
         slack = float(np.max(np.abs(np.diff(fn)))) if fn.size > 1 else 0.0
         _emit(f"{value:.9f} (radians, grid slack <= {slack:.2e})\n", out)
     return 0

@@ -24,7 +24,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-FLAVORS = ("selfadjoint", "unitary", "projection", "general")
+FLAVORS = ("selfadjoint", "unitary", "general")
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -40,10 +40,6 @@ def unitary_defect(a: np.ndarray) -> float:
     """Largest entry of |A*A - I| over the whole batch."""
     n = a.shape[-1]
     return float(np.max(np.abs(adjoint(a) @ a - np.eye(n))))
-
-
-def projection_defect(a: np.ndarray) -> float:
-    return max(hermitian_defect(a), float(np.max(np.abs(a @ a - a))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,6 @@ class SampledMatrixField:
             raise FlavorError("field is not selfadjoint within tol_sym")
         if flavor == "unitary" and unitary_defect(samples) > tol.tol_unitary:
             raise FlavorError("field is not unitary within tol_unitary")
-        if flavor == "projection" and projection_defect(samples) > tol.tol_sym:
-            raise FlavorError("field is not a projection within tol_sym")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "flavor", flavor)
@@ -294,10 +288,6 @@ class BranchLift:
     """
 
     thetas: np.ndarray
-
-    @property
-    def anchors(self) -> np.ndarray:
-        return self.thetas[:, 0]
 
     def max_jump(self) -> float:
         return float(np.max(np.abs(np.diff(self.thetas, axis=1))))
@@ -558,15 +548,18 @@ def principal_log(u: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
 
 def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
                     ) -> tuple[np.ndarray, float]:
-    """Multiply the j-th (angle-sorted) eigenvalue of every row of an (m, n)
-    spectrum by e^{i j eps}, until every row has a circular gap >= gap_tol.
+    """Open a circular gap >= gap_tol in every row of an (m, n) spectrum;
+    the one place that decides whether a spectrum is jittered.
 
-    eps starts at tol.eps_jitter and grows deterministically on a
-    re-collision, up to a small number of retries; then the collision is
-    refused with the grid index of the first row whose gap is below gap_tol
-    (before jitter, or after the last attempt when jitter closed it).
-    Returns the jittered spectrum and the eps used.
+    A spectrum whose rows all have the gap comes back as is, with eps 0.0.
+    Otherwise the j-th (angle-sorted) eigenvalue of every row is multiplied
+    by e^{i j eps}; eps starts at tol.eps_jitter and grows on a
+    re-collision, up to five retries, then the collision is refused with
+    the grid index of the first row whose gap is below gap_tol.
     """
+    gaps = circular_gaps(np.angle(lam))
+    if np.min(gaps) >= tol.gap_tol:
+        return lam, 0.0
     ranks = np.argsort(np.argsort(np.angle(lam), axis=1, kind="stable"),
                        axis=1, kind="stable")
     for attempt in range(6):
@@ -574,9 +567,6 @@ def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
         jittered = lam * np.exp(1j * eps * (ranks + 1))
         if np.min(circular_gaps(np.angle(jittered))) >= tol.gap_tol:
             return jittered, eps
-    gaps = circular_gaps(np.angle(lam))
-    if np.min(gaps) >= tol.gap_tol:
-        gaps = circular_gaps(np.angle(jittered))
     bad = int(np.argmax(gaps < tol.gap_tol))
     raise SpectralCollisionError(
         f"jitter failed to open a spectral gap (grid index {bad})", t_index=bad)
@@ -588,13 +578,15 @@ def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANC
 
     The numerical surrogate of a transversality perturbation: splits
     repeated eigenvalues so branch lifting applies. Returns the perturbed
-    field and the eps actually used (see jitter_spectrum). The perturbed
-    field differs from the input by at most n*eps in operator norm.
+    field, within n*eps of the input in operator norm, and the eps used; a
+    field that jitter_spectrum finds gapped comes back as is, with eps 0.0.
     """
     if field.flavor != "unitary":
         raise FlavorError("jitter_unitary needs a unitary field")
     lam, v, _ = normal_unitary_eig(field.samples, tol)
     lam2, eps = jitter_spectrum(lam, tol)
+    if eps == 0.0:
+        return field, eps
     samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
     return SampledMatrixField(samples, "unitary", tol=tol), eps
 

@@ -349,7 +349,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
     dich_count = dichotomy_modular_count(sn.p, sn.q)
     if sn.d <= 10_000:
         dich_count += int(dichotomy_violations(sn.p, sn.q).size)
-    checks_ok = (
+    passed = (
         boundary.ok
         and top_fn == mu_top
         and bottom_fn == mu_bottom
@@ -357,7 +357,6 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
         and dich_count == 0
         and cu.passed
     )
-    passed = checks_ok and floor_pi >= cases["split_top"]
     extras = {
         "floor_pi": floor_pi,
         "cases_pi": {k: str(v) for k, v in cases.items()},

@@ -9,6 +9,7 @@ from cellab.numerics import (
     circular_gaps,
     hermitian_eigen,
     jacobi_eigh,
+    jitter_spectrum,
     jitter_unitary,
     lift_branches,
     lift_fidelity,
@@ -296,6 +297,17 @@ def test_jitter_noop_cost(rng, tol):
     f = random_unitary_field(rng, 3, 33, amplitude=0.3)
     v, eps = jitter_unitary(f)
     assert f.sup_distance(v) <= f.dim * eps + 1e-12
+
+
+def test_jitter_leaves_a_gapped_spectrum_alone(rng, tol):
+    f = random_unitary_field(rng, 4, 65, amplitude=0.8, det_one=True)
+    lam, _, _ = normal_unitary_eig(f.samples)
+    assert np.min(circular_gaps(np.angle(lam))) >= tol.gap_tol
+    out, eps = jitter_spectrum(lam)
+    assert out is lam and eps == 0.0
+    v, eps = jitter_unitary(f)
+    assert eps == 0.0
+    assert f.sup_distance(v) <= 1e-12
 
 
 def test_circular_gaps_shape():
