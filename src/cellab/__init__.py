@@ -4,14 +4,11 @@ the dimension-drop inductive tower with its extremal witnesses."""
 
 from .cel import (
     CelBound,
-    UnitaryPath2D,
     bound_sandwich,
     cel_lower_distinct,
     cel_lower_ordered_log,
     cu_upper_bound_path,
     geodesic_upper_bound,
-    path_length,
-    path_lower_bound_branches,
     scalar_cel,
 )
 from .config import DEFAULT_TOLERANCES, RunConfig, Tolerances
@@ -23,7 +20,6 @@ from .dimdrop import (
     boundary_check,
     compose_patterns,
     connecting_patterns,
-    dichotomy_check,
     initial_stage,
     membership_check,
     next_stage,
@@ -34,38 +30,22 @@ from .dimdrop import (
 from .funalg import (
     EigenvalueListField,
     PiecewiseLinearFn,
-    PSetPoint,
     SymbolicElement,
     chi_family,
     compose_spectral,
-    determinant_field,
-    eigenvalue_list,
-    eigenvalue_variation,
-    functional_calculus,
-    kth_lowest_merge,
     merge_sorted_branches,
-    pset_distance,
-    pset_distance_circle,
     symbolic_element,
 )
 from .numerics import (
-    BranchLift,
     SampledMatrixField,
-    hermitian_eigen,
     jacobi_eigh,
-    jitter_unitary,
-    lift_branches,
     operator_norm,
-    principal_log,
     unitary_exp,
-    unitary_spectrum,
 )
 from .witness import (
     WitnessReport,
     chi_witness,
     jiangsu_witness,
-    minimal_chi_L,
-    minimal_jiangsu_n,
     pan_wang_report,
     pan_wang_witness,
     verify_cu,

@@ -1,6 +1,6 @@
 """Exponential-length estimators: the exact scalar min-max formula,
-branch-based lower bounds, path-length machinery, the constructive
-determinant-1 upper-bound path, and the principal-log geodesic oracle.
+branch-based lower bounds, the constructive determinant-1 upper-bound
+path, and the principal-log geodesic oracle.
 
 Unit conventions: exact angle functions are PiecewiseLinearFn's holding the
 coefficient of pi (so the value Fraction(3, 2) means 3pi/2); sampled angle
@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,9 +26,7 @@ from .numerics import (
     cyclic_match,
     jitter_spectrum,
     lift_angle_array,
-    match_step,
     normal_unitary_eig,
-    operator_norm,
 )
 
 INF = math.inf
@@ -233,181 +230,31 @@ def cel_lower_ordered_log(e: EigenvalueListField) -> CelBound:
 
     Precondition: the whole list fits a window [alpha, alpha+2pi] for some
     alpha in [-2pi, 0); checked, violations name the failing inequality.
-    Exact lists are in coefficient-of-pi units, sampled lists in radians.
-    The bound is max over branches of the scalar min-max formula.
+    The branches are in coefficient-of-pi units. The bound is max over
+    branches of the scalar min-max formula.
     """
-    if e.is_exact:
-        mins = [h.min_value() for h in e.exact]
-        maxs = [h.max_value() for h in e.exact]
-        two, unit = Fraction(2), math.pi
-    else:
-        mins, maxs = e.samples.min(axis=1).tolist(), e.samples.max(axis=1).tolist()
-        two, unit = TWO_PI, 1.0
-    _check_window(min(mins), max(maxs), two)
-    best_j, value, shift = _max_over_branches(mins, maxs, two)
+    mins = [h.min_value() for h in e.exact]
+    maxs = [h.max_value() for h in e.exact]
+    _check_window(min(mins), max(maxs))
+    best_j, value, shift = _max_over_branches(mins, maxs, Fraction(2))
     return CelBound(
-        lower=float(value) * unit,
+        lower=float(value) * math.pi,
         upper=INF,
         lower_method="ordered-log-branches",
         certificate={"branch": best_j, "shift": shift},
-        lower_pi=value if e.is_exact else None,
+        lower_pi=value,
     )
 
 
-def _check_window(m, M, two):
-    """Feasibility of alpha in [-2pi, 0) with alpha <= h <= alpha + 2pi."""
-    if m < -two:
+def _check_window(m: Fraction, M: Fraction):
+    """Feasibility of alpha in [-2pi, 0) with alpha <= h <= alpha + 2pi,
+    for branch extremes m, M in coefficient-of-pi units."""
+    if m < -2:
         raise WindowError(f"min branch {m} < -2pi: no admissible alpha")
-    if M - m > two:
+    if M - m > 2:
         raise WindowError(f"branch spread {M - m} exceeds 2pi")
-    if M >= two:
+    if M >= 2:
         raise WindowError(f"max branch {M} >= 2pi: alpha would be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# 2-D unitary paths
-# ---------------------------------------------------------------------------
-
-class UnitaryPath2D:
-    """A discretized path s -> v_s of unitary fields, v_1 = identity.
-
-    Slices are produced on demand (a dense 2-D store would be wasteful at
-    production grids); iteration is sequential in all consumers.
-    """
-
-    def __init__(self, s_grid: np.ndarray, provider: Callable[[int], SampledMatrixField],
-                 *, dim: int, grid_size: int):
-        self.s_grid = np.asarray(s_grid, dtype=float)
-        if self.s_grid.ndim != 1 or self.s_grid.shape[0] < 2:
-            raise ValueError("need at least two s samples")
-        if self.s_grid[0] != 0.0 or self.s_grid[-1] != 1.0:
-            raise ValueError("s grid must run from 0 to 1")
-        self._provider = provider
-        self.dim = dim
-        self.grid_size = grid_size
-
-    @property
-    def n_s(self) -> int:
-        return self.s_grid.shape[0]
-
-    def slice(self, i: int) -> SampledMatrixField:
-        out = self._provider(int(i))
-        if out.dim != self.dim or out.grid_size != self.grid_size:
-            raise ValueError("provider returned a mismatched slice")
-        return out
-
-    @staticmethod
-    def from_slices(slices: Sequence[SampledMatrixField],
-                    s_grid: np.ndarray | None = None) -> "UnitaryPath2D":
-        slices = list(slices)
-        if s_grid is None:
-            s_grid = np.linspace(0.0, 1.0, len(slices))
-        return UnitaryPath2D(s_grid, lambda i: slices[i], dim=slices[0].dim,
-                             grid_size=slices[0].grid_size)
-
-    @staticmethod
-    def from_spectral(h: np.ndarray, vecs: np.ndarray, s_grid: np.ndarray,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> "UnitaryPath2D":
-        """Path v_s(t) = V(t) diag(e^{2 pi i (1-s) h_j(t)}) V(t)^*."""
-        h = np.asarray(h, dtype=float)           # (n, grid)
-        vecs = np.asarray(vecs, dtype=complex)   # (grid, n, n)
-        n, grid = h.shape
-
-        def provider(i: int) -> SampledMatrixField:
-            s = float(np.asarray(s_grid)[i])
-            phases = np.exp(2j * math.pi * (1.0 - s) * h.T)  # (grid, n)
-            samples = np.einsum("bij,bj,bkj->bik", vecs, phases,
-                                np.conjugate(vecs))
-            return SampledMatrixField(samples, "unitary", tol=tol)
-
-        return UnitaryPath2D(np.asarray(s_grid, dtype=float), provider,
-                             dim=n, grid_size=grid)
-
-    def endpoint_defects(self, target: SampledMatrixField) -> tuple[float, float]:
-        """(sup ||v_0 - target||, sup ||v_1 - 1||)."""
-        d0 = self.slice(0).sup_distance(target)
-        eye = np.eye(self.dim)
-        d1 = float(np.max(operator_norm(self.slice(self.n_s - 1).samples - eye)))
-        return d0, d1
-
-
-def path_length(path: UnitaryPath2D) -> float:
-    """Chordal length sum_i sup_t ||v_{s_{i+1}}(t) - v_{s_i}(t)||_op.
-
-    Converges to the rectifiable length from below as the s grid refines.
-    """
-    total = 0.0
-    prev = path.slice(0)
-    for i in range(1, path.n_s):
-        cur = path.slice(i)
-        total += prev.sup_distance(cur)
-        prev = cur
-    return total
-
-
-def concatenate_paths(p1: UnitaryPath2D, p2: UnitaryPath2D) -> UnitaryPath2D:
-    """Join two discretized paths end to start (reparametrized to [0,1]);
-    p1 must end where p2 begins."""
-    if p1.dim != p2.dim or p1.grid_size != p2.grid_size:
-        raise ValueError("paths are not composable")
-    seam = p1.slice(p1.n_s - 1).sup_distance(p2.slice(0))
-    if seam > 1e-6:
-        raise ValueError(f"paths do not join: seam gap {seam:.3e}")
-    s1 = 0.5 * p1.s_grid
-    s2 = 0.5 + 0.5 * p2.s_grid
-    s = np.concatenate([s1, s2[1:]])
-
-    def provider(i: int) -> SampledMatrixField:
-        if i < p1.n_s:
-            return p1.slice(i)
-        return p2.slice(i - p1.n_s + 1)
-
-    return UnitaryPath2D(s, provider, dim=p1.dim, grid_size=p1.grid_size)
-
-
-def path_lower_bound_branches(path: UnitaryPath2D,
-                              tol: Tolerances = DEFAULT_TOLERANCES
-                              ) -> tuple[float, dict]:
-    """max over branches of the s-arc-length of the 2-D lifted eigenvalue
-    branches, measured as sum_i sup_t |theta_j(s_{i+1}, t) - theta_j(s_i, t)|.
-
-    Requires distinct eigenvalues on the whole (s,t) grid; collisions raise
-    with their location. Always a lower bound for the path length up to the
-    chord-vs-arc discretization gap.
-    """
-    all_angles = []
-    max_eps = 0.0
-    for i in range(path.n_s):
-        lam, _, _ = normal_unitary_eig(path.slice(i).samples, tol)
-        try:
-            jittered, eps = jitter_spectrum(lam, tol)
-        except SpectralCollisionError as exc:
-            raise SpectralCollisionError(
-                f"unresolvable spectral collision at (s_index={i}, "
-                f"t_index={exc.t_index})", s_index=i,
-                t_index=exc.t_index) from exc
-        max_eps = max(max_eps, eps)
-        all_angles.append(np.angle(jittered))
-    anchors = np.sort(all_angles[0][0])
-    prev = lift_angle_array(all_angles[0], anchors, tol.tie_tol)
-    winding_pass_slack(prev)
-    n = prev.shape[0]
-    arc = np.zeros(n)
-    for i in range(1, path.n_s):
-        delta0 = match_step(prev[:, 0], all_angles[i][0], tol.tie_tol)
-        cur = lift_angle_array(all_angles[i], prev[:, 0] + delta0, tol.tie_tol)
-        winding_pass_slack(cur)
-        step = np.max(np.abs(cur - prev), axis=1)
-        if np.max(step) >= math.pi:
-            raise SpectralCollisionError(
-                f"branch moved by >= pi between s slices {i - 1} and {i}",
-                s_index=i)
-        arc += step
-        prev = cur
-    j = int(np.argmax(arc))
-    slack = 2.0 * path.dim * max_eps * path.n_s
-    return float(arc[j]), {"branch": j, "per_branch": arc.tolist(),
-                           "jitter_slack": slack}
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +263,15 @@ def path_lower_bound_branches(path: UnitaryPath2D,
 
 @dataclass(frozen=True)
 class CuPathResult:
-    """Constructive path certificate for a determinant-1 unitary field."""
+    """Constructive path certificate for a determinant-1 unitary field.
 
-    path: UnitaryPath2D
+    The path is v_s(t) = V(t) diag(e^{2 pi i (1-s) h_j(t)}) V(t)^* for s in
+    [0, 1]: h (n, grid) holds the normalized branches in full turns and
+    vecs (grid, n, n) the eigenvectors, column j paired with h[j].
+    """
+
+    h: np.ndarray
+    vecs: np.ndarray
     length: float               # exact rectifiable length of the built path
     endpoint_error: float       # sup ||v_0 - u||
     eps_report: float
@@ -501,7 +354,7 @@ def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
     return shifts
 
 
-def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
+def cu_upper_bound_path(u: SampledMatrixField, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> CuPathResult:
     """Constructive path from a determinant-1 unitary field to the identity.
 
@@ -523,13 +376,14 @@ def cu_upper_bound_path(u: SampledMatrixField, *, s_points: int = 33,
     spec = _field_spectrum(u, tol)
     max_norm, h_norm, vecs, winding, eps_report, n_swaps = (
         _cu_branches(spec, u.dim, det_resid))
-    path = UnitaryPath2D.from_spectral(h_norm, vecs,
-                                       np.linspace(0.0, 1.0, s_points), tol)
+    v0 = SampledMatrixField(
+        np.einsum("bij,bj,bkj->bik", vecs, np.exp(2j * math.pi * h_norm.T),
+                  vecs.conj()), "unitary", tol=tol)
     # d v_s/ds has op norm 2 pi max_j |h_j(t)| pointwise, so the rectifiable
-    # length is exactly 2 pi max_norm, independent of the s grid.
+    # length is exactly 2 pi max_norm.
     return CuPathResult(
-        path=path, length=TWO_PI * max_norm,
-        endpoint_error=path.slice(0).sup_distance(u),
+        h=h_norm, vecs=vecs, length=TWO_PI * max_norm,
+        endpoint_error=v0.sup_distance(u),
         eps_report=eps_report, winding=winding, n_repairs=n_swaps)
 
 
@@ -624,7 +478,7 @@ def bound_sandwich(u: SampledMatrixField, *,
     The field is decomposed and lifted once; the three bounds share that
     spectral data (the geodesic reads the raw, unjittered angles). The
     constructive length 2 pi max_j ||h_j|| is certified as in
-    cu_upper_bound_path, but the path itself is not built.
+    cu_upper_bound_path, but its endpoint error is not measured.
     """
     if u.flavor != "unitary":
         raise FlavorError("bound_sandwich needs a unitary field")

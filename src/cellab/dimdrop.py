@@ -41,10 +41,6 @@ class DimDropAlgebra:
         if self.m % self.m0 or self.m % self.m1:
             raise ValueError(f"m0={self.m0}, m1={self.m1} must divide m={self.m}")
 
-    @property
-    def is_prime(self) -> bool:
-        return math.gcd(self.m0, self.m1) == 1 and self.m == self.m0 * self.m1
-
 
 @dataclass(frozen=True)
 class TowerStage:
@@ -422,10 +418,6 @@ class BoundaryRow:
     modulus: int
     ok: bool
 
-    @property
-    def quotient(self) -> int:
-        return self.weighted // self.modulus if self.ok else -1
-
 
 @dataclass(frozen=True)
 class BoundaryReport:
@@ -527,17 +519,6 @@ def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
 # The coprimality dichotomy
 # ---------------------------------------------------------------------------
 
-def dichotomy_check(p: int, q: int, K: int) -> bool:
-    """Whether q | K and p | (pq - K) hold together; provably never for
-    coprime p, q and 0 < K < pq. Exists to assert exactly that."""
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p}, q={q} must be coprime")
-    d = p * q
-    if not (0 < K < d):
-        raise ValueError(f"need 0 < K < {d}, got {K}")
-    return K % q == 0 and (d - K) % p == 0
-
-
 def dichotomy_violations(p: int, q: int) -> np.ndarray:
     """All K in (0, pq) with q | K and p | (pq - K); vectorized scan."""
     if math.gcd(p, q) != 1:
@@ -575,13 +556,3 @@ def stage_to_json_obj(s: TowerStage) -> dict:
 
 def tower_to_json_obj(stages: list[TowerStage]) -> list[dict]:
     return [stage_to_json_obj(s) for s in stages]
-
-
-def patterns_to_json_obj(p: PatternMultiset) -> dict:
-    return {
-        "source": p.src_index,
-        "target": p.dst_index,
-        "level": p.level,
-        "entries": [{"kind": pat.kind, "l": str(pat.l), "r": pat.r,
-                     "mult": str(m)} for pat, m in p.entries],
-    }

@@ -14,11 +14,9 @@ class FlavorError(CellabError):
 class SpectralCollisionError(CellabError):
     """Spectral gap precondition violated; carries the offending grid location."""
 
-    def __init__(self, message: str, *, t_index: int | None = None,
-                 s_index: int | None = None):
+    def __init__(self, message: str, *, t_index: int | None = None):
         super().__init__(message)
         self.t_index = t_index
-        self.s_index = s_index
 
 
 class MatchingAmbiguityError(SpectralCollisionError):

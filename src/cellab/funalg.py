@@ -1,10 +1,10 @@
 """Function-algebra layer over [0,1]: exact rational piecewise-linear
-functions, eigenvalue lists and their variation, functional calculus,
-spectral composition for block homomorphisms, and the permutation-free
-point-multiset metric.
+functions, their exact sorted-branch merge, eigenvalue lists, and spectral
+composition for block homomorphisms.
 
 Exact objects use fractions.Fraction throughout, so every witness bound
-downstream evaluates with zero grid error.
+downstream evaluates with zero grid error. The layer is independent of the
+sampled numerics.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainRangeError, FlavorError, UnsupportedPaddingError
-from .numerics import SampledMatrixField, jacobi_eigh, multiset_circle_distance
+from .errors import DomainRangeError, UnsupportedPaddingError
 
 QLike = Fraction | int | str
 
@@ -298,63 +296,20 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     return out
 
 
-def kth_lowest_merge(entries: Sequence[tuple[PiecewiseLinearFn, int]]
-                     ) -> "EigenvalueListField":
-    """Eigenvalue-list field whose branch k at t is the k-th lowest value of
-    the input multiset at t. Branches are continuous by construction."""
-    blocks = merge_sorted_branches(entries)
-    total = sum(m for _, m in blocks)
-    if total > 10_000:
-        raise ValueError(f"refusing to expand {total} branches; "
-                         "use merge_sorted_branches directly")
-    branches: list[PiecewiseLinearFn] = []
-    for f, m in blocks:
-        branches.extend([f] * m)
-    return EigenvalueListField(exact=tuple(branches))
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue lists and symbolic elements
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EigenvalueListField:
-    """Ordered branch functions h_1 <= ... <= h_k, exact or sampled.
+    """Ordered exact branch functions h_1 <= ... <= h_k."""
 
-    exact: tuple of PiecewiseLinearFn; samples: float array (k, grid_size).
-    Exactly one of the two is set.
-    """
-
-    exact: tuple[PiecewiseLinearFn, ...] | None = None
-    samples: np.ndarray | None = None
+    exact: tuple[PiecewiseLinearFn, ...]
 
     def __post_init__(self):
-        if (self.exact is None) == (self.samples is None):
-            raise ValueError("exactly one of exact/samples must be given")
-        if self.exact is not None:
-            for lo, hi in zip(self.exact, self.exact[1:]):
-                if (hi - lo).min_value() < 0:
-                    raise ValueError("branches must be pointwise sorted")
-        else:
-            s = np.asarray(self.samples, dtype=float)
-            if s.ndim != 2:
-                raise ValueError("samples must be (k, grid_size)")
-            if s.shape[0] > 1 and np.min(np.diff(s, axis=0)) < -1e-9:
+        for lo, hi in zip(self.exact, self.exact[1:]):
+            if (hi - lo).min_value() < 0:
                 raise ValueError("branches must be pointwise sorted")
-            s.setflags(write=False)
-            object.__setattr__(self, "samples", s)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def variation(self) -> Fraction | float:
-        """Largest oscillation (max - min over [0,1]) among the branches."""
-        if self.is_exact:
-            return max((h.max_value() - h.min_value() for h in self.exact),
-                       default=Fraction(0))
-        spread = self.samples.max(axis=1) - self.samples.min(axis=1)
-        return float(spread.max())
 
 
 def symbolic_element(entries: Iterable[tuple[PiecewiseLinearFn, int]]
@@ -449,64 +404,6 @@ def compose_spectral(patterns: Sequence[tuple[PiecewiseLinearFn, int]],
 
 
 # ---------------------------------------------------------------------------
-# Operations on sampled fields
-# ---------------------------------------------------------------------------
-
-def eigenvalue_list(a: SampledMatrixField) -> EigenvalueListField:
-    """Sorted eigenvalue branches of a selfadjoint field."""
-    if a.flavor != "selfadjoint":
-        raise FlavorError("eigenvalue_list needs a selfadjoint field")
-    w, _ = jacobi_eigh(a.samples, compute_v=False)
-    return EigenvalueListField(samples=w.T.copy())
-
-
-def eigenvalue_variation(a) -> Fraction | float:
-    """EV: the largest branch oscillation, for fields, lists or symbolic
-    elements. Sampled inputs use the grid max/min and therefore
-    under-approximate by at most Lip * grid step."""
-    if isinstance(a, SampledMatrixField):
-        return eigenvalue_list(a).variation()
-    if isinstance(a, (EigenvalueListField, SymbolicElement)):
-        return a.variation()
-    raise TypeError(f"cannot compute EV of {type(a).__name__}")
-
-
-def functional_calculus(a, f: PiecewiseLinearFn,
-                        tol: Tolerances = DEFAULT_TOLERANCES):
-    """Apply f spectrally. For symbolic elements branches compose exactly;
-    for selfadjoint fields eigenvalues map through f pointwise. The
-    spectrum must lie in f's domain [0,1] (affine-normalize first)."""
-    if isinstance(a, SymbolicElement):
-        out = []
-        for h, m in a.entries:
-            lo, hi = h.range()
-            if lo < 0 or hi > 1:
-                raise DomainRangeError(
-                    f"branch range [{lo},{hi}] outside the domain [0,1]")
-            out.append((f.compose(h), m))
-        return symbolic_element(out)
-    if isinstance(a, SampledMatrixField):
-        if a.flavor != "selfadjoint":
-            raise FlavorError("functional calculus needs a selfadjoint field")
-        w, v = jacobi_eigh(a.samples)
-        if w.min() < -tol.tol_eig or w.max() > 1 + tol.tol_eig:
-            raise DomainRangeError(
-                f"spectrum [{w.min():.6g},{w.max():.6g}] outside [0,1]")
-        fw = f.sample(np.clip(w, 0.0, 1.0))
-        samples = np.einsum("bij,bj,bkj->bik", v, fw.astype(complex),
-                            np.conjugate(v))
-        return SampledMatrixField(samples, "selfadjoint", tol=tol)
-    raise TypeError(f"cannot apply functional calculus to {type(a).__name__}")
-
-
-def determinant_field(u: SampledMatrixField) -> np.ndarray:
-    """Pointwise determinant of a unitary field (unit modulus)."""
-    if u.flavor != "unitary":
-        raise FlavorError("determinant_field needs a unitary field")
-    return np.linalg.det(u.samples)
-
-
-# ---------------------------------------------------------------------------
 # chi family
 # ---------------------------------------------------------------------------
 
@@ -534,44 +431,3 @@ def chi_family(L: int, c: QLike, d: QLike
     chi1 = PiecewiseLinearFn.affine(Fraction(1, L))
     chi2 = PiecewiseLinearFn.affine(Fraction(1, L) - 1)
     return chi, chi1, chi2
-
-
-# ---------------------------------------------------------------------------
-# Point multisets and their min-max matching metric
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PSetPoint:
-    """A point of the quotient Y^k / permutations, for Y real numbers."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.points)
-
-    def distance(self, other: "PSetPoint"):
-        return pset_distance(self.points, other.points)
-
-
-def pset_distance(x: Sequence, y: Sequence):
-    """min over pairings of the max matching distance between two equal-size
-    real multisets; equals the sorted coordinatewise max difference."""
-    if len(x) != len(y):
-        raise ValueError(f"cardinality mismatch: {len(x)} vs {len(y)}")
-    xs, ys = sorted(x), sorted(y)
-    return max((abs(a - b) for a, b in zip(xs, ys)), default=0)
-
-
-def pset_distance_circle(x: Sequence[float], y: Sequence[float]) -> float:
-    """Same metric for angle multisets on the circle; the optimal bottleneck
-    matching is order preserving, so only cyclic shifts are scanned."""
-    if len(x) != len(y):
-        raise ValueError(f"cardinality mismatch: {len(x)} vs {len(y)}")
-    if len(x) == 0:
-        return 0.0
-    return multiset_circle_distance(np.asarray(x, dtype=float)[None],
-                                    np.asarray(y, dtype=float)[None])

@@ -1,6 +1,6 @@
-"""Grid/matrix kernel: batched spectral decomposition, matrix exp/log on the
-unit circle, continuous eigenvalue-branch lifting, and sampled matrix fields
-over the interval.
+"""Grid/matrix kernel: batched spectral decomposition, the matrix
+exponential onto the unit circle, continuous eigenvalue-branch lifting, and
+sampled matrix fields over the interval.
 
 All eigendecompositions run through the in-house batched cyclic Jacobi
 solver: reproducible across platforms and entirely adequate for the small
@@ -10,13 +10,11 @@ dimensions (<= 64) this package works at. numpy supplies array plumbing only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
-    BranchCutError,
     FlavorError,
     MatchingAmbiguityError,
     SpectralCollisionError,
@@ -133,15 +131,6 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     return w.reshape(*batch_shape, n), None
 
 
-def hermitian_eigen(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Eigenpairs of a single hermitian matrix, eigenvalues ascending."""
-    a = np.asarray(a, dtype=np.complex128)
-    if hermitian_defect(a) > tol.tol_sym:
-        raise FlavorError(f"matrix is not hermitian within {tol.tol_sym}")
-    w, v = jacobi_eigh(a)
-    return w, v
-
-
 def operator_norm(a: np.ndarray) -> np.ndarray | float:
     """Largest singular value, via the hermitian eigensolver on A*A."""
     a = np.asarray(a, dtype=np.complex128)
@@ -191,18 +180,6 @@ def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     return lam.reshape(*batch_shape, n), v2.reshape(*batch_shape, n, n), residual
 
 
-def unitary_spectrum(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Spectrum of a single unitary matrix as a multiset, sorted by angle."""
-    u = np.asarray(u, dtype=np.complex128)
-    if unitary_defect(u) > tol.tol_unitary:
-        raise FlavorError(f"matrix is not unitary within {tol.tol_unitary}")
-    lam, _, residual = normal_unitary_eig(u, tol)
-    if residual > 1e-6:
-        raise ArithmeticError(f"normal eigendecomposition residual {residual:.3e}")
-    lam = lam[np.argsort(np.angle(lam), kind="stable")]
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # Sampled matrix fields on [0, 1]
 # ---------------------------------------------------------------------------
@@ -246,11 +223,6 @@ class SampledMatrixField:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def max_adjacent_step(self) -> float:
-        """sup over adjacent grid pairs of the operator-norm difference."""
-        d = self.samples[1:] - self.samples[:-1]
-        return float(np.max(operator_norm(d)))
-
     def sup_distance(self, other: "SampledMatrixField") -> float:
         """sup over the grid of the operator-norm difference."""
         if self.grid_size != other.grid_size or self.dim != other.dim:
@@ -276,21 +248,6 @@ class SampledMatrixField:
         idx = np.arange(n)
         samples[:, idx, idx] = np.exp(1j * angles)
         return SampledMatrixField(samples, "unitary", **kw)
-
-
-@dataclass(frozen=True)
-class BranchLift:
-    """Continuous real logarithms of the moving eigenvalues of a unitary field.
-
-    thetas has shape (n, grid_size); exp(i thetas[:, t]) enumerates the
-    spectrum at grid point t, and adjacent samples of each branch differ by
-    less than pi.
-    """
-
-    thetas: np.ndarray
-
-    def max_jump(self) -> float:
-        return float(np.max(np.abs(np.diff(self.thetas, axis=1))))
 
 
 def _wrap_to_pi(x: np.ndarray) -> np.ndarray:
@@ -325,9 +282,9 @@ def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray
     return moves, np.max(np.abs(moves), axis=-1)
 
 
-def match_step(prev_thetas: np.ndarray, new_angles: np.ndarray,
-               tie_tol: float) -> np.ndarray:
-    """Angle increments matching branch values to the next spectrum.
+def _match_row(prev_thetas: np.ndarray, new_angles: np.ndarray,
+               tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angle increments matching n >= 2 branch values to the next spectrum.
 
     Both inputs are length-n; new_angles are principal values. Among the
     order-preserving bijections on the circle (cyclic shifts of the sorted
@@ -337,18 +294,9 @@ def match_step(prev_thetas: np.ndarray, new_angles: np.ndarray,
     Ties between matchings that produce the same branch-value multiset
     (e.g. at exact eigenvalue collisions) are resolved toward the smaller
     shift; genuinely different matchings within tie_tol raise.
-    Returns per-branch increments in (-pi, pi].
+    Returns (increments in (-pi, pi], slots), where slots[k] is the branch
+    matched to the k-th smallest of mod(new_angles, 2 pi).
     """
-    n = prev_thetas.shape[0]
-    if n == 1:
-        return _wrap_to_pi(new_angles - prev_thetas)
-    return _match_row(prev_thetas, new_angles, tie_tol)[0]
-
-
-def _match_row(prev_thetas: np.ndarray, new_angles: np.ndarray,
-               tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """match_step for n >= 2 branches: (increments, slots), where slots[k]
-    is the branch matched to the k-th smallest of mod(new_angles, 2 pi)."""
     n = prev_thetas.shape[0]
     order_a = np.argsort(np.mod(prev_thetas, TWO_PI), kind="stable")
     order_b = np.argsort(np.mod(new_angles, TWO_PI), kind="stable")
@@ -376,49 +324,12 @@ def _match_row(prev_thetas: np.ndarray, new_angles: np.ndarray,
     return deltas, slots
 
 
-def lift_branches(field: SampledMatrixField, anchors: np.ndarray | None = None,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> BranchLift:
-    """Continuous branch functions theta_j with exp(i theta_j(t)) running
-    through the spectrum of the field at every grid point.
-
-    Callers wanting the distinct-eigenvalue guarantee must ensure a pairwise
-    spectral gap >= gap_tol on the circle (jitter first otherwise): with a
-    genuine gap the lift is unique given the anchors. Benign collisions
-    (where every continuation yields the same branch multiset, e.g. exact
-    crossings on a diagonal field) are lifted anyway; ambiguous ones raise
-    a collision error carrying the offending grid index. anchors, when
-    given, must be real logarithms of the spectrum at t=0, one per branch;
-    default is the principal angles at t=0 in ascending order.
-    """
-    if field.flavor != "unitary":
-        raise FlavorError("lift_branches needs a unitary field")
-    lam, _, _ = normal_unitary_eig(field.samples, tol)
-    angles = np.angle(lam)  # (grid, n)
-    n = field.dim
-    grid = field.grid_size
-    if anchors is None:
-        anchors = np.sort(angles[0])
-    else:
-        anchors = np.asarray(anchors, dtype=float)
-        if anchors.shape != (n,):
-            raise ValueError("need one anchor per branch")
-        delta = match_step(anchors, angles[0], tol.tie_tol)
-        if np.max(np.abs(delta)) > tol.tol_spec * 10 + 1e-12:
-            raise ValueError("anchors are not logarithms of the spectrum at t=0")
-    thetas = lift_angle_array(angles, anchors, tol.tie_tol)
-    lift = BranchLift(thetas=thetas)
-    err = multiset_circle_distance(lift.thetas.T, angles)
-    if err > 1e-7:
-        raise ArithmeticError(f"lift fidelity violated: {err:.3e}")
-    return lift
-
-
 # A previous row with a circular gap at most this small is an exact
-# collision: which branch continues where is settled by match_step's
+# collision: which branch continues where is settled by _match_row's
 # stable tie-break on the lifted values, not by the sorted angles.
 _COLLISION_GAP = 1e-9
 # Cost decisions closer than this to a threshold (a tie between shifts,
-# a step of pi) are left to match_step on the lifted values, whose mod 2pi
+# a step of pi) are left to _match_row on the lifted values, whose mod 2pi
 # may differ from the principal angles in the last bits.
 _DECISION_MARGIN = 1e-9
 # Rows per cyclic_match batch: bounds the (rows, n, n) cost tensor.
@@ -430,16 +341,16 @@ def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
     """Continuously unwrap an (grid, n) array of spectral angles into
     branch functions (n, grid) starting from the given anchors.
 
-    The result is bit-identical to applying match_step grid point by grid
+    The result is bit-identical to applying _match_row grid point by grid
     point. Each step's best cyclic shift depends only on the sorted
     principal angles of the previous and the current row, so all shifts
     come from one batched cyclic_match. A branch's slot in the sorted row
     is carried along by the chosen shifts, which gives every branch its
-    matched target value c; the values then follow match_step's own
+    matched target value c; the values then follow _match_row's own
     arithmetic, theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)),
     in an n-wide loop over the grid. Rows after an exact collision and rows
     whose decision sits within _DECISION_MARGIN of a tie or of a step of pi
-    run match_step itself, so a refusal raises at the loop's grid index
+    run _match_row itself, so a refusal raises at the loop's grid index
     with the loop's message.
     """
     grid, n = angles.shape
@@ -492,23 +403,8 @@ def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
     return thetas.T.copy()
 
 
-def multiset_circle_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max over rows of the circular multiset distance between angle rows."""
-    sa = np.sort(np.mod(a, TWO_PI), axis=1)
-    sb = np.sort(np.mod(b, TWO_PI), axis=1)
-    _, costs = cyclic_match(sb, sa)
-    return float(np.max(np.min(costs, axis=1)))
-
-
-def lift_fidelity(lift: BranchLift, field: SampledMatrixField,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Hausdorff-on-the-circle distance between lift values and the spectrum."""
-    lam, _, _ = normal_unitary_eig(field.samples, tol)
-    return multiset_circle_distance(lift.thetas.T, np.angle(lam))
-
-
 # ---------------------------------------------------------------------------
-# exp / log between selfadjoint and unitary fields
+# exp from selfadjoint to unitary fields
 # ---------------------------------------------------------------------------
 
 def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
@@ -520,26 +416,6 @@ def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
     phases = np.exp(1j * w)
     samples = np.einsum("bij,bj,bkj->bik", v, phases, np.conjugate(v))
     return SampledMatrixField(samples, "unitary", tol=tol)
-
-
-def principal_log(u: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
-                  ) -> SampledMatrixField:
-    """Principal logarithm H(t) with u = exp(iH), ||H|| < pi.
-
-    Fails with BranchCutError when the spectrum meets -1 within gap_tol.
-    """
-    if u.flavor != "unitary":
-        raise FlavorError("principal_log needs a unitary field")
-    lam, v, _ = normal_unitary_eig(u.samples, tol)
-    theta = np.angle(lam)
-    dist_to_cut = math.pi - np.max(np.abs(theta))
-    if dist_to_cut < tol.gap_tol:
-        t = int(np.argmax(np.max(np.abs(theta), axis=1)))
-        raise BranchCutError(
-            f"spectrum within {dist_to_cut:.3e} of -1 at grid index {t}")
-    samples = np.einsum("bij,bj,bkj->bik", v, theta.astype(complex), np.conjugate(v))
-    samples = (samples + adjoint(samples)) / 2.0
-    return SampledMatrixField(samples, "selfadjoint", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -572,31 +448,6 @@ def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
         f"jitter failed to open a spectral gap (grid index {bad})", t_index=bad)
 
 
-def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
-                   ) -> tuple[SampledMatrixField, float]:
-    """Multiply the j-th (angle-sorted) eigenvalue by e^{i j eps} pointwise.
-
-    The numerical surrogate of a transversality perturbation: splits
-    repeated eigenvalues so branch lifting applies. Returns the perturbed
-    field, within n*eps of the input in operator norm, and the eps used; a
-    field that jitter_spectrum finds gapped comes back as is, with eps 0.0.
-    """
-    if field.flavor != "unitary":
-        raise FlavorError("jitter_unitary needs a unitary field")
-    lam, v, _ = normal_unitary_eig(field.samples, tol)
-    lam2, eps = jitter_spectrum(lam, tol)
-    if eps == 0.0:
-        return field, eps
-    samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
-    return SampledMatrixField(samples, "unitary", tol=tol), eps
-
-
-def min_circular_gap(field: SampledMatrixField,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    lam, _, _ = normal_unitary_eig(field.samples, tol)
-    return float(np.min(circular_gaps(np.angle(lam))))
-
-
 # ---------------------------------------------------------------------------
 # Seeded random constructions (tests and acceptance suites)
 # ---------------------------------------------------------------------------
@@ -608,11 +459,6 @@ def random_hermitian(rng: np.random.Generator, n: int, *, traceless: bool = Fals
     if traceless:
         h -= np.trace(h).real / n * np.eye(n)
     return h
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    w, v = jacobi_eigh(random_hermitian(rng, n))
-    return v
 
 
 def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,

@@ -18,7 +18,6 @@ import numpy as np
 from .cel import CelBound, cel_lower_ordered_log, cu_upper_bound_path
 from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .dimdrop import (
-    MAX_STAGES,
     TowerStage,
     boundary_check,
     connecting_patterns,
@@ -234,18 +233,6 @@ def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
     return element, report
 
 
-def minimal_chi_L(target_pi: Fraction) -> int:
-    """Smallest L with exact bound 2(1 - 1/L) >= target (target < 2)."""
-    t = Fraction(target_pi)
-    if t >= 2:
-        raise ValueError("the chi family only reaches bounds below 2*pi")
-    if t <= 0:
-        return 2
-    need = 1 / (1 - t / 2)   # L >= need
-    L = -((-need.numerator) // need.denominator)  # ceil
-    return max(2, int(L))
-
-
 # ---------------------------------------------------------------------------
 # Dimension-drop tower witness
 # ---------------------------------------------------------------------------
@@ -375,22 +362,3 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
         witness_id="jiang-su", params={"m": m, "n": n, "block_k": block_k},
         paper_target_pi=cases["split_top"], lower_pi=floor_pi,
         upper=math.inf, cu=cu, passed=passed, extras=extras)
-
-
-def minimal_jiangsu_n(m: int, target_pi: Fraction) -> int:
-    """Smallest n > m whose floor bound reaches the target; the reachable
-    supremum at stage m is 2(q_m - 1)/q_m. Refuses an n beyond the stage cap
-    dimdrop.MAX_STAGES, which jiangsu_witness could not build."""
-    t = Fraction(target_pi)
-    q = tower(m)[m - 1].q
-    limit = Fraction(2 * (q - 1), q)
-    if t >= limit:
-        raise ValueError(
-            f"target {t} not reachable from stage {m}: supremum is {limit}")
-    for r in range(1, MAX_STAGES - m + 1):
-        pow2 = 1 << r
-        if Fraction(2 * (q - 1) * (pow2 - 1), q * pow2) >= t:
-            return m + r
-    raise ValueError(
-        f"target {t} not reached by n <= {MAX_STAGES}: the answer lies beyond "
-        f"the stage cap MAX_STAGES = {MAX_STAGES}")

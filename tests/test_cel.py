@@ -4,17 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import jitter_unitary
+
 from cellab.cel import (
     CelBound,
-    UnitaryPath2D,
     bound_sandwich,
     cel_lower_distinct,
     cel_lower_ordered_log,
-    concatenate_paths,
     cu_upper_bound_path,
     geodesic_upper_bound,
-    path_length,
-    path_lower_bound_branches,
     scalar_cel,
     scalar_cel_certificate,
     winding_pass_slack,
@@ -22,13 +20,7 @@ from cellab.cel import (
 from cellab.config import Tolerances
 from cellab.errors import CommutatorError, SpectralCollisionError, WindowError
 from cellab.funalg import EigenvalueListField, PiecewiseLinearFn
-from cellab.numerics import (
-    SampledMatrixField,
-    jitter_unitary,
-    random_hermitian,
-    random_unitary_field,
-    unitary_exp,
-)
+from cellab.numerics import SampledMatrixField, operator_norm, random_unitary_field
 from cellab.witness import pan_wang_witness
 
 PLF = PiecewiseLinearFn
@@ -162,12 +154,6 @@ def test_ordered_log_symmetric_pair():
     assert cel_lower_ordered_log(e).lower_pi == 1
 
 
-def test_ordered_log_sampled():
-    ts = np.linspace(0, 1, 257)
-    e = EigenvalueListField(samples=np.stack([-PI * ts, PI * ts]))
-    assert abs(cel_lower_ordered_log(e).lower - PI) < 1e-12
-
-
 def test_ordered_log_window_violations():
     with pytest.raises(WindowError, match="spread"):
         cel_lower_ordered_log(EigenvalueListField(
@@ -179,115 +165,8 @@ def test_ordered_log_window_violations():
 
 
 # ---------------------------------------------------------------------------
-# paths
+# refusals and the constructive path's endpoints
 # ---------------------------------------------------------------------------
-
-def _geodesic_path(h_samples, n_s):
-    hf = SampledMatrixField(h_samples, "selfadjoint")
-    s_grid = np.linspace(0.0, 1.0, n_s)
-
-    def provider(i):
-        s = s_grid[i]
-        f = SampledMatrixField(h_samples * (1 - s), "selfadjoint")
-        return unitary_exp(f)
-
-    return UnitaryPath2D(s_grid, provider, dim=h_samples.shape[1],
-                         grid_size=h_samples.shape[0])
-
-
-def test_path_length_constant_zero():
-    u = SampledMatrixField.identity(2, 17)
-    p = UnitaryPath2D.from_slices([u, u, u])
-    assert path_length(p) == 0.0
-
-
-def test_path_length_geodesic_convergence():
-    # exp(i s H) with ||H|| = pi/2: chordal sums approach pi/2 from below
-    h = np.tile(np.diag([PI / 2, -PI / 2]).astype(complex), (17, 1, 1))
-    p = _geodesic_path(h, 257)
-    length = path_length(p)
-    assert length <= PI / 2 + 1e-12
-    assert abs(length - PI / 2) < 0.01 * PI / 2
-
-
-def test_path_length_concatenation_additive():
-    # split one path at a slice: the chordal lengths add exactly
-    h = np.tile(np.diag([1.0, -1.0]).astype(complex), (9, 1, 1))
-    whole = _geodesic_path(h, 17)
-    slices = [whole.slice(i) for i in range(whole.n_s)]
-    p1 = UnitaryPath2D.from_slices(slices[:9])
-    p2 = UnitaryPath2D.from_slices(slices[8:])
-    joint = concatenate_paths(p1, p2)
-    assert abs(path_length(joint) - (path_length(p1) + path_length(p2))) < 1e-12
-    assert abs(path_length(joint) - path_length(whole)) < 1e-12
-    with pytest.raises(ValueError, match="seam"):
-        concatenate_paths(p2, p1)
-
-
-def test_path_lower_bound_diagonal_homotopy():
-    # v_s = exp(i (1-s) H), H diagonal: branch arc lengths are |H_jj|, the
-    # bound is their max. The identity endpoint needs jitter; the pinned
-    # per-branch arcs were recorded when jitter still shifted the raw angles
-    # (angles + eps * rank) instead of multiplying by e^{i eps rank}.
-    cases = [
-        ([0.9, 0.3, -0.5],
-         [0.5000001000000012, 0.29999980000000015, 0.8999997]),
-        ([1.1, -0.7], [0.7000001000000005, 1.0999998]),
-        ([0.9, 0.3, -0.5, -1.3],
-         [1.3000001, 0.5000002000000001, 0.29999969999999987,
-          0.8999996000000001]),
-        ([2.1, -0.4, 0.6], [0.4000001000000002, 0.5999998, 2.0999997]),
-    ]
-    s_grid = np.linspace(0, 1, 65)
-    for hvals, pinned in cases:
-        h = np.tile(np.diag(hvals).astype(complex), (33, 1, 1))
-
-        def provider(i, h=h):
-            return unitary_exp(SampledMatrixField(h * (1 - s_grid[i]),
-                                                  "selfadjoint"))
-
-        p = UnitaryPath2D(s_grid, provider, dim=len(hvals), grid_size=33)
-        bound, cert = path_lower_bound_branches(p)
-        assert cert["jitter_slack"] > 0
-        assert abs(bound - max(np.abs(hvals))) < 1e-5
-        # per-branch arcs are |H_jj| (branch order = sorted anchors at s=0)
-        assert np.allclose(sorted(cert["per_branch"]), sorted(np.abs(hvals)),
-                           atol=1e-5)
-        assert np.allclose(cert["per_branch"], pinned, rtol=0, atol=1e-12)
-        assert abs(bound - max(pinned)) <= 1e-12
-
-
-def test_path_lower_bound_below_path_length(rng):
-    # the branch bound never exceeds the measured length by more than the
-    # chord-vs-arc discretization gap (random homotopies)
-    for _ in range(5):
-        g = random_hermitian(rng, 2)
-        g *= 1.2 / float(np.max(np.abs(np.linalg.eigvalsh(g))))
-        h = np.tile(g, (17, 1, 1)) * np.linspace(0.3, 1.0, 17)[:, None, None]
-        p = _geodesic_path(h, 129)
-        bound, _ = path_lower_bound_branches(p)
-        length = path_length(p)
-        n_steps = p.n_s - 1
-        chord_gap = length * (PI / n_steps) ** 2 / 8 + 1e-9
-        assert bound <= length + chord_gap + 2e-3
-
-
-def test_path_lower_bound_scalar_comparison(rng):
-    # dim 1: the 2-D branch bound equals the 1-D scalar arc length
-    ts = np.linspace(0, 1, 33)
-    alpha = 0.8 * np.sin(PI * ts) + 0.2
-    s_grid = np.linspace(0, 1, 33)
-
-    def provider(i):
-        return SampledMatrixField.diagonal_unitary(
-            ((1 - s_grid[i]) * alpha)[:, None])
-
-    p = UnitaryPath2D(s_grid, provider, dim=1, grid_size=33)
-    bound, _ = path_lower_bound_branches(p)
-    expect = sum(np.max(np.abs(alpha * (s_grid[i] - s_grid[i + 1])))
-                 for i in range(32))
-    assert abs(bound - expect) < 1e-12
-
 
 def test_jitter_refusal_carries_grid_index():
     # diag(e^{i(c-t)}, e^{-i(c-t)}) on 11 points: at c = 1 the gap 2(1-t)
@@ -305,20 +184,25 @@ def test_jitter_refusal_carries_grid_index():
         with pytest.raises(SpectralCollisionError, match="jitter") as exc:
             refuse()
         assert exc.value.t_index == 8
-    p = UnitaryPath2D.from_slices([field(2.0), field(1.0), field(1.0)])
-    with pytest.raises(SpectralCollisionError) as exc:
-        path_lower_bound_branches(p, tol)
-    assert (exc.value.s_index, exc.value.t_index) == (1, 8)
-    assert str(exc.value) == ("unresolvable spectral collision at "
-                              "(s_index=1, t_index=8)")
+
+
+def _path_slices(res, s_grid):
+    """Test oracle: v_s(t) = V(t) diag(e^{2 pi i (1-s) h_j(t)}) V(t)^*,
+    rebuilt from the certificate's branches and eigenvectors, shape
+    (len(s_grid), grid, n, n)."""
+    phases = np.exp(2j * PI * (1.0 - s_grid)[:, None, None] * res.h.T[None])
+    return np.einsum("bij,sbj,bkj->sbik", res.vecs, phases, res.vecs.conj())
 
 
 def test_path_endpoint_metadata():
     w = pan_wang_witness(2)
     u = w.field(129)
     res = cu_upper_bound_path(u)
-    d0, d1 = res.path.endpoint_defects(u)
+    v0, v1 = _path_slices(res, np.array([0.0, 1.0]))
+    d0 = float(np.max(operator_norm(v0 - u.samples)))
+    d1 = float(np.max(operator_norm(v1 - np.eye(u.dim))))
     assert d0 < 1e-6 and d1 < 1e-9
+    assert d0 == pytest.approx(res.endpoint_error, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +273,9 @@ def test_cu_shift_normalization_nonzero_winding():
 def test_cu_length_bounds_chordal_measurement():
     # the closed-form length dominates the chordal sum and converges to it
     u = pan_wang_witness(2).field(129)
-    res = cu_upper_bound_path(u, s_points=129)
-    measured = path_length(res.path)
+    res = cu_upper_bound_path(u)
+    v = _path_slices(res, np.linspace(0.0, 1.0, 129))
+    measured = float(np.sum(np.max(operator_norm(np.diff(v, axis=0)), axis=1)))
     assert measured <= res.length + 1e-9
     assert res.length - measured < 1e-3
 
@@ -456,17 +341,15 @@ def test_bound_sandwich_decomposes_and_lifts_once(monkeypatch):
     u = random_unitary_field(np.random.default_rng(5), 3, 257, amplitude=0.4,
                              det_one=True)
     want = (cel_lower_distinct(u), geodesic_upper_bound(u),
-            cu_upper_bound_path(u, s_points=17))
+            cu_upper_bound_path(u))
     counts = {}
     for name in ("normal_unitary_eig", "lift_angle_array"):
         _count_calls(monkeypatch, cel_mod, name, counts)
     _count_calls(monkeypatch, np.linalg, "det", counts)
-    # the constructive length is read without building the path
+    # the constructive length is read without measuring the path's endpoint
     _count_calls(monkeypatch, numerics_mod, "operator_norm", counts)
-    _count_calls(monkeypatch, UnitaryPath2D, "from_spectral", counts)
     b = bound_sandwich(u)
     assert counts == {"normal_unitary_eig": 1, "lift_angle_array": 1, "det": 1}
-    assert counts.get("operator_norm", 0) == counts.get("from_spectral", 0) == 0
     low, geo, cu = want
     assert b.lower == low.lower and b.epsilon_report == low.epsilon_report
     assert b.certificate == low.certificate

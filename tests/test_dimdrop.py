@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_unitary
+
 from cellab import dimdrop
 from cellab.dimdrop import (
     DimDropAlgebra,
@@ -23,23 +25,22 @@ from cellab.dimdrop import (
     boundary_check,
     compose_patterns,
     connecting_patterns,
-    dichotomy_check,
     dichotomy_modular_count,
     dichotomy_violations,
     initial_stage,
     membership_check,
     next_stage,
     one_step_patterns,
-    patterns_to_json_obj,
     push_element,
     stage_to_json_obj,
     tower,
     tower_to_json_obj,
     validate_stage_step,
 )
+from cellab.cli import main
 from cellab.funalg import PiecewiseLinearFn, symbolic_element
-from cellab.numerics import SampledMatrixField, random_unitary
-from cellab.witness import jiangsu_witness, minimal_jiangsu_n
+from cellab.numerics import SampledMatrixField
+from cellab.witness import jiangsu_witness
 
 PLF = PiecewiseLinearFn
 
@@ -180,7 +181,7 @@ def test_tower_builds_each_stage_once_per_process(counted_next_stage):
     tower(4)
     tower(4)
     jiangsu_witness(1, 4)
-    minimal_jiangsu_n(1, F(1))
+    assert main(["tower", "--stages", "4"]) == 0
     assert counted_next_stage == [2, 3, 4]
 
 
@@ -329,7 +330,7 @@ def test_boundary_divisibility_level_three_bigints():
     # every weighted count divides exactly
     for row in rep.at_zero:
         assert row.weighted % stages[2].q == 0
-        assert row.quotient >= 1
+        assert row.weighted // row.modulus >= 1
     for row in rep.at_one:
         assert row.weighted % stages[2].p == 0
 
@@ -342,7 +343,7 @@ def test_boundary_check_one_step_quotients():
     by_value = {row.value: row for row in rep.at_zero}
     # the 0-valued count is weighted by the source q: 17 * 3 = 51
     assert by_value[F(0)].weighted == 51
-    assert by_value[F(0)].quotient == 1
+    assert by_value[F(0)].weighted // by_value[F(0)].modulus == 1
     assert by_value[F(1, 2)].weighted == 204
 
 
@@ -460,10 +461,7 @@ def test_membership_dim_mismatch():
         membership_check(SampledMatrixField.identity(4, 5), alg)
 
 
-def test_dimdrop_algebra_primality():
-    assert DimDropAlgebra(2, 6, 3).is_prime
-    assert not DimDropAlgebra(2, 12, 3).is_prime
-    assert not DimDropAlgebra(2, 4, 2).is_prime
+def test_dimdrop_algebra_rejects_nondividing_blocks():
     with pytest.raises(ValueError):
         DimDropAlgebra(4, 6, 3)
 
@@ -473,7 +471,8 @@ def test_dimdrop_algebra_primality():
 # ---------------------------------------------------------------------------
 
 def test_dichotomy_small_brute_force():
-    assert [dichotomy_check(2, 3, K) for K in range(1, 6)] == [False] * 5
+    brute = [K for K in range(1, 6) if K % 3 == 0 and (6 - K) % 2 == 0]
+    assert dichotomy_violations(2, 3).tolist() == brute == []
 
 
 def test_dichotomy_stage2_scan():
@@ -482,10 +481,10 @@ def test_dichotomy_stage2_scan():
 
 
 def test_dichotomy_precondition_error():
-    with pytest.raises(ValueError):
-        dichotomy_check(2, 2, 1)
-    with pytest.raises(ValueError):
-        dichotomy_check(2, 3, 6)
+    with pytest.raises(ValueError, match="coprime"):
+        dichotomy_violations(2, 2)
+    with pytest.raises(ValueError, match="coprime"):
+        dichotomy_modular_count(2, 4)
 
 
 def test_dichotomy_random_coprime_pairs(rng):
@@ -513,15 +512,6 @@ def test_tower_json_uses_decimal_strings():
     # stage-4 integers exceed 2^63 and must survive the round trip exactly
     assert int(parsed[3]["d"]) == stages[3].d
     assert all(isinstance(v, str) for k, v in parsed[3].items() if k != "index")
-
-
-def test_patterns_json_shape():
-    stages = tower(2)
-    obj = patterns_to_json_obj(one_step_patterns(stages[1]))
-    assert obj["level"] == 1
-    kinds = {(e["kind"], e["l"], e["mult"]) for e in obj["entries"]}
-    assert ("affine", "0", "17") in kinds
-    assert ("const", "1", "191") in kinds
 
 
 def test_stage_json_initial_has_no_transition():

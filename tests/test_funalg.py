@@ -14,20 +14,17 @@ from cellab.errors import DomainRangeError, UnsupportedPaddingError
 from cellab.funalg import (
     EigenvalueListField,
     PiecewiseLinearFn,
-    PSetPoint,
     chi_family,
     compose_spectral,
-    determinant_field,
-    eigenvalue_list,
-    eigenvalue_variation,
-    functional_calculus,
-    kth_lowest_merge,
     merge_sorted_branches,
-    pset_distance,
-    pset_distance_circle,
     symbolic_element,
 )
-from cellab.numerics import SampledMatrixField, random_hermitian, random_unitary
+from cellab.numerics import (
+    SampledMatrixField,
+    cyclic_match,
+    jacobi_eigh,
+    random_hermitian,
+)
 
 PLF = PiecewiseLinearFn
 
@@ -130,7 +127,7 @@ def test_plf_sample_matches_exact():
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue lists on sampled fields
+# eigenvalue lists on sampled fields: the ascending jacobi_eigh eigenvalues
 # ---------------------------------------------------------------------------
 
 def _diag_field(branches, grid=65):
@@ -142,29 +139,32 @@ def _diag_field(branches, grid=65):
     return SampledMatrixField(samples.astype(complex), "selfadjoint")
 
 
+def _eigenvalue_list(f: SampledMatrixField) -> np.ndarray:
+    """Sorted eigenvalue branches (k, grid) of a selfadjoint field."""
+    return jacobi_eigh(f.samples, compute_v=False)[0].T
+
+
 def test_eigenvalue_list_two_crossing_lines():
     # diag(t, 1-t): branches are min and max of the two lines
     f = _diag_field([[1.0, 0.0], [-1.0, 1.0]])
-    e = eigenvalue_list(f)
+    e = _eigenvalue_list(f)
     ts = np.linspace(0, 1, f.grid_size)
-    assert np.allclose(e.samples[0], np.minimum(ts, 1 - ts), atol=1e-12)
-    assert np.allclose(e.samples[1], np.maximum(ts, 1 - ts), atol=1e-12)
-    assert abs(eigenvalue_variation(f) - 0.5) < 1e-12
+    assert np.allclose(e[0], np.minimum(ts, 1 - ts), atol=1e-12)
+    assert np.allclose(e[1], np.maximum(ts, 1 - ts), atol=1e-12)
 
 
 def test_eigenvalue_list_constant():
     f = SampledMatrixField.constant(np.diag([1.0, 2.0, 3.0]), 17, "selfadjoint")
-    e = eigenvalue_list(f)
-    assert np.allclose(e.samples, [[1], [2], [3]] * np.ones((3, 17)))
-    assert eigenvalue_variation(f) == 0
+    e = _eigenvalue_list(f)
+    assert np.allclose(e, [[1], [2], [3]] * np.ones((3, 17)))
 
 
 def test_eigenvalue_list_trace_identity(rng):
     samples = np.stack([random_hermitian(rng, 4) for _ in range(33)])
     f = SampledMatrixField(samples, "selfadjoint")
-    e = eigenvalue_list(f)
+    e = _eigenvalue_list(f)
     traces = np.einsum("bii->b", samples).real
-    assert np.max(np.abs(e.samples.sum(axis=0) - traces)) < 1e-9
+    assert np.max(np.abs(e.sum(axis=0) - traces)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -188,57 +188,6 @@ def test_ev_symbolic_uses_sorted_branches():
     down = PLF.from_pairs([(0, 1), (1, 0)])
     e = symbolic_element([(up, 1), (down, 1)])
     assert e.variation() == F(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# functional calculus
-# ---------------------------------------------------------------------------
-
-def test_functional_calculus_identity_leaves_field(rng):
-    w = np.sort(rng.uniform(0.05, 0.95, size=3))
-    q = random_unitary(rng, 3)
-    samples = np.tile(q @ np.diag(w) @ q.conj().T, (9, 1, 1))
-    f = SampledMatrixField(samples, "selfadjoint")
-    out = functional_calculus(f, PLF.identity())
-    assert np.max(np.abs(out.samples - f.samples)) < 1e-10
-
-
-def test_functional_calculus_chi_on_identity_branch():
-    chi, _, _ = chi_family(4, F(3, 10), F(7, 10))
-    e = symbolic_element([(PLF.identity(), 1)])
-    out = functional_calculus(e, chi)
-    assert out.entries[0][0] == chi  # chi o id == chi
-    # plateau values: 0 before c, affine to 1 on [c, d], 1 after
-    assert out.entries[0][0](F(1, 10)) == 0
-    assert out.entries[0][0](F(1, 2)) == F(1, 2)
-    assert out.entries[0][0](F(9, 10)) == 1
-
-
-def test_functional_calculus_chi2_slope():
-    L = 5
-    _, _, chi2 = chi_family(L, F(0), F(1))
-    e = symbolic_element([(PLF.identity(), 2)])
-    out = functional_calculus(e, chi2)
-    assert out.entries[0][0] == PLF.affine(F(1, L) - 1)
-    assert out.entries[0][1] == 2
-
-
-def test_functional_calculus_domain_error():
-    e = symbolic_element([(PLF.affine(2), 1)])
-    with pytest.raises(DomainRangeError):
-        functional_calculus(e, PLF.identity())
-
-
-def test_functional_calculus_sampled_matches_symbolic(rng):
-    chi, _, _ = chi_family(3, F(1, 4), F(3, 4))
-    ts = np.linspace(0, 1, 33)
-    samples = np.zeros((33, 2, 2), dtype=complex)
-    samples[:, 0, 0] = ts
-    samples[:, 1, 1] = 1 - ts
-    f = SampledMatrixField(samples, "selfadjoint")
-    out = functional_calculus(f, chi)
-    expect0 = chi.sample(ts)
-    assert np.max(np.abs(out.samples[:, 0, 0].real - expect0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,52 +224,26 @@ def test_chi_family_argument_error():
 
 def test_determinant_identity():
     u = SampledMatrixField.identity(3, 9)
-    assert np.allclose(determinant_field(u), 1.0, atol=1e-14)
+    assert np.allclose(np.linalg.det(u.samples), 1.0, atol=1e-14)
 
 
 def test_determinant_scalar_winding():
     ts = np.linspace(0, 1, 65)
     u = SampledMatrixField.diagonal_unitary((2 * math.pi * ts)[:, None])
-    det = determinant_field(u)
+    det = np.linalg.det(u.samples)
     assert np.max(np.abs(det - np.exp(2j * math.pi * ts))) < 1e-12
 
 
 def test_determinant_extremal_witness_is_one():
     from cellab.witness import pan_wang_witness
     u = pan_wang_witness(3).field(129)
-    det = determinant_field(u)
+    det = np.linalg.det(u.samples)
     assert np.max(np.abs(det - 1.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# point multisets
+# point multisets on the circle: the order-preserving shifts of cyclic_match
 # ---------------------------------------------------------------------------
-
-def test_pset_trivials():
-    assert pset_distance([0, 1], [1, 0]) == 0
-    assert pset_distance([F(1, 3)], [F(1, 3)]) == 0
-    with pytest.raises(ValueError):
-        pset_distance([1], [1, 2])
-
-
-def test_pset_brute_force_oracle(rng):
-    # exhaustive minimum over all 120 pairings of 5 points
-    for _ in range(25):
-        x = rng.standard_normal(5)
-        y = rng.standard_normal(5)
-        brute = min(max(abs(a - b) for a, b in zip(x, perm))
-                    for perm in itertools.permutations(y))
-        assert abs(pset_distance(list(x), list(y)) - brute) < 1e-12
-
-
-def test_pset_triangle_inequality(rng):
-    for _ in range(40):
-        x, y, z = (sorted(rng.standard_normal(4)) for _ in range(3))
-        dxy = pset_distance(x, y)
-        dyz = pset_distance(y, z)
-        dxz = pset_distance(x, z)
-        assert dxz <= dxy + dyz + 1e-12
-
 
 def test_pset_circle_against_brute_force(rng):
     for _ in range(25):
@@ -333,14 +256,9 @@ def test_pset_circle_against_brute_force(rng):
 
         brute = min(max(circ(a, b) for a, b in zip(x, perm))
                     for perm in itertools.permutations(y))
-        assert abs(pset_distance_circle(x, y) - brute) < 1e-12
-
-
-def test_psetpoint_wrapper():
-    p = PSetPoint((F(1), F(0)))
-    q = PSetPoint((F(0), F(2)))
-    assert p.distance(q) == 1
-    assert p.cardinality == 2
+        _, costs = cyclic_match(np.sort(np.mod(x, 2 * math.pi))[None],
+                                np.sort(np.mod(y, 2 * math.pi))[None])
+        assert abs(float(np.min(costs)) - brute) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +299,15 @@ def test_compose_spectral_ev_monotone(rng):
 def test_merge_two_lines():
     up = PLF.from_pairs([(0, 0), (1, 1)])
     down = PLF.from_pairs([(0, 1), (1, 0)])
-    e = kth_lowest_merge([(up, 1), (down, 1)])
-    lo, hi = e.exact
+    (lo, m_lo), (hi, m_hi) = merge_sorted_branches([(up, 1), (down, 1)])
+    assert m_lo == m_hi == 1
     assert lo == PLF.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]).simplified()
     assert hi == PLF.from_pairs([(0, 1), (F(1, 2), F(1, 2)), (1, 1)]).simplified()
 
 
 def test_merge_single_function():
     f = PLF.from_pairs([(0, F(1, 3)), (1, F(2, 3))])
-    e = kth_lowest_merge([(f, 1)])
-    assert e.exact == (f,)
+    assert merge_sorted_branches([(f, 1)]) == [(f, 1)]
 
 
 def test_merge_respects_multiplicity():
@@ -469,8 +386,6 @@ def test_interval_persistence_small_families(rng):
 def test_eigenvalue_list_field_validation():
     with pytest.raises(ValueError):
         EigenvalueListField(exact=(PLF.constant(1), PLF.constant(0)))
-    with pytest.raises(ValueError):
-        EigenvalueListField()
 
 
 # ---------------------------------------------------------------------------

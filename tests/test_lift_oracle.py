@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import jitter_unitary
+
 from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import SpectralCollisionError
 from cellab.numerics import (
     circular_gaps,
-    jitter_unitary,
     lift_angle_array,
     normal_unitary_eig,
     random_unitary_field,

@@ -3,28 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from cellab.errors import BranchCutError, FlavorError, SpectralCollisionError
+from conftest import jitter_unitary, random_unitary
+
+from cellab.cel import geodesic_upper_bound
+from cellab.config import DEFAULT_TOLERANCES
+from cellab.errors import FlavorError, SpectralCollisionError
 from cellab.numerics import (
     SampledMatrixField,
     circular_gaps,
-    hermitian_eigen,
+    cyclic_match,
     jacobi_eigh,
     jitter_spectrum,
-    jitter_unitary,
-    lift_branches,
-    lift_fidelity,
-    min_circular_gap,
+    lift_angle_array,
     normal_unitary_eig,
     operator_norm,
-    principal_log,
     random_hermitian,
-    random_unitary,
     random_unitary_field,
     unitary_exp,
-    unitary_spectrum,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def _spectrum(u: np.ndarray) -> np.ndarray:
+    """Spectrum of one unitary matrix, sorted by angle."""
+    lam, _, residual = normal_unitary_eig(u)
+    assert residual < 1e-6
+    return lam[np.argsort(np.angle(lam), kind="stable")]
+
+
+def _min_gap(f: SampledMatrixField) -> float:
+    lam, _, _ = normal_unitary_eig(f.samples)
+    return float(np.min(circular_gaps(np.angle(lam))))
+
+
+def _lift(f: SampledMatrixField, anchors: np.ndarray | None = None) -> np.ndarray:
+    """Branches (n, grid) lifted from a unitary field's principal angles,
+    anchored at the sorted angles at t = 0 unless anchors are given."""
+    angles = np.angle(normal_unitary_eig(f.samples)[0])
+    if anchors is None:
+        anchors = np.sort(angles[0])
+    return lift_angle_array(angles, anchors, DEFAULT_TOLERANCES.tie_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +51,13 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_eigen_identity_dim3():
-    w, v = hermitian_eigen(np.eye(3))
+    w, v = jacobi_eigh(np.eye(3))
     assert np.allclose(w, [1, 1, 1])
     assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
 
 
 def test_eigen_diagonal_reordering():
-    w, _ = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
+    w, _ = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1, 2, 3])
 
 
@@ -51,14 +70,9 @@ def test_eigen_2x2_quadratic_formula_oracle(rng):
         m = np.array([[a, b], [np.conj(b), d]])
         mean = (a + d) / 2
         rad = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
-        w, v = hermitian_eigen(m)
+        w, v = jacobi_eigh(m)
         assert np.allclose(w, [mean - rad, mean + rad], atol=1e-12)
         assert np.max(np.abs(m @ v - v * w)) < 1e-12
-
-
-def test_eigen_rejects_non_hermitian():
-    with pytest.raises(FlavorError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_jacobi_against_numpy_oracle(rng):
@@ -103,13 +117,13 @@ def test_operator_norm_examples():
 # ---------------------------------------------------------------------------
 
 def test_unitary_spectrum_identity():
-    lam = unitary_spectrum(np.eye(4))
+    lam = _spectrum(np.eye(4))
     assert np.allclose(lam, np.ones(4), atol=1e-12)
 
 
 def test_unitary_spectrum_diagonal():
     u = np.diag(np.exp(1j * np.array([math.pi / 3, -math.pi / 3])))
-    lam = unitary_spectrum(u)
+    lam = _spectrum(u)
     expect = np.exp(1j * np.array([-math.pi / 3, math.pi / 3]))
     assert np.allclose(np.sort(np.angle(lam)), np.sort(np.angle(expect)), atol=1e-12)
 
@@ -119,7 +133,7 @@ def test_unitary_spectrum_householder_reflection(rng):
     x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     x /= np.linalg.norm(x)
     h = np.eye(2) - 2 * np.outer(x, x.conj())
-    lam = unitary_spectrum(h)
+    lam = _spectrum(h)
     assert np.allclose(np.sort(lam.real), [-1, 1], atol=1e-10)
     assert np.max(np.abs(lam.imag)) < 1e-10
 
@@ -129,21 +143,16 @@ def test_unitary_spectrum_opposite_cosines():
     # must still split them
     u0 = np.diag(np.exp(1j * np.array([0.7, -0.7])))
     q = random_unitary(np.random.default_rng(3), 2)
-    lam = unitary_spectrum(q @ u0 @ q.conj().T)
+    lam = _spectrum(q @ u0 @ q.conj().T)
     assert np.allclose(np.sort(np.angle(lam)), [-0.7, 0.7], atol=1e-10)
 
 
 def test_unitary_spectrum_modulus_and_det(rng):
     for n in (2, 3, 5):
         u = random_unitary(rng, n)
-        lam = unitary_spectrum(u)
+        lam = _spectrum(u)
         assert np.max(np.abs(np.abs(lam) - 1)) < 1e-9
         assert abs(np.prod(lam) - np.linalg.det(u)) < 1e-9
-
-
-def test_unitary_spectrum_rejects_non_unitary():
-    with pytest.raises(FlavorError):
-        unitary_spectrum(2 * np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +177,12 @@ def test_field_immutable():
 
 def test_sorted_eigenvalue_continuity(rng):
     # adjacent-sample eigenvalues move no farther than the field does
-    f = random_unitary_field(rng, 3, 65, amplitude=0.4)
-    h = principal_log(f)
+    ts = np.linspace(0, 1, 65)[:, None, None]
+    a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    h = SampledMatrixField(np.cos(ts) * a + np.sin(3 * ts) * b, "selfadjoint")
     w, _ = jacobi_eigh(h.samples, compute_v=False)
     step_eig = np.max(np.abs(np.diff(w, axis=0)))
-    step_field = h.max_adjacent_step()
+    step_field = np.max(operator_norm(np.diff(h.samples, axis=0)))
     assert step_eig <= step_field + 1e-9
 
 
@@ -183,46 +193,42 @@ def test_sorted_eigenvalue_continuity(rng):
 def test_lift_scalar_full_turn():
     ts = np.linspace(0, 1, 129)
     f = SampledMatrixField.diagonal_unitary((TWO_PI * ts)[:, None])
-    lift = lift_branches(f, anchors=np.array([0.0]))
-    assert np.allclose(lift.thetas[0], TWO_PI * ts, atol=1e-12)
+    thetas = _lift(f, anchors=np.array([0.0]))
+    assert np.allclose(thetas[0], TWO_PI * ts, atol=1e-12)
 
 
 def test_lift_diagonal_pair_with_endpoint_collisions():
     ts = np.linspace(0, 1, 257)
     ang = np.stack([math.pi * ts, -math.pi * ts], axis=1)
     f = SampledMatrixField.diagonal_unitary(ang)
-    lift = lift_branches(f, anchors=np.array([0.0, 0.0]))
-    assert np.allclose(np.sort(lift.thetas, axis=0).T, np.sort(ang, axis=1),
+    thetas = _lift(f, anchors=np.array([0.0, 0.0]))
+    assert np.allclose(np.sort(thetas, axis=0).T, np.sort(ang, axis=1),
                        atol=1e-12)
-    assert lift.max_jump() < math.pi
+    assert np.max(np.abs(np.diff(thetas, axis=1))) < math.pi
 
 
 def test_lift_roundtrip_against_spectrum_oracle(rng):
     f = random_unitary_field(rng, 3, 257, amplitude=0.5,
                              max_log_norm=0.8 * math.pi)
-    if min_circular_gap(f) < 1e-8:
+    if _min_gap(f) < 1e-8:
         f, _ = jitter_unitary(f)
-    lift = lift_branches(f)
+    thetas = _lift(f)
     # re-enumeration at 50 random grid points against the independent
     # single-matrix spectrum
     idx = rng.choice(f.grid_size, size=50, replace=False)
     for i in idx:
-        lam = unitary_spectrum(f.samples[i])
-        got = np.sort(np.mod(lift.thetas[:, i], TWO_PI))
+        lam = _spectrum(f.samples[i])
+        got = np.sort(np.mod(thetas[:, i], TWO_PI))
         want = np.sort(np.mod(np.angle(lam), TWO_PI))
         err = min(np.max(np.abs(got - want)),
                   np.max(np.abs(np.sort((got + math.pi) % TWO_PI)
                                 - np.sort((want + math.pi) % TWO_PI))))
         assert err < 1e-8
-    assert lift_fidelity(lift, f) < 1e-8
-
-
-def test_lift_anchor_validation():
-    ts = np.linspace(0, 1, 33)
-    f = SampledMatrixField.diagonal_unitary(
-        np.stack([0.5 * ts + 0.3, -0.5 * ts - 0.3], axis=1))
-    with pytest.raises(ValueError):
-        lift_branches(f, anchors=np.array([1.0, 2.0]))
+    # and at every grid point against the spectrum the lift was built from
+    lam, _, _ = normal_unitary_eig(f.samples)
+    _, costs = cyclic_match(np.sort(np.mod(np.angle(lam), TWO_PI), axis=1),
+                            np.sort(np.mod(thetas.T, TWO_PI), axis=1))
+    assert np.max(np.min(costs, axis=1)) < 1e-8
 
 
 def test_lift_ambiguous_half_turn_collision():
@@ -230,12 +236,12 @@ def test_lift_ambiguous_half_turn_collision():
     ang = np.array([[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]])
     f = SampledMatrixField.diagonal_unitary(ang)
     with pytest.raises(SpectralCollisionError) as exc:
-        lift_branches(f)
+        _lift(f)
     assert exc.value.t_index == 1
 
 
 # ---------------------------------------------------------------------------
-# exp / log
+# exp
 # ---------------------------------------------------------------------------
 
 def test_unitary_exp_zero_field():
@@ -255,30 +261,19 @@ def test_exp_log_roundtrip(rng):
     h = np.stack([0.8 * random_hermitian(rng, 3) for _ in range(33)])
     h *= 0.9 * math.pi / max(1e-9, float(np.max(operator_norm(h))))
     hf = SampledMatrixField(h, "selfadjoint")
-    back = principal_log(unitary_exp(hf))
-    assert np.max(np.abs(back.samples - hf.samples)) < 1e-9
-
-
-def test_principal_log_trivials():
-    u = SampledMatrixField.identity(3, 8)
-    assert np.max(np.abs(principal_log(u).samples)) < 1e-12
-    u2 = SampledMatrixField.constant(np.array([[np.exp(1j * math.pi / 2)]]), 8,
-                                     "unitary")
-    assert np.allclose(principal_log(u2).samples, math.pi / 2, atol=1e-12)
+    # oracle: the principal logarithm, from the normal eigendecomposition
+    lam, v, _ = normal_unitary_eig(unitary_exp(hf).samples)
+    back = np.einsum("bij,bj,bkj->bik", v, np.angle(lam), v.conj())
+    assert np.max(np.abs(back - h)) < 1e-9
 
 
 def test_principal_log_right_half_circle_bound(rng):
+    # u = exp(iH) with ||H|| < pi/2: the principal logarithm's sup norm,
+    # which geodesic_upper_bound reports, stays within pi/2
     h = np.stack([random_hermitian(rng, 3) for _ in range(17)])
     h *= (math.pi / 2 - 1e-3) / float(np.max(operator_norm(h)))
     u = unitary_exp(SampledMatrixField(h, "selfadjoint"))
-    lg = principal_log(u)
-    assert float(np.max(operator_norm(lg.samples))) <= math.pi / 2 + 1e-9
-
-
-def test_principal_log_branch_cut():
-    u = SampledMatrixField.constant(np.diag([-1.0 + 0j, 1.0]), 8, "unitary")
-    with pytest.raises(BranchCutError):
-        principal_log(u)
+    assert geodesic_upper_bound(u) <= math.pi / 2 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +282,23 @@ def test_principal_log_branch_cut():
 
 def test_jitter_splits_repeated_eigenvalues(tol):
     u = SampledMatrixField.identity(4, 16)
-    assert min_circular_gap(u) < tol.gap_tol
+    assert _min_gap(u) < tol.gap_tol
     v, eps = jitter_unitary(u)
-    assert min_circular_gap(v) >= tol.gap_tol
+    assert _min_gap(v) >= tol.gap_tol
     assert u.sup_distance(v) <= 4 * eps + 1e-12
 
 
-def test_jitter_noop_cost(rng, tol):
-    f = random_unitary_field(rng, 3, 33, amplitude=0.3)
+def test_jitter_cost_on_repeated_eigenvalue(rng, tol):
+    # a doubled eigenvalue in an eigenbasis that turns with t
+    ts = np.linspace(0, 1, 33)
+    q = unitary_exp(SampledMatrixField(
+        ts[:, None, None] * random_hermitian(rng, 3), "selfadjoint")).samples
+    d = np.diag(np.exp(1j * np.array([0.4, 0.4, -1.1])))
+    f = SampledMatrixField(q @ d @ np.conjugate(np.swapaxes(q, 1, 2)), "unitary")
+    assert _min_gap(f) < tol.gap_tol
     v, eps = jitter_unitary(f)
+    assert eps > 0
+    assert _min_gap(v) >= tol.gap_tol
     assert f.sup_distance(v) <= f.dim * eps + 1e-12
 
 

@@ -9,15 +9,13 @@ from cellab import funalg
 from cellab.cel import cel_lower_distinct, cu_upper_bound_path
 from cellab.dimdrop import membership_check, tower
 from cellab.errors import CoverageError
-from cellab.funalg import PiecewiseLinearFn, determinant_field, symbolic_element
+from cellab.funalg import PiecewiseLinearFn, symbolic_element
 from cellab.witness import (
     CuCertificate,
     chi_witness,
     dense_stage_witness_field,
     format_pi,
     jiangsu_witness,
-    minimal_chi_L,
-    minimal_jiangsu_n,
     pan_wang_report,
     pan_wang_witness,
     stage_witness_element,
@@ -57,7 +55,7 @@ def test_pan_wang_branch_sum_gives_det_one():
         w = pan_wang_witness(k)
         total = w.element.weighted_sum()
         assert total.is_constant() and total.values[0] == 0
-        det = determinant_field(w.field(65))
+        det = np.linalg.det(w.field(65).samples)
         assert np.max(np.abs(det - 1)) < 1e-12
 
 
@@ -133,14 +131,6 @@ def test_chi_witness_multibranch_source():
     element, rep = chi_witness(4, x, F(2, 10), F(8, 10))
     assert rep.lower_pi == F(3, 2)
     assert element.total_rank == 4 * x.total_rank
-
-
-def test_minimal_chi_L_exact():
-    assert minimal_chi_L(F(2) - F(1, 50)) == 100
-    assert minimal_chi_L(F(1)) == 2
-    assert minimal_chi_L(F(0)) == 2
-    with pytest.raises(ValueError):
-        minimal_chi_L(F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +257,6 @@ def test_jiangsu_rejects_bad_indices():
         jiangsu_witness(2, 2)
     with pytest.raises(ValueError):
         jiangsu_witness(1, 2, block_k=0)
-
-
-def test_minimal_jiangsu_n():
-    assert minimal_jiangsu_n(1, F(1)) == 3
-    assert minimal_jiangsu_n(1, F(2, 3)) == 2
-    with pytest.raises(ValueError):
-        minimal_jiangsu_n(1, F(4, 3))
-    # reachable only at n = 10, beyond the stage cap jiangsu_witness builds
-    with pytest.raises(ValueError, match="stage cap"):
-        minimal_jiangsu_n(1, F(133, 100))
 
 
 def test_stage_witness_element_rank():
