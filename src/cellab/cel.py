@@ -23,7 +23,6 @@ from .funalg import EigenvalueListField, PiecewiseLinearFn
 from .numerics import (
     TWO_PI,
     SampledMatrixField,
-    cyclic_match,
     jitter_spectrum,
     lift_angle_array,
     normal_unitary_eig,
@@ -36,8 +35,8 @@ INF = math.inf
 class CelBound:
     """A certified lower/upper sandwich for an exponential length.
 
-    lower/upper are radians; *_pi carry the exact coefficient of pi where
-    the computation was exact. epsilon_report aggregates jitter and
+    lower/upper are radians; lower_pi carries the exact coefficient of pi
+    where the computation was exact. epsilon_report aggregates jitter and
     residual slack already included in the bound values.
     """
 
@@ -48,26 +47,11 @@ class CelBound:
     epsilon_report: float = 0.0
     certificate: dict = field(default_factory=dict)
     lower_pi: Fraction | None = None
-    upper_pi: Fraction | None = None
 
     def __post_init__(self):
         if self.upper != INF and self.lower > self.upper + 1e-9 + self.epsilon_report:
             raise ValueError(
                 f"invalid bound: lower {self.lower} exceeds upper {self.upper}")
-
-    def to_json_obj(self) -> dict:
-        cert = {k: (v if not isinstance(v, Fraction) else str(v))
-                for k, v in self.certificate.items()}
-        return {
-            "lower": self.lower,
-            "upper": ("inf" if self.upper == INF else self.upper),
-            "lower_method": self.lower_method,
-            "upper_method": self.upper_method,
-            "epsilon_report": self.epsilon_report,
-            "certificate": cert,
-            "lower_pi": (str(self.lower_pi) if self.lower_pi is not None else None),
-            "upper_pi": (str(self.upper_pi) if self.upper_pi is not None else None),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +154,19 @@ class _FieldSpectrum:
     """Spectral data of one unitary field, computed once and shared by the
     branch lower bound, the geodesic bound and the constructive path.
 
-    lam, vecs, residual: the raw normal eigendecomposition. angles: the
-    spectral angles jitter_spectrum returned (angle(lam) when the gap was
-    open), eps_used its eps. thetas (n, grid): the lift of angles; the
-    winding-pass guard on it runs in its only reader, _lower_distinct.
+    lam, vecs, residual: the raw normal eigendecomposition. eps_used: the
+    eps jitter_spectrum used (0.0 when the gap was open). thetas, cols
+    (n, grid): the lift of the jittered angles and, for each branch, the
+    column of lam and vecs it follows; the winding-pass guard on thetas
+    runs in its only reader, _lower_distinct.
     """
 
     lam: np.ndarray
     vecs: np.ndarray
     residual: float
-    angles: np.ndarray
     eps_used: float
     thetas: np.ndarray
+    cols: np.ndarray
 
 
 def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
@@ -190,8 +175,8 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
     lam, vecs, residual = normal_unitary_eig(u.samples, tol)
     jittered, eps_used = jitter_spectrum(lam, tol)
     angles = np.angle(jittered)
-    thetas = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
-    return _FieldSpectrum(lam, vecs, residual, angles, eps_used, thetas)
+    thetas, cols = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
+    return _FieldSpectrum(lam, vecs, residual, eps_used, thetas, cols)
 
 
 def cel_lower_distinct(u: SampledMatrixField,
@@ -276,47 +261,24 @@ class CuPathResult:
     endpoint_error: float       # sup ||v_0 - u||
     eps_report: float
     winding: int
-    n_repairs: int = 0          # winding-crossing tail swaps applied
+    # Always 0: no repair is made, a winding pass is refused instead (see
+    # _cu_branches). Kept only because the benchmark harness reads it; it
+    # goes with the next change to the benchmark.
+    n_repairs: int = 0
 
 
-def _winding_pass(h: np.ndarray) -> tuple[int, int, int, int] | None:
-    """(i, j, k, m) for the first pair i < j and first grid step k where
-    floor(h_i - h_j) changes and m, the larger floor, is nonzero; else None.
-    A change with m = 0 is a genuine value crossing, not a winding pass."""
+def _winding_pass(h: np.ndarray) -> tuple[int, int, int] | None:
+    """(i, j, k) for the first pair i < j and first grid step k where
+    floor(h_i - h_j) changes and the larger floor is nonzero; else None.
+    A change with larger floor 0 is a genuine value crossing, not a
+    winding pass."""
     for i, j in itertools.combinations(range(h.shape[0]), 2):
         fl = np.floor(h[i] - h[j])
         top = np.maximum(fl[:-1], fl[1:])
         passes = np.flatnonzero((fl[1:] != fl[:-1]) & (top != 0))
         if passes.size:
-            k = int(passes[0])
-            return i, j, k, int(top[k])
+            return i, j, int(passes[0])
     return None
-
-
-def _confine_branches(h: np.ndarray) -> tuple[np.ndarray, int]:
-    """Repair winding crossings so that branch differences never pass an
-    integer (units of full turns).
-
-    A continuous lift anchored at t=0 can let two branches pass each other
-    modulo 1 between grid samples (the spectra stay distinct at every grid
-    point, so the pass is invisible pointwise); constant integer shifts can
-    then no longer confine the family to a width-1 window. Each winding
-    pass found by _winding_pass is removed by swapping the tails with the
-    corresponding integer adjustment: the pointwise spectrum multiset and
-    the branch sum are unchanged and the seam jump is below one grid step.
-    Returns (repaired h, number of swaps)."""
-    h = h.copy()
-    n = h.shape[0]
-    max_rounds = 64 * n * n * (2 + int(np.max(np.abs(h))))
-    for swaps in range(max_rounds):
-        found = _winding_pass(h)
-        if found is None:
-            return h, swaps
-        i, j, k, m = found
-        hi_tail = h[i, k + 1:].copy()
-        h[i, k + 1:] = h[j, k + 1:] + m
-        h[j, k + 1:] = hi_tail - m
-    raise ArithmeticError("branch winding repair did not converge")
 
 
 def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
@@ -364,6 +326,12 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
     v_s = sum_j e^{2 pi i (1-s) h_j} p_j. For a dim-k field the minimized
     branch norms stay below (k-1)/k (up to jitter slack), so the exact
     length 2 pi max_j ||h_j|| is at most 2 pi (k-1)/k + eps_report.
+
+    The eigenvector of branch j is the column the lift paired with it; no
+    second matching is made. A branch sum that leaves the winding number,
+    or two branches that pass a winding level between samples, is refused
+    with SpectralCollisionError at that grid index; no repair is tried, so
+    n_repairs is always 0. The lift has not been seen to make such a pass.
     """
     if u.flavor != "unitary":
         raise FlavorError("cu_upper_bound_path needs a unitary field")
@@ -374,8 +342,13 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
     spec = _field_spectrum(u, tol)
-    max_norm, h_norm, vecs, winding, eps_report, n_swaps = (
-        _cu_branches(spec, u.dim, det_resid))
+    max_norm, h_norm, winding, eps_report = _cu_branches(spec, u.dim, det_resid)
+    cols = np.ascontiguousarray(spec.cols.T)    # (grid, n)
+    lam = np.take_along_axis(spec.lam, cols, axis=1)
+    pair_err = float(np.max(np.abs(np.exp(2j * math.pi * h_norm.T) - lam)))
+    if pair_err > u.dim * spec.eps_used + 1e-6:
+        raise ArithmeticError(f"branch/eigenvalue pairing residual {pair_err:.3e}")
+    vecs = np.take_along_axis(spec.vecs, cols[:, None, :], axis=2)
     v0 = SampledMatrixField(
         np.einsum("bij,bj,bkj->bik", vecs, np.exp(2j * math.pi * h_norm.T),
                   vecs.conj()), "unitary", tol=tol)
@@ -384,26 +357,41 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
     return CuPathResult(
         h=h_norm, vecs=vecs, length=TWO_PI * max_norm,
         endpoint_error=v0.sup_distance(u),
-        eps_report=eps_report, winding=winding, n_repairs=n_swaps)
+        eps_report=eps_report, winding=winding)
 
 
 def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
-                 ) -> tuple[float, np.ndarray, np.ndarray, int, float, int]:
+                 ) -> tuple[float, np.ndarray, int, float]:
     """The certified part of the constructive path, without building it:
-    the branch-sum defect, winding repair, integer shifts, the (k-1)/k norm
-    limit and the eigenvector pairing. Returns (max_norm, normalized
-    branches h (n, grid), paired eigenvectors, winding, eps_report, number
-    of repairs)."""
+    the branch-sum and winding-pass refusals, integer shifts and the
+    (k-1)/k norm limit. Returns (max_norm, normalized branches h (n, grid),
+    winding, eps_report).
+
+    The lift matches each step by the cyclic shift with the smallest
+    largest move, every move below pi, and no pair of its branches has been
+    seen to pass a winding level (an integer h_i - h_j other than 0) between
+    samples: not on the random-walk lifts of the tests, nor on any
+    benchmark or acceptance field. So constant shifts confine the branches,
+    no repair is made and CuPathResult.n_repairs is always 0; a pass, should
+    one ever show up, is refused.
+    """
     h = spec.thetas / TWO_PI
     sums = h.sum(axis=0)
     jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
     winding = int(round(float(sums[0]) - jitter_sum))
-    sum_defect = float(np.max(np.abs(sums - winding - jitter_sum)))
-    if sum_defect > 1e-6:
-        raise AssertionError(
-            f"branch sum is not the constant winding number: defect {sum_defect:.3e}"
-            " (impossible for det = 1 inputs)")
-    h, n_swaps = _confine_branches(h)
+    off = np.flatnonzero(np.abs(sums - winding - jitter_sum) > 1e-6)
+    if off.size:
+        k = int(off[0])
+        raise SpectralCollisionError(
+            f"branch sum leaves the winding number {winding} at grid index {k}:"
+            " an eigenvalue moved too far between samples to be followed,"
+            " refine the grid", t_index=k)
+    found = _winding_pass(h)
+    if found is not None:
+        i, j, k = found
+        raise SpectralCollisionError(
+            f"branches {i},{j} pass a winding level between grid indices {k}"
+            f" and {k + 1}; constant shifts cannot confine them", t_index=k + 1)
     shifts = _minimax_integer_shifts(h.min(axis=1), h.max(axis=1), -winding)
     h_norm = h + shifts[:, None]
     max_norm = float(np.max(np.abs(h_norm)))
@@ -413,37 +401,7 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
         raise AssertionError(
             f"normalized branch norm {max_norm:.6f} exceeds (k-1)/k + slack "
             f"{limit:.6f} (impossible for det = 1 inputs)")
-    vecs_paired = _pair_columns(spec.vecs, spec.angles, h_norm)
-    return max_norm, h_norm, vecs_paired, winding, eps_report, n_swaps
-
-
-def _pair_columns(vecs: np.ndarray, angles: np.ndarray, h: np.ndarray
-                  ) -> np.ndarray:
-    """Permute eigenvector columns per grid point so that column j carries
-    the eigenvalue e^{2 pi i h[j, t]}.
-
-    Both the branch values mod 1 and the spectral angles have pairwise
-    circular gaps >= gap_tol, so the (order-preserving) assignment is
-    unambiguous; the match residual is checked.
-    """
-    n = h.shape[0]
-    target = np.mod(h.T, 1.0) * TWO_PI          # (grid, n)
-    have = np.mod(angles, TWO_PI)               # (grid, n)
-    tsort = np.argsort(target, axis=1, kind="stable")
-    hsort = np.argsort(have, axis=1, kind="stable")
-    tvals = np.take_along_axis(target, tsort, axis=1)
-    hvals = np.take_along_axis(have, hsort, axis=1)
-    # shift s pairs hvals[:, j] with tvals[:, (j + s) % n]
-    _, costs = cyclic_match(hvals, tvals)
-    best = np.argmin(costs, axis=1)
-    worst = float(np.max(np.take_along_axis(costs, best[:, None], axis=1)))
-    if worst > 1e-6:
-        raise ArithmeticError(f"branch/eigenvalue pairing residual {worst:.3e}")
-    perm = np.empty_like(hsort)
-    slots = (np.arange(n)[None, :] + best[:, None]) % n
-    np.put_along_axis(perm, np.take_along_axis(tsort, slots, axis=1), hsort,
-                      axis=1)
-    return np.take_along_axis(vecs, perm[:, None, :], axis=2)
+    return max_norm, h_norm, winding, eps_report
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +435,9 @@ def bound_sandwich(u: SampledMatrixField, *,
 
     The field is decomposed and lifted once; the three bounds share that
     spectral data (the geodesic reads the raw, unjittered angles). The
-    constructive length 2 pi max_j ||h_j|| is certified as in
-    cu_upper_bound_path, but its endpoint error is not measured.
+    constructive length 2 pi max_j ||h_j|| is certified, and refused, as
+    in cu_upper_bound_path, but its eigenvectors are not gathered and its
+    endpoint error is not measured.
     """
     if u.flavor != "unitary":
         raise FlavorError("bound_sandwich needs a unitary field")

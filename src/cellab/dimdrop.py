@@ -428,9 +428,6 @@ class BoundaryReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.at_zero + self.at_one)
 
-    def violations(self) -> list[BoundaryRow]:
-        return [r for r in self.at_zero + self.at_one if not r.ok]
-
 
 def boundary_check(patterns: PatternMultiset, target: TowerStage,
                    source: TowerStage) -> BoundaryReport:

@@ -142,10 +142,6 @@ class PiecewiseLinearFn:
         c = as_fraction(c)
         return PiecewiseLinearFn(self.breakpoints, tuple(c * v for v in self.values))
 
-    def shift(self, c: QLike) -> "PiecewiseLinearFn":
-        c = as_fraction(c)
-        return PiecewiseLinearFn(self.breakpoints, tuple(v + c for v in self.values))
-
     # -- composition ----------------------------------------------------------
 
     def compose(self, g: "PiecewiseLinearFn") -> "PiecewiseLinearFn":

@@ -337,30 +337,40 @@ _MATCH_BATCH = 1 << 20
 
 
 def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
-                     tie_tol: float) -> np.ndarray:
+                     tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrap an (grid, n) array of spectral angles into
     branch functions (n, grid) starting from the given anchors.
 
-    The result is bit-identical to applying _match_row grid point by grid
+    Returns (thetas, cols), both (n, grid): cols[j, i] is the column of
+    angles[i] whose eigenvalue branch j follows at grid point i, so the
+    eigenvector paired with thetas[j, i] is column cols[j, i]. At t = 0 the
+    anchors, a lift of angles[0], take the columns of angles[0] in sorted
+    order mod 2 pi.
+
+    The values are bit-identical to applying _match_row grid point by grid
     point. Each step's best cyclic shift depends only on the sorted
     principal angles of the previous and the current row, so all shifts
     come from one batched cyclic_match. A branch's slot in the sorted row
     is carried along by the chosen shifts, which gives every branch its
-    matched target value c; the values then follow _match_row's own
-    arithmetic, theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)),
-    in an n-wide loop over the grid. Rows after an exact collision and rows
-    whose decision sits within _DECISION_MARGIN of a tie or of a step of pi
-    run _match_row itself, so a refusal raises at the loop's grid index
-    with the loop's message.
+    matched target value c and column; the values then follow _match_row's
+    own arithmetic, theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1},
+    2 pi)), in an n-wide loop over the grid. Rows after an exact collision
+    and rows whose decision sits within _DECISION_MARGIN of a tie or of a
+    step of pi run _match_row itself, so a refusal raises at the loop's
+    grid index with the loop's message.
     """
     grid, n = angles.shape
     thetas = np.empty((grid, n))
     thetas[0] = anchors
+    cols = np.zeros((grid, n), dtype=np.intp)
     if n == 1:
         for i in range(1, grid):
             thetas[i] = thetas[i - 1] + _wrap_to_pi(angles[i] - thetas[i - 1])
-        return thetas.T.copy()
-    b_sorted = np.sort(np.mod(angles[1:], TWO_PI), axis=1)
+        return thetas.T.copy(), cols.T.copy()
+    # stable, so a _match_row row sorts its spectrum into the same order
+    order = np.argsort(np.mod(angles, TWO_PI), axis=1, kind="stable")
+    b_order = order[1:]
+    b_sorted = np.take_along_axis(np.mod(angles[1:], TWO_PI), b_order, axis=1)
     a_sorted = np.concatenate(
         [np.sort(np.mod(anchors, TWO_PI))[None], b_sorted[:-1]])
     shifts = np.empty(grid - 1, dtype=np.intp)
@@ -379,13 +389,16 @@ def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
     # Slot k of row i holds the branch at frame position (k - frame[i]) % n;
     # in this frame a branch keeps its position across decided rows.
     frame = np.cumsum(np.where(decided, shifts, 0)) % n
-    targets = np.take_along_axis(
-        b_sorted, (np.arange(n)[None, :] + frame[:, None]) % n, axis=1)
+    frame_slots = (np.arange(n)[None, :] + frame[:, None]) % n
+    targets = np.take_along_axis(b_sorted, frame_slots, axis=1)
+    target_cols = np.take_along_axis(b_order, frame_slots, axis=1)
     pos = np.empty(n, dtype=np.intp)
     pos[np.argsort(np.mod(anchors, TWO_PI), kind="stable")] = np.arange(n)
+    cols[0] = order[0][pos]
     start = 1
     for stop in [*(np.flatnonzero(~decided) + 1).tolist(), grid]:
         c = targets[start - 1:stop - 1][:, pos]
+        cols[start:stop] = target_cols[start - 1:stop - 1][:, pos]
         for i in range(start, stop):
             prev = thetas[i - 1]
             thetas[i] = prev + _wrap_to_pi(c[i - start] - np.mod(prev, TWO_PI))
@@ -398,9 +411,10 @@ def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
                 f"ambiguous branch continuation at grid index {stop}: {exc}",
                 t_index=stop) from exc
         thetas[stop] = thetas[stop - 1] + deltas
+        cols[stop][slots] = b_order[stop - 1]
         pos[slots] = (np.arange(n) - frame[stop - 1]) % n
         start = stop + 1
-    return thetas.T.copy()
+    return thetas.T.copy(), cols.T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cel import CelBound, cel_lower_ordered_log, cu_upper_bound_path
+from .cel import cel_lower_ordered_log, cu_upper_bound_path
 from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .dimdrop import (
     TowerStage,
@@ -98,15 +98,6 @@ class WitnessReport:
     cu: CuCertificate
     passed: bool
     extras: dict = field(default_factory=dict)
-
-    def bound(self) -> CelBound:
-        return CelBound(
-            lower=float(self.lower_pi) * math.pi,
-            upper=self.upper,
-            lower_method="ordered-log-branches",
-            upper_method=("cu-constructive-path" if self.upper != math.inf
-                          else "none"),
-            lower_pi=self.lower_pi)
 
     def to_json_obj(self) -> dict:
         extras = {}

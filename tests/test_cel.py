@@ -17,10 +17,16 @@ from cellab.cel import (
     scalar_cel_certificate,
     winding_pass_slack,
 )
-from cellab.config import Tolerances
+from cellab.config import DEFAULT_TOLERANCES, Tolerances
 from cellab.errors import CommutatorError, SpectralCollisionError, WindowError
 from cellab.funalg import EigenvalueListField, PiecewiseLinearFn
-from cellab.numerics import SampledMatrixField, operator_norm, random_unitary_field
+from cellab.numerics import (
+    SampledMatrixField,
+    circular_gaps,
+    lift_angle_array,
+    operator_norm,
+    random_unitary_field,
+)
 from cellab.witness import pan_wang_witness
 
 PLF = PiecewiseLinearFn
@@ -67,7 +73,7 @@ def test_scalar_cel_sampled():
 def test_scalar_cel_shift_invariance_exact():
     f = PLF.from_pairs([(0, F(1, 3)), (F(1, 2), F(-5, 7)), (1, F(2, 5))])
     for m in (-3, -1, 0, 2, 7):
-        assert scalar_cel(f.shift(2 * m)) == scalar_cel(f)
+        assert scalar_cel(f + 2 * m) == scalar_cel(f)
 
 
 def test_scalar_cel_k_range_sufficiency(rng):
@@ -270,6 +276,57 @@ def test_cu_shift_normalization_nonzero_winding():
     assert res.endpoint_error <= 1e-2
 
 
+def test_lift_never_passes_a_winding_level():
+    # random-walk spectra (n 2..6, grid 5..33, steps up to 3 rad): the
+    # constructive path refuses instead of repairing a winding pass, so it
+    # relies on the lift never letting two branches pass a nonzero winding
+    # level between samples
+    from cellab.cel import _winding_pass
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        n, grid = int(rng.integers(2, 7)), int(rng.integers(5, 34))
+        step = rng.uniform(0.05, 3.0)
+        walk = np.cumsum(rng.uniform(-step, step, (grid, n)), axis=0)
+        ang = np.angle(np.exp(1j * walk))
+        assert np.min(circular_gaps(ang)) >= DEFAULT_TOLERANCES.gap_tol
+        thetas, _ = lift_angle_array(ang, np.sort(ang[0]),
+                                     DEFAULT_TOLERANCES.tie_tol)
+        assert _winding_pass(thetas / (2 * PI)) is None
+
+
+def test_cu_refuses_a_winding_pass(monkeypatch):
+    import cellab.cel as cel_mod
+
+    # diag(e^{2 pi i h}, e^{-2 pi i h}), h = 0.45 + 0.1 t: the lift bounces
+    # the pair off -1, while the branches 2 pi (h, -h) cross there and pass
+    # winding level 1 between grid indices 31 and 32
+    ts = np.linspace(0, 1, 64)
+    h = 0.45 + 0.1 * ts
+    u = SampledMatrixField.diagonal_unitary(2 * PI * np.stack([h, -h], axis=1))
+    assert cu_upper_bound_path(u).n_repairs == 0
+    lift = cel_mod.lift_angle_array
+
+    def crossing_lift(angles, anchors, tie_tol):
+        return 2 * PI * np.stack([h, -h]), lift(angles, anchors, tie_tol)[1]
+
+    monkeypatch.setattr(cel_mod, "lift_angle_array", crossing_lift)
+    with pytest.raises(SpectralCollisionError, match="winding level") as exc:
+        cu_upper_bound_path(u)
+    assert exc.value.t_index == 32
+
+
+def test_branch_sum_jump_is_refused():
+    # between grid indices 11 and 12 the eigenvalues move too far for the
+    # lift to follow, and the lifted branch sum of this det-1 field drops
+    # by a full turn
+    u = random_unitary_field(np.random.default_rng(42), 5, 65, amplitude=3.2,
+                             det_one=True)
+    for refuse in (cu_upper_bound_path, bound_sandwich):
+        with pytest.raises(SpectralCollisionError, match="branch sum") as exc:
+            refuse(u)
+        assert exc.value.t_index == 12
+
+
 def test_cu_length_bounds_chordal_measurement():
     # the closed-form length dominates the chordal sum and converges to it
     u = pan_wang_witness(2).field(129)
@@ -314,12 +371,9 @@ def test_bound_sandwich(rng):
         assert b.lower <= b.upper + 1e-6
 
 
-def test_celbound_serialization_and_invariant():
-    b = CelBound(lower=1.0, upper=2.0, lower_method="x", upper_method="y",
-                 lower_pi=F(1, 3))
-    obj = b.to_json_obj()
-    assert obj["lower_pi"] == "1/3"
-    assert obj["upper"] == 2.0
+def test_celbound_invariant():
+    CelBound(lower=1.0, upper=2.0, lower_method="x", upper_method="y",
+             lower_pi=F(1, 3))
     with pytest.raises(ValueError):
         CelBound(lower=2.0, upper=1.0)
 
@@ -348,8 +402,13 @@ def test_bound_sandwich_decomposes_and_lifts_once(monkeypatch):
     _count_calls(monkeypatch, np.linalg, "det", counts)
     # the constructive length is read without measuring the path's endpoint
     _count_calls(monkeypatch, numerics_mod, "operator_norm", counts)
+    # one circle matching, the lift's: cel makes none of its own
+    _count_calls(monkeypatch, numerics_mod, "cyclic_match", counts)
+    monkeypatch.setattr(cel_mod, "cyclic_match", numerics_mod.cyclic_match,
+                        raising=False)
     b = bound_sandwich(u)
-    assert counts == {"normal_unitary_eig": 1, "lift_angle_array": 1, "det": 1}
+    assert counts == {"normal_unitary_eig": 1, "lift_angle_array": 1, "det": 1,
+                      "cyclic_match": 1}
     low, geo, cu = want
     assert b.lower == low.lower and b.epsilon_report == low.epsilon_report
     assert b.certificate == low.certificate

@@ -354,7 +354,7 @@ def test_boundary_check_adversarial_violation():
                           level=1, src_index=1, dst_index=2)
     rep = boundary_check(bad, target=dst, source=src)
     assert not rep.ok
-    v = rep.violations()[0]
+    v = next(r for r in rep.at_zero + rep.at_one if not r.ok)
     assert v.value == 0 and v.weighted == 1 and v.modulus == 3
 
 

@@ -2,8 +2,9 @@
 
 `loop_lift` is the original lifting loop, kept here as the oracle: one
 cyclic-shift matching per grid point, on the lifted values themselves.
-`lift_angle_array` must return the same bits (np.array_equal), or refuse
-with the same exception class, grid index and message.
+`lift_angle_array` must return the same bits (np.array_equal) and the same
+eigenvalue column for every branch and grid point, or refuse with the same
+exception class, grid index and message.
 """
 
 import math
@@ -37,9 +38,11 @@ def _wrap(x):
 
 
 def _loop_step(prev_thetas, new_angles, tie_tol):
+    """(increments, cols): cols[j] is the entry of new_angles that branch j
+    is matched to."""
     n = prev_thetas.shape[0]
     if n == 1:
-        return _wrap(new_angles - prev_thetas)
+        return _wrap(new_angles - prev_thetas), np.zeros(1, dtype=int)
     order_a = np.argsort(np.mod(prev_thetas, TWO_PI), kind="stable")
     order_b = np.argsort(np.mod(new_angles, TWO_PI), kind="stable")
     a_sorted = np.mod(prev_thetas, TWO_PI)[order_a]
@@ -61,22 +64,29 @@ def _loop_step(prev_thetas, new_angles, tie_tol):
     deltas[order_a] = moves[best_shift]
     if np.max(np.abs(deltas)) >= math.pi - tie_tol:
         raise _Ambiguous("branch step of size pi: wraparound ambiguous")
-    return deltas
+    cols = np.empty(n, dtype=int)
+    cols[order_a] = order_b[(np.arange(n) + best_shift) % n]
+    return deltas, cols
 
 
 def loop_lift(angles, anchors, tie_tol):
+    """(thetas, cols), both (n, grid). At t = 0 the anchors take the
+    columns of angles[0] in sorted order mod 2 pi."""
     grid, n = angles.shape
     thetas = np.empty((n, grid))
+    cols = np.empty((n, grid), dtype=int)
     thetas[:, 0] = anchors
+    rank = np.argsort(np.argsort(np.mod(anchors, TWO_PI), kind="stable"))
+    cols[:, 0] = np.argsort(np.mod(angles[0], TWO_PI), kind="stable")[rank]
     for i in range(1, grid):
         try:
-            deltas = _loop_step(thetas[:, i - 1], angles[i], tie_tol)
+            deltas, cols[:, i] = _loop_step(thetas[:, i - 1], angles[i], tie_tol)
         except _Ambiguous as exc:
             raise SpectralCollisionError(
                 f"ambiguous branch continuation at grid index {i}: {exc}",
                 t_index=i) from exc
         thetas[:, i] = thetas[:, i - 1] + deltas
-    return thetas
+    return thetas, cols
 
 
 def _outcome(lift, angles, anchors):
@@ -87,14 +97,16 @@ def _outcome(lift, angles, anchors):
 
 
 def assert_same_lift(angles, anchors=None):
-    """Both lifts agree bit for bit; returns the oracle's outcome kind."""
+    """Both lifts agree bit for bit, columns included; returns the oracle's
+    outcome kind."""
     if anchors is None:
         anchors = np.sort(angles[0])
     want = _outcome(loop_lift, angles, anchors)
     got = _outcome(lift_angle_array, angles, anchors)
     assert got[0] == want[0], (got, want)
     if want[0] == "ok":
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[1][0], want[1][0])
+        assert np.array_equal(got[1][1], want[1][1])
     else:
         assert got[1] == want[1]
     return want[0]

@@ -43,7 +43,7 @@ def _lift(f: SampledMatrixField, anchors: np.ndarray | None = None) -> np.ndarra
     angles = np.angle(normal_unitary_eig(f.samples)[0])
     if anchors is None:
         anchors = np.sort(angles[0])
-    return lift_angle_array(angles, anchors, DEFAULT_TOLERANCES.tie_tol)
+    return lift_angle_array(angles, anchors, DEFAULT_TOLERANCES.tie_tol)[0]
 
 
 # ---------------------------------------------------------------------------

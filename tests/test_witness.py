@@ -75,7 +75,7 @@ def test_pan_wang_report_with_dense_upper():
     rep = pan_wang_report(3, grid_size=257, with_dense=True)
     assert rep.upper <= 4 * PI / 3 + 1e-2
     assert rep.extras["endpoint_error"] <= 1e-2
-    assert rep.bound().lower <= rep.bound().upper
+    assert float(rep.lower_pi) * PI <= rep.upper
 
 
 # ---------------------------------------------------------------------------
