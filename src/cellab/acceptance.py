@@ -2,6 +2,10 @@
 executable criterion with pinned tolerances, runnable from the CLI and from
 pytest. All randomness is seeded through RunConfig; identical configs give
 identical results.
+
+The exact criteria (chi-witness, tower, jiangsu-floor) run without numpy;
+the sampled ones (finite-cel, properties, oracle-dense) import it, and the
+sampled layer, where they run.
 """
 
 from __future__ import annotations
@@ -10,12 +14,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cel, dimdrop, funalg, numerics, witness
+from . import dimdrop, funalg, witness
 from .config import RunConfig
 from .funalg import PiecewiseLinearFn
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 
@@ -49,6 +55,9 @@ def criterion_finite_cel(cfg: RunConfig, res: CriterionResult) -> None:
     """For k in {2,3,4,8}: the extremal witness bound equals 2pi(k-1)/k
     exactly, and the constructive path stays within 1e-2 of it (in length
     and endpoint error) on the witness and 20 seeded determinant-1 fields."""
+    import numpy as np
+    from . import cel, numerics
+
     rng = np.random.default_rng(cfg.seed + 1)
     tol = cfg.tolerances
     for k in (2, 3, 4, 8):
@@ -124,7 +133,7 @@ def criterion_tower(cfg: RunConfig, res: CriterionResult) -> None:
             res.record(f"boundary law + unitality {m}->{n}",
                        rep.ok and unital,
                        f"levels={pats.level}, total={pats.total}")
-    # dichotomy: every coprime pair with d <= 1e4, all K (vectorized)
+    # dichotomy: every coprime pair with d <= 1e4, all K
     bad_pairs = 0
     pairs = 0
     for p in range(2, 5001):
@@ -132,7 +141,7 @@ def criterion_tower(cfg: RunConfig, res: CriterionResult) -> None:
             if math.gcd(p, q) != 1:
                 continue
             pairs += 1
-            if dimdrop.dichotomy_violations(p, q).size:
+            if dimdrop.dichotomy_violations(p, q):
                 bad_pairs += 1
     res.record("dichotomy empty for all coprime p,q with pq <= 1e4",
                bad_pairs == 0, f"{pairs} pairs scanned")
@@ -192,6 +201,8 @@ def criterion_jiangsu_floor(cfg: RunConfig, res: CriterionResult) -> None:
 
 def _random_plf(rng: np.random.Generator, *, n_knots: int = 4, lo=-2, hi=2,
                 denom: int = 64) -> PiecewiseLinearFn:
+    import numpy as np
+
     ts = sorted(rng.choice(np.arange(1, denom), size=n_knots - 2,
                            replace=False).tolist())
     bps = [Fraction(0)] + [Fraction(int(t), denom) for t in ts] + [Fraction(1)]
@@ -206,6 +217,9 @@ def criterion_properties(cfg: RunConfig, res: CriterionResult) -> None:
     exact), interval persistence of sorted merges (500 vs a dense-sampling
     oracle), bound sandwich (100), eigenvalue stability under perturbation
     (200, Weyl)."""
+    import numpy as np
+    from . import cel, numerics
+
     tol = cfg.tolerances
 
     # 1-Lipschitz: |cel(alpha) - cel(beta)| <= sup|alpha - beta|
@@ -331,6 +345,8 @@ def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
     """The first-stage witness realized densely in dim 6 at the production
     grid: branch lower bound sits in [4pi/3 - 1e-4, best upper bound], in
     the order the k=6 frame value 2pi*5/6 dictates."""
+    from . import cel
+
     tol = cfg.tolerances
     stage1 = dimdrop.tower(1)[0]
     f = witness.dense_stage_witness_field(stage1, cfg.grid_size,

@@ -1,25 +1,35 @@
-"""Exponential-length estimators: the exact scalar min-max formula,
-branch-based lower bounds, the constructive determinant-1 upper-bound
-path, and the principal-log geodesic oracle.
+"""Exponential-length estimators on sampled unitary fields: branch-based
+lower bounds, the constructive determinant-1 upper-bound path, and the
+principal-log geodesic oracle.
 
-Unit conventions: exact angle functions are PiecewiseLinearFn's holding the
-coefficient of pi (so the value Fraction(3, 2) means 3pi/2); sampled angle
-data is in radians. Every public result is a certified bound, never a point
-value, except where an exact formula applies.
+The exact formulas (the scalar min-max formula, the ordered-log lower bound
+and CelBound) live in funalg, which needs no numpy; they are imported here
+under their old names. This module and numerics are the sampled layer, and
+the only two that import numpy at load time.
+
+Sampled angle data is in radians (the exact formulas hold coefficients of
+pi). Every public result here is a certified bound, never a point value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import CommutatorError, FlavorError, SpectralCollisionError, WindowError
-from .funalg import EigenvalueListField, PiecewiseLinearFn
+from .errors import CommutatorError, FlavorError, SpectralCollisionError
+from .funalg import (  # noqa: F401  (re-exported: the exact formulas)
+    CelBound,
+    _check_window,
+    _max_over_branches,
+    _minmax_over_shifts,
+    cel_lower_ordered_log,
+    scalar_cel,
+    scalar_cel_certificate,
+)
 from .numerics import (
     TWO_PI,
     SampledMatrixField,
@@ -29,81 +39,6 @@ from .numerics import (
 )
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class CelBound:
-    """A certified lower/upper sandwich for an exponential length.
-
-    lower/upper are radians; lower_pi carries the exact coefficient of pi
-    where the computation was exact. epsilon_report aggregates jitter and
-    residual slack already included in the bound values.
-    """
-
-    lower: float = 0.0
-    upper: float = INF
-    lower_method: str = "trivial"
-    upper_method: str = "none"
-    epsilon_report: float = 0.0
-    certificate: dict = field(default_factory=dict)
-    lower_pi: Fraction | None = None
-
-    def __post_init__(self):
-        if self.upper != INF and self.lower > self.upper + 1e-9 + self.epsilon_report:
-            raise ValueError(
-                f"invalid bound: lower {self.lower} exceeds upper {self.upper}")
-
-
-# ---------------------------------------------------------------------------
-# Scalar formula: cel(e^{i alpha}) = min_k max_t |alpha(t) - 2k pi|
-# ---------------------------------------------------------------------------
-
-def _minmax_over_shifts(m, M, two: Fraction | float):
-    """min over integers k of sup_t |alpha(t) - k*two|, where alpha has
-    range [m, M] and `two` represents one full turn in the working unit
-    (Fraction(2) for pi units, 2*pi for radians). The sup equals
-    max(M - k*two, k*two - m). The scan covers |k| up to
-    ceil(max|alpha| / two) + 1, which suffices: beyond it both endpoint
-    distances grow with |k|.
-    """
-    bound = int(math.ceil(float(max(abs(m), abs(M))) / float(two))) + 1
-    best = None
-    best_k = 0
-    for k in range(-bound, bound + 1):
-        c = two * k
-        cand = max(M - c, c - m)  # == max(|M-c|, |m-c|) since m <= M
-        if best is None or cand < best:
-            best, best_k = cand, k
-    return best, best_k
-
-
-def _max_over_branches(mins, maxs, two: Fraction | float):
-    """The scalar min-max of the branch with ranges [mins[j], maxs[j]] that
-    has the largest one: (first such branch j, its value, its shift)."""
-    per = [_minmax_over_shifts(lo, hi, two) for lo, hi in zip(mins, maxs)]
-    best_j = max(range(len(per)), key=lambda j: per[j][0])
-    return best_j, *per[best_j]
-
-
-def scalar_cel(alpha) -> Fraction | float:
-    """Exponential length of the scalar unitary t -> exp(i alpha(t)).
-
-    alpha: PiecewiseLinearFn holding alpha/pi (exact; returns the
-    coefficient of pi as a Fraction) or a 1-d float array of radians
-    (returns radians). The min-max is attained at range endpoints, hence
-    exact for piecewise-linear input.
-    """
-    return scalar_cel_certificate(alpha)[0]
-
-
-def scalar_cel_certificate(alpha):
-    """scalar_cel plus the minimizing integer shift."""
-    if isinstance(alpha, PiecewiseLinearFn):
-        return _minmax_over_shifts(alpha.min_value(), alpha.max_value(), Fraction(2))
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sampled alpha must be one-dimensional")
-    return _minmax_over_shifts(float(arr.min()), float(arr.max()), TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +143,6 @@ def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
         epsilon_report=eps_report,
         certificate={"branch": best_j, "shift": shift, "jitter": spec.eps_used},
     )
-
-
-def cel_lower_ordered_log(e: EigenvalueListField) -> CelBound:
-    """Lower bound from an eigenvalue list of a logarithm H with u=exp(iH).
-
-    Precondition: the whole list fits a window [alpha, alpha+2pi] for some
-    alpha in [-2pi, 0); checked, violations name the failing inequality.
-    The branches are in coefficient-of-pi units. The bound is max over
-    branches of the scalar min-max formula.
-    """
-    mins = [h.min_value() for h in e.exact]
-    maxs = [h.max_value() for h in e.exact]
-    _check_window(min(mins), max(maxs))
-    best_j, value, shift = _max_over_branches(mins, maxs, Fraction(2))
-    return CelBound(
-        lower=float(value) * math.pi,
-        upper=INF,
-        lower_method="ordered-log-branches",
-        certificate={"branch": best_j, "shift": shift},
-        lower_pi=value,
-    )
-
-
-def _check_window(m: Fraction, M: Fraction):
-    """Feasibility of alpha in [-2pi, 0) with alpha <= h <= alpha + 2pi,
-    for branch extremes m, M in coefficient-of-pi units."""
-    if m < -2:
-        raise WindowError(f"min branch {m} < -2pi: no admissible alpha")
-    if M - m > 2:
-        raise WindowError(f"branch spread {M - m} exceeds 2pi")
-    if M >= 2:
-        raise WindowError(f"max branch {M} >= 2pi: alpha would be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ dump, plot-data curves, and the acceptance runner.
 Exit codes: 0 on success/pass, 1 on a failing criterion or witness, 2 on
 usage or parse errors. Exact rationals print as 'p/q·π'; decimal outputs
 carry their slack. A fixed --seed makes byte-identical outputs.
+
+numpy is imported only where a command handles sampled data: the sampled
+`sine` spec and its slack line, `curve branches`, `witness pan-wang` and the
+sampled acceptance criteria. Every other command runs without it.
 """
 
 from __future__ import annotations
@@ -17,13 +21,10 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import acceptance, dimdrop, witness
-from .cel import scalar_cel
 from .config import RunConfig
 from .errors import CellabError
-from .funalg import PiecewiseLinearFn, symbolic_element
+from .funalg import PiecewiseLinearFn, scalar_cel, symbolic_element
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -94,6 +95,8 @@ def parse_fn_spec(spec: str, grid_size: int):
         amp = 1.0
         if ":" in spec:
             amp = float(Fraction(spec.split(":", 1)[1]))
+        import numpy as np
+
         ts = np.linspace(0.0, 1.0, grid_size)
         return amp * math.pi * np.sin(math.pi * ts)
     try:
@@ -116,6 +119,8 @@ def cmd_scalar_cel(args, cfg: RunConfig) -> int:
     if isinstance(fn, PiecewiseLinearFn):
         _emit(witness.format_pi(value) + "\n", out)
     else:
+        import numpy as np
+
         slack = float(np.max(np.abs(np.diff(fn)))) if fn.size > 1 else 0.0
         _emit(f"{value:.9f} (radians, grid slack <= {slack:.2e})\n", out)
     return 0
@@ -209,10 +214,13 @@ def cmd_curve(args, cfg: RunConfig) -> int:
         if args.k is None:
             print("error: branches curve needs --k", file=sys.stderr)
             return USAGE_ERROR
+        import numpy as np
+
         w = witness.pan_wang_witness(args.k)
         ts = np.linspace(0.0, 1.0, cfg.grid_size)
-        rows = [[f"{t:.8f}"] + [f"{b.sample(np.array([t]))[0]:.12f}"
-                                for b in w.branches] for t in ts]
+        cols = [b.sample(ts).tolist() for b in w.branches]
+        rows = [[f"{t:.8f}"] + [f"{col[i]:.12f}" for col in cols]
+                for i, t in enumerate(ts.tolist())]
         header = ["t"] + [f"h_{j + 1}" for j in range(len(w.branches))]
         text = _csv_text(header, rows)
     else:

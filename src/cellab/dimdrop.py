@@ -4,7 +4,9 @@ endpoint multiplicity laws, spectral push-forward, endpoint block-structure
 membership, and the coprimality dichotomy.
 
 Everything here is exact: stages are Python integers (they leave 64-bit
-range by stage 5), patterns are dyadic-rational point evaluations.
+range by stage 5), patterns are dyadic-rational point evaluations, and the
+dichotomy scan is integer arithmetic. The one exception is membership_check,
+which reads a sampled field and imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .funalg import PiecewiseLinearFn, SymbolicElement, compose_spectral
-from .numerics import SampledMatrixField
+
+if TYPE_CHECKING:
+    from .numerics import SampledMatrixField
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +491,8 @@ def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
     """Endpoint block-structure test: f(0) in M_{m0} (x) 1, f(1) in
     1 (x) M_{m1} (with blocks laid out as a_ij * 1 at t=1); diagnostics
     carry the worst violating entry."""
+    import numpy as np
+
     if f.dim != algebra.m:
         raise ValueError(f"field dim {f.dim} != algebra size {algebra.m}")
     m0, m1, m = algebra.m0, algebra.m1, algebra.m
@@ -516,14 +521,21 @@ def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
 # The coprimality dichotomy
 # ---------------------------------------------------------------------------
 
-def dichotomy_violations(p: int, q: int) -> np.ndarray:
-    """All K in (0, pq) with q | K and p | (pq - K); vectorized scan."""
+def dichotomy_violations(p: int, q: int) -> tuple[int, ...]:
+    """All K in (0, pq) with q | K and p | (pq - K), ascending.
+
+    Exact integer scan over the min(p, q) - 1 candidates that meet one
+    condition: K = q*s for 0 < s < p when p <= q, otherwise K = pq - p*s
+    for 0 < s < q; each is tested against the other condition.
+    """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p={p}, q={q} must be coprime")
     d = p * q
-    ks = np.arange(1, d, dtype=np.int64)
-    mask = (ks % q == 0) & ((d - ks) % p == 0)
-    return ks[mask]
+    if p <= q:
+        found = [q * s for s in range(1, p) if (d - q * s) % p == 0]
+    else:
+        found = [d - p * s for s in range(1, q) if (d - p * s) % q == 0]
+    return tuple(sorted(found))
 
 
 def dichotomy_modular_count(p: int, q: int) -> int:

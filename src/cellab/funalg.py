@@ -1,22 +1,27 @@
 """Function-algebra layer over [0,1]: exact rational piecewise-linear
-functions, their exact sorted-branch merge, eigenvalue lists, and spectral
-composition for block homomorphisms.
+functions, their exact sorted-branch merge, eigenvalue lists, spectral
+composition for block homomorphisms, and the exact exponential-length
+formulas read from them (the scalar min-max formula and the ordered-log
+lower bound, with the CelBound they report in).
 
 Exact objects use fractions.Fraction throughout, so every witness bound
-downstream evaluates with zero grid error. The layer is independent of the
-sampled numerics.
+downstream evaluates with zero grid error. The layer imports numpy only
+where it takes sampled input, inside PiecewiseLinearFn.sample and the array
+branch of scalar_cel_certificate, so the exact commands never load it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+from .errors import DomainRangeError, UnsupportedPaddingError, WindowError
 
-from .errors import DomainRangeError, UnsupportedPaddingError
+if TYPE_CHECKING:
+    import numpy as np
 
 QLike = Fraction | int | str
 
@@ -96,6 +101,8 @@ class PiecewiseLinearFn:
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """Float evaluation on a float grid (np.interp is exactly piecewise
         linear, matching this representation)."""
+        import numpy as np
+
         return np.interp(ts, [float(b) for b in self.breakpoints],
                          [float(v) for v in self.values])
 
@@ -427,3 +434,117 @@ def chi_family(L: int, c: QLike, d: QLike
     chi1 = PiecewiseLinearFn.affine(Fraction(1, L))
     chi2 = PiecewiseLinearFn.affine(Fraction(1, L) - 1)
     return chi, chi1, chi2
+
+
+# ---------------------------------------------------------------------------
+# Exact exponential-length formulas
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CelBound:
+    """A certified lower/upper sandwich for an exponential length.
+
+    lower/upper are radians; lower_pi carries the exact coefficient of pi
+    where the computation was exact. epsilon_report aggregates jitter and
+    residual slack already included in the bound values.
+    """
+
+    lower: float = 0.0
+    upper: float = math.inf
+    lower_method: str = "trivial"
+    upper_method: str = "none"
+    epsilon_report: float = 0.0
+    certificate: dict = field(default_factory=dict)
+    lower_pi: Fraction | None = None
+
+    def __post_init__(self):
+        if self.upper != math.inf and self.lower > self.upper + 1e-9 + self.epsilon_report:
+            raise ValueError(
+                f"invalid bound: lower {self.lower} exceeds upper {self.upper}")
+
+
+# Scalar formula: cel(e^{i alpha}) = min_k max_t |alpha(t) - 2k pi|
+
+def _minmax_over_shifts(m, M, two: Fraction | float):
+    """min over integers k of sup_t |alpha(t) - k*two|, where alpha has
+    range [m, M] and `two` represents one full turn in the working unit
+    (Fraction(2) for pi units, 2*pi for radians). The sup equals
+    max(M - k*two, k*two - m). The scan covers |k| up to
+    ceil(max|alpha| / two) + 1, which suffices: beyond it both endpoint
+    distances grow with |k|.
+    """
+    bound = int(math.ceil(float(max(abs(m), abs(M))) / float(two))) + 1
+    best = None
+    best_k = 0
+    for k in range(-bound, bound + 1):
+        c = two * k
+        cand = max(M - c, c - m)  # == max(|M-c|, |m-c|) since m <= M
+        if best is None or cand < best:
+            best, best_k = cand, k
+    return best, best_k
+
+
+def _max_over_branches(mins, maxs, two: Fraction | float):
+    """The scalar min-max of the branch with ranges [mins[j], maxs[j]] that
+    has the largest one: (first such branch j, its value, its shift)."""
+    per = [_minmax_over_shifts(lo, hi, two) for lo, hi in zip(mins, maxs)]
+    best_j = max(range(len(per)), key=lambda j: per[j][0])
+    return best_j, *per[best_j]
+
+
+def scalar_cel(alpha) -> Fraction | float:
+    """Exponential length of the scalar unitary t -> exp(i alpha(t)).
+
+    alpha: PiecewiseLinearFn holding alpha/pi (exact; returns the
+    coefficient of pi as a Fraction) or a 1-d float array of radians
+    (returns radians). The min-max is attained at range endpoints, hence
+    exact for piecewise-linear input.
+    """
+    return scalar_cel_certificate(alpha)[0]
+
+
+def scalar_cel_certificate(alpha):
+    """scalar_cel plus the minimizing integer shift."""
+    if isinstance(alpha, PiecewiseLinearFn):
+        return _minmax_over_shifts(alpha.min_value(), alpha.max_value(), Fraction(2))
+    import numpy as np
+    from .numerics import TWO_PI
+
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sampled alpha must be one-dimensional")
+    return _minmax_over_shifts(float(arr.min()), float(arr.max()), TWO_PI)
+
+
+# Eigenvalue-list lower bound
+
+def cel_lower_ordered_log(e: EigenvalueListField) -> CelBound:
+    """Lower bound from an eigenvalue list of a logarithm H with u=exp(iH).
+
+    Precondition: the whole list fits a window [alpha, alpha+2pi] for some
+    alpha in [-2pi, 0); checked, violations name the failing inequality.
+    The branches are in coefficient-of-pi units. The bound is max over
+    branches of the scalar min-max formula.
+    """
+    mins = [h.min_value() for h in e.exact]
+    maxs = [h.max_value() for h in e.exact]
+    _check_window(min(mins), max(maxs))
+    best_j, value, shift = _max_over_branches(mins, maxs, Fraction(2))
+    return CelBound(
+        lower=float(value) * math.pi,
+        upper=math.inf,
+        lower_method="ordered-log-branches",
+        certificate={"branch": best_j, "shift": shift},
+        lower_pi=value,
+    )
+
+
+def _check_window(m: Fraction, M: Fraction):
+    """Feasibility of alpha in [-2pi, 0) with alpha <= h <= alpha + 2pi,
+    for branch extremes m, M in coefficient-of-pi units."""
+    if m < -2:
+        raise WindowError(f"min branch {m} < -2pi: no admissible alpha")
+    if M - m > 2:
+        raise WindowError(f"branch spread {M - m} exceeds 2pi")
+    if M >= 2:
+        raise WindowError(f"max branch {M} >= 2pi: alpha would be >= 0")

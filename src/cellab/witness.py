@@ -5,6 +5,10 @@ an exact certified bound report and a determinant-1 certificate.
 Branch data is kept in "h-units" (the coefficient of 2*pi: the witness
 unitary is diag(e^{2 pi i h_j})); bounds are reported as exact coefficients
 of pi.
+
+The reports are exact and need no numpy; only the dense realizations
+(PanWangWitness.field, dense_stage_witness_field), the sampled branch of
+verify_cu and the dense path of pan_wang_report import it, where they run.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cel import cel_lower_ordered_log, cu_upper_bound_path
 from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .dimdrop import (
     TowerStage,
@@ -31,10 +33,13 @@ from .funalg import (
     EigenvalueListField,
     PiecewiseLinearFn,
     SymbolicElement,
+    cel_lower_ordered_log,
     chi_family,
     symbolic_element,
 )
-from .numerics import TWO_PI, SampledMatrixField
+
+if TYPE_CHECKING:
+    from .numerics import SampledMatrixField
 
 
 def format_pi(x: Fraction) -> str:
@@ -64,20 +69,23 @@ class CuCertificate:
 
 
 def verify_cu(witness, tol: Tolerances = DEFAULT_TOLERANCES) -> CuCertificate:
-    """Sampled fields: max_t |det - 1|. Symbolic elements: the weighted
-    branch sum must be a constant integer (zero after normalization);
-    exact rational arithmetic, the failing sum function is reported."""
-    if isinstance(witness, SampledMatrixField):
-        det = np.linalg.det(witness.samples)
-        residual = float(np.max(np.abs(det - 1.0)))
-        return CuCertificate(exact=False, passed=residual <= tol.tol_det,
-                             residual=residual)
+    """Symbolic elements: the weighted branch sum must be a constant
+    integer (zero after normalization); exact rational arithmetic, the
+    failing sum function is reported. Sampled fields: max_t |det - 1|."""
     if isinstance(witness, SymbolicElement):
         s = witness.weighted_sum().simplified()
         if s.is_constant() and s.values[0].denominator == 1:
             return CuCertificate(exact=True, passed=True, residual="0",
                                  winding=int(s.values[0]))
         return CuCertificate(exact=True, passed=False, residual=repr(s))
+    import numpy as np
+    from .numerics import SampledMatrixField
+
+    if isinstance(witness, SampledMatrixField):
+        det = np.linalg.det(witness.samples)
+        residual = float(np.max(np.abs(det - 1.0)))
+        return CuCertificate(exact=False, passed=residual <= tol.tol_det,
+                             residual=residual)
     raise TypeError(f"cannot certify {type(witness).__name__}")
 
 
@@ -144,6 +152,9 @@ class PanWangWitness:
 
     def field(self, grid_size: int = DEFAULT_GRID,
               tol: Tolerances = DEFAULT_TOLERANCES) -> SampledMatrixField:
+        import numpy as np
+        from .numerics import TWO_PI, SampledMatrixField
+
         ts = np.linspace(0.0, 1.0, grid_size)
         angles = np.stack([TWO_PI * b.sample(ts) for b in self.branches], axis=1)
         return SampledMatrixField.diagonal_unitary(angles, tol=tol)
@@ -169,6 +180,8 @@ def pan_wang_report(k: int, *, grid_size: int = DEFAULT_GRID,
     upper = math.inf
     extras: dict = {"certificate": cert}
     if with_dense:
+        from .cel import cu_upper_bound_path
+
         res = cu_upper_bound_path(w.field(grid_size, tol), tol=tol)
         upper = res.length
         extras.update({"endpoint_error": res.endpoint_error,
@@ -249,6 +262,9 @@ def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
     cross-checks); guarded by the dense dimension limit."""
     if stage.d > dense_limit:
         raise ValueError(f"stage dim {stage.d} exceeds dense_limit {dense_limit}")
+    import numpy as np
+    from .numerics import TWO_PI, SampledMatrixField
+
     q, p, d = stage.q, stage.p, stage.d
     ts = np.linspace(0.0, 1.0, grid_size)
     tops = np.tile(TWO_PI * (q - 1) / q * ts[:, None], (1, p))
@@ -326,7 +342,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
     cu = verify_cu(pushed)
     dich_count = dichotomy_modular_count(sn.p, sn.q)
     if sn.d <= 10_000:
-        dich_count += int(dichotomy_violations(sn.p, sn.q).size)
+        dich_count += len(dichotomy_violations(sn.p, sn.q))
     passed = (
         boundary.ok
         and top_fn == mu_top

@@ -86,6 +86,10 @@ def test_parse_fn_spec_bad_ramp():
      "0e1245d7c4c9d1888839596586dcd7d1084eb2bf2248eb5f19cffdf696d2e666"),
     ("acceptance tower",
      "f849f0166f306559a7ba9d66f3be0f24d5ac7c6bfdde4c821df786b2f38d6a57"),
+    ("curve branches --k 3 --grid 257",
+     "6948532e6d28510143e73b80dca379e99903c24b2ada8a285f78ce6463cc6f5c"),
+    ("curve branches --k 8",
+     "077bb822ca910da7145dff2fa3175f22add23ffeba350ef85053012337e3a893"),
 ])
 def test_golden_stdout_digest(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv.split())

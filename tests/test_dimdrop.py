@@ -472,11 +472,11 @@ def test_dimdrop_algebra_rejects_nondividing_blocks():
 
 def test_dichotomy_small_brute_force():
     brute = [K for K in range(1, 6) if K % 3 == 0 and (6 - K) % 2 == 0]
-    assert dichotomy_violations(2, 3).tolist() == brute == []
+    assert list(dichotomy_violations(2, 3)) == brute == []
 
 
 def test_dichotomy_stage2_scan():
-    assert dichotomy_violations(26, 51).size == 0
+    assert len(dichotomy_violations(26, 51)) == 0
     assert dichotomy_modular_count(26, 51) == 0
 
 
@@ -487,6 +487,17 @@ def test_dichotomy_precondition_error():
         dichotomy_modular_count(2, 4)
 
 
+def test_dichotomy_matches_brute_force_over_every_k():
+    # every coprime pair with pq <= 2000, every K in (0, pq)
+    for p in range(1, 2001):
+        for q in range(1, 2000 // p + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            d = p * q
+            brute = [K for K in range(1, d) if K % q == 0 and (d - K) % p == 0]
+            assert dichotomy_violations(p, q) == tuple(brute), (p, q)
+
+
 def test_dichotomy_random_coprime_pairs(rng):
     found = 0
     while found < 40:
@@ -495,7 +506,7 @@ def test_dichotomy_random_coprime_pairs(rng):
         if math.gcd(p, q) != 1 or p * q > 10_000:
             continue
         found += 1
-        assert dichotomy_violations(p, q).size == 0
+        assert len(dichotomy_violations(p, q)) == 0
         assert dichotomy_modular_count(p, q) == 0
 
 
