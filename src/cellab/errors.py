@@ -25,10 +25,6 @@ class MatchingAmbiguityError(SpectralCollisionError):
     resolved deterministically instead.)"""
 
 
-class BranchCutError(CellabError):
-    """Spectrum touches -1, the principal logarithm branch cut."""
-
-
 class DomainRangeError(CellabError):
     """Function-calculus input leaves the declared domain."""
 

@@ -37,14 +37,15 @@ def as_fraction(x: QLike) -> Fraction:
 # Exact piecewise-linear functions on [0, 1]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PiecewiseLinearFn:
     """Piecewise-linear function on [0,1] with rational breakpoints/values.
 
     Affine between consecutive breakpoints; the first breakpoint is 0 and
     the last is 1, so evaluation is total and min/max are attained at
-    breakpoints. Equality and hashing compare the function, not the knot
-    representation.
+    breakpoints. The knots are canonical: construction drops every interior
+    knot where the two adjacent pieces are collinear, so the field-wise
+    equality and hash compare the function.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -59,8 +60,18 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        out_b, out_v = [bps[0]], [vals[0]]
+        for i in range(1, len(bps) - 1):
+            a, b, c = out_b[-1], bps[i], bps[i + 1]
+            va, vb, vc = out_v[-1], vals[i], vals[i + 1]
+            if (vb - va) * (c - a) == (vc - va) * (b - a):
+                continue
+            out_b.append(b)
+            out_v.append(vb)
+        out_b.append(bps[-1])
+        out_v.append(vals[-1])
+        object.__setattr__(self, "breakpoints", tuple(out_b))
+        object.__setattr__(self, "values", tuple(out_v))
 
     # -- constructors ------------------------------------------------------
 
@@ -139,7 +150,8 @@ class PiecewiseLinearFn:
 
     def __sub__(self, other):
         if isinstance(other, PiecewiseLinearFn):
-            return self + (-other)
+            bps, va, vb = self._aligned(other)
+            return PiecewiseLinearFn(tuple(bps), tuple(a - b for a, b in zip(va, vb)))
         return self + PiecewiseLinearFn.constant(-as_fraction(other))
 
     def __neg__(self):
@@ -171,35 +183,6 @@ class PiecewiseLinearFn:
                     cuts.add(t)
         bps = tuple(sorted(cuts))
         return PiecewiseLinearFn(bps, tuple(self(g(t)) for t in bps))
-
-    # -- canonical form, equality --------------------------------------------
-
-    def simplified(self) -> "PiecewiseLinearFn":
-        """Drop interior knots where the two adjacent pieces are collinear."""
-        bps, vals = list(self.breakpoints), list(self.values)
-        out_b, out_v = [bps[0]], [vals[0]]
-        for i in range(1, len(bps) - 1):
-            a, b, c = out_b[-1], bps[i], bps[i + 1]
-            va, vb, vc = out_v[-1], vals[i], vals[i + 1]
-            if (vb - va) * (c - a) == (vc - va) * (b - a):
-                continue
-            out_b.append(b)
-            out_v.append(vb)
-        out_b.append(bps[-1])
-        out_v.append(vals[-1])
-        return PiecewiseLinearFn(tuple(out_b), tuple(out_v))
-
-    def key(self) -> tuple:
-        s = self.simplified()
-        return (s.breakpoints, s.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiecewiseLinearFn):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         pts = ", ".join(f"({b},{v})" for b, v in zip(self.breakpoints, self.values))
@@ -294,8 +277,7 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
                 # continuity of the k-th lowest across the cut
                 raise AssertionError("sorted branch discontinuity")
             values.append(vals[i + 1][e])
-        out.append((PiecewiseLinearFn(tuple(cuts), tuple(values)).simplified(),
-                    hi - lo))
+        out.append((PiecewiseLinearFn(tuple(cuts), tuple(values)), hi - lo))
     return out
 
 
@@ -318,21 +300,16 @@ class EigenvalueListField:
 def symbolic_element(entries: Iterable[tuple[PiecewiseLinearFn, int]]
                      ) -> "SymbolicElement":
     """Normalize (merge equal branches, sort deterministically) and build."""
-    acc: dict[tuple, tuple[PiecewiseLinearFn, int]] = {}
+    acc: dict[PiecewiseLinearFn, int] = {}
     for f, m in entries:
         m = int(m)
         if m < 0:
             raise ValueError("multiplicities must be positive")
-        if m == 0:
-            continue
-        k = f.key()
-        if k in acc:
-            acc[k] = (acc[k][0], acc[k][1] + m)
-        else:
-            acc[k] = (f.simplified(), m)
+        if m:
+            acc[f] = acc.get(f, 0) + m
     if not acc:
         raise ValueError("symbolic element needs at least one branch")
-    items = sorted(acc.values(), key=lambda fm: fm[0].key())
+    items = sorted(acc.items(), key=lambda fm: (fm[0].breakpoints, fm[0].values))
     return SymbolicElement(entries=tuple(items))
 
 

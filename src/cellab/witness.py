@@ -7,8 +7,10 @@ unitary is diag(e^{2 pi i h_j})); bounds are reported as exact coefficients
 of pi.
 
 The reports are exact and need no numpy; only the dense realizations
-(PanWangWitness.field, dense_stage_witness_field), the sampled branch of
-verify_cu and the dense path of pan_wang_report import it, where they run.
+(PanWangWitness.field, dense_stage_witness_field) and the dense path of
+pan_wang_report import it, where they run. verify_cu certifies symbolic
+elements only; sampled fields get their determinant-1 test from
+cel.cu_upper_bound_path and cel.bound_sandwich.
 """
 
 from __future__ import annotations
@@ -68,24 +70,16 @@ class CuCertificate:
                 "residual": self.residual, "winding": self.winding}
 
 
-def verify_cu(witness, tol: Tolerances = DEFAULT_TOLERANCES) -> CuCertificate:
-    """Symbolic elements: the weighted branch sum must be a constant
+def verify_cu(witness) -> CuCertificate:
+    """The weighted branch sum of a symbolic element must be a constant
     integer (zero after normalization); exact rational arithmetic, the
-    failing sum function is reported. Sampled fields: max_t |det - 1|."""
+    failing sum function is reported."""
     if isinstance(witness, SymbolicElement):
-        s = witness.weighted_sum().simplified()
+        s = witness.weighted_sum()
         if s.is_constant() and s.values[0].denominator == 1:
             return CuCertificate(exact=True, passed=True, residual="0",
                                  winding=int(s.values[0]))
         return CuCertificate(exact=True, passed=False, residual=repr(s))
-    import numpy as np
-    from .numerics import SampledMatrixField
-
-    if isinstance(witness, SampledMatrixField):
-        det = np.linalg.det(witness.samples)
-        residual = float(np.max(np.abs(det - 1.0)))
-        return CuCertificate(exact=False, passed=residual <= tol.tol_det,
-                             residual=residual)
     raise TypeError(f"cannot certify {type(witness).__name__}")
 
 
@@ -241,17 +235,13 @@ def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
 # Dimension-drop tower witness
 # ---------------------------------------------------------------------------
 
-def stage_witness_element(stage: TowerStage, block_k: int = 1) -> SymbolicElement:
+def stage_witness_element(stage: TowerStage) -> SymbolicElement:
     """Stage-m witness branches: (q-1)t/q with multiplicity p, -t/q with
-    multiplicity d - p; block_k > 1 pads with identity blocks (zero
-    branches)."""
+    multiplicity d - p."""
     q, p, d = stage.q, stage.p, stage.d
     top = PiecewiseLinearFn.affine(Fraction(q - 1, q))
     low = PiecewiseLinearFn.affine(Fraction(-1, q))
-    e = symbolic_element([(top, p), (low, d - p)])
-    if block_k > 1:
-        e = e.padded((block_k - 1) * d)
-    return e
+    return symbolic_element([(top, p), (low, d - p)])
 
 
 def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,

@@ -77,6 +77,25 @@ def test_plf_function_equality_ignores_redundant_knots():
     assert f != g + F(1, 100)
 
 
+def test_plf_collinear_knot_dropped_at_construction():
+    f = PLF.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 1)])
+    assert f.breakpoints == (0, 1)
+    assert f.values == (0, 1)
+
+
+@given(plfs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_plf_collinear_knot_insertion_is_invisible(f, data):
+    i = data.draw(st.integers(0, len(f.breakpoints) - 2))
+    a, b = f.breakpoints[i], f.breakpoints[i + 1]
+    t = a + (b - a) * data.draw(st.integers(1, 9)) / 10
+    g = PLF(f.breakpoints[:i + 1] + (t,) + f.breakpoints[i + 1:],
+            f.values[:i + 1] + (f(t),) + f.values[i + 1:])
+    assert g.breakpoints == f.breakpoints
+    assert g.values == f.values
+    assert hash(g) == hash(f)
+
+
 @given(plfs(), plfs(), unit_interior)
 @settings(max_examples=60, deadline=None)
 def test_plf_pointwise_algebra(f, g, t):
@@ -301,8 +320,8 @@ def test_merge_two_lines():
     down = PLF.from_pairs([(0, 1), (1, 0)])
     (lo, m_lo), (hi, m_hi) = merge_sorted_branches([(up, 1), (down, 1)])
     assert m_lo == m_hi == 1
-    assert lo == PLF.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]).simplified()
-    assert hi == PLF.from_pairs([(0, 1), (F(1, 2), F(1, 2)), (1, 1)]).simplified()
+    assert lo == PLF.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 0)])
+    assert hi == PLF.from_pairs([(0, 1), (F(1, 2), F(1, 2)), (1, 1)])
 
 
 def test_merge_single_function():
@@ -412,3 +431,14 @@ def test_symbolic_element_normalization():
     e = symbolic_element([(f, 2), (g, 3)])
     assert len(e.entries) == 1
     assert e.entries[0][1] == 5
+
+
+def test_symbolic_element_merges_two_knot_layouts():
+    # two non-canonical layouts of t -> 1 - t, next to a distinct function
+    g1 = PLF.from_pairs([(0, 1), (F(1, 3), F(2, 3)), (1, 0)])
+    g2 = PLF.from_pairs([(0, 1), (F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (1, 0)])
+    h = PLF.constant(F(1, 2))
+    e = symbolic_element([(g1, 2), (h, 1), (g2, 7)])
+    # entries sort by (breakpoints, values): h's values (1/2, 1/2) come first
+    assert e.entries == ((h, 1), (PLF.affine(-1, 1), 9))
+    assert e.entries[1][0].breakpoints == (0, 1)

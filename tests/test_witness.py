@@ -157,11 +157,9 @@ def test_verify_cu_fails_with_residual_function():
     assert "1)" in cert.residual or "PiecewiseLinearFn" in cert.residual
 
 
-def test_verify_cu_sampled_field():
-    u = pan_wang_witness(3).field(129)
-    cert = verify_cu(u)
-    assert not cert.exact and cert.passed
-    assert isinstance(cert.residual, float)
+def test_verify_cu_rejects_non_symbolic_input():
+    with pytest.raises(TypeError):
+        verify_cu(pan_wang_witness(3).field(129))
 
 
 def test_verify_cu_constant_winding_integer():
@@ -264,8 +262,6 @@ def test_stage_witness_element_rank():
     e = stage_witness_element(s1)
     assert e.total_rank == 6
     assert verify_cu(e).passed
-    e3 = stage_witness_element(s1, block_k=3)
-    assert e3.total_rank == 18
 
 
 # ---------------------------------------------------------------------------
