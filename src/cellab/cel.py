@@ -93,7 +93,10 @@ class _FieldSpectrum:
     eps jitter_spectrum used (0.0 when the gap was open). thetas, cols
     (n, grid): the lift of the jittered angles and, for each branch, the
     column of lam and vecs it follows; the winding-pass guard on thetas
-    runs in its only reader, _lower_distinct.
+    runs in its only reader, _lower_distinct. A lifted row is a bijection
+    onto its spectrum, so the branch sum lifts arg det (plus the jitter's
+    constant): _field_spectrum refuses the first step of it by pi - tie_tol
+    or more, at the step's end, for every bound. No determinant is needed.
     """
 
     lam: np.ndarray
@@ -111,6 +114,14 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
     jittered, eps_used = jitter_spectrum(lam, tol)
     angles = np.angle(jittered)
     thetas, cols = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
+    jumps = np.flatnonzero(
+        np.abs(np.diff(thetas.sum(axis=0))) >= math.pi - tol.tie_tol)
+    if jumps.size:
+        k = int(jumps[0]) + 1
+        raise SpectralCollisionError(
+            f"branch sum jumps by pi or more at grid index {k}: an eigenvalue"
+            " moved too far between samples to be followed, refine the grid",
+            t_index=k)
     return _FieldSpectrum(lam, vecs, residual, eps_used, thetas, cols)
 
 
@@ -120,10 +131,10 @@ def cel_lower_distinct(u: SampledMatrixField,
 
     Valid because any path from u to 1 moves every continuous eigenvalue
     branch at least as far as the matrix path moves. Near-repeated spectra
-    are jittered first; the induced slack (dim * eps) is folded into
-    epsilon_report and already subtracted from nothing: the reported lower
-    bound is the jittered value, correct for the original field up to
-    epsilon_report.
+    are jittered first: the bound is the jittered value, correct for u up to
+    epsilon_report (which holds the dim * eps slack). A lift whose branch
+    sum steps by pi or more (_FieldSpectrum), or whose branches pass a
+    winding level invisibly, need not follow the eigenvalues: refused.
     """
     if u.flavor != "unitary":
         raise FlavorError("cel_lower_distinct needs a unitary field")
@@ -231,10 +242,10 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
     length 2 pi max_j ||h_j|| is at most 2 pi (k-1)/k + eps_report.
 
     The eigenvector of branch j is the column the lift paired with it; no
-    second matching is made. A branch sum that leaves the winding number,
-    or two branches that pass a winding level between samples, is refused
-    with SpectralCollisionError at that grid index; no repair is tried, so
-    n_repairs is always 0. The lift has not been seen to make such a pass.
+    second matching is made. A branch-sum step of pi or more (the lift
+    check of every sampled bound, _FieldSpectrum), or two branches passing
+    a winding level between samples, is refused with SpectralCollisionError
+    at that grid index; no repair is tried, so n_repairs is always 0.
     """
     if u.flavor != "unitary":
         raise FlavorError("cu_upper_bound_path needs a unitary field")
@@ -266,29 +277,18 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
 def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
                  ) -> tuple[float, np.ndarray, int, float]:
     """The certified part of the constructive path, without building it:
-    the branch-sum and winding-pass refusals, integer shifts and the
-    (k-1)/k norm limit. Returns (max_norm, normalized branches h (n, grid),
-    winding, eps_report).
+    the winding-pass refusal, integer shifts and the (k-1)/k norm limit.
+    Returns (max_norm, normalized branches h (n, grid), winding, eps_report).
 
-    The lift matches each step by the cyclic shift with the smallest
-    largest move, every move below pi, and no pair of its branches has been
-    seen to pass a winding level (an integer h_i - h_j other than 0) between
-    samples: not on the random-walk lifts of the tests, nor on any
-    benchmark or acceptance field. So constant shifts confine the branches,
-    no repair is made and CuPathResult.n_repairs is always 0; a pass, should
-    one ever show up, is refused.
+    _field_spectrum refused every branch-sum step of pi or more, so for a
+    det-1 field the sum keeps its t = 0 winding (plus the tiny jitter
+    constant) on the whole grid. No pair of lifted branches has been seen
+    to pass a winding level (an integer h_i - h_j other than 0) between
+    samples, on any test, benchmark or acceptance field, so constant shifts
+    confine the branches and a pass, should one show up, is refused.
     """
     h = spec.thetas / TWO_PI
-    sums = h.sum(axis=0)
-    jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
-    winding = int(round(float(sums[0]) - jitter_sum))
-    off = np.flatnonzero(np.abs(sums - winding - jitter_sum) > 1e-6)
-    if off.size:
-        k = int(off[0])
-        raise SpectralCollisionError(
-            f"branch sum leaves the winding number {winding} at grid index {k}:"
-            " an eigenvalue moved too far between samples to be followed,"
-            " refine the grid", t_index=k)
+    winding = int(round(float(h[:, 0].sum())))
     found = _winding_pass(h)
     if found is not None:
         i, j, k = found

@@ -293,7 +293,7 @@ class EigenvalueListField:
 
     def __post_init__(self):
         for lo, hi in zip(self.exact, self.exact[1:]):
-            if (hi - lo).min_value() < 0:
+            if any(b < a for a, b in zip(*lo._aligned(hi)[1:])):
                 raise ValueError("branches must be pointwise sorted")
 
 

@@ -316,15 +316,33 @@ def test_cu_refuses_a_winding_pass(monkeypatch):
 
 
 def test_branch_sum_jump_is_refused():
-    # between grid indices 11 and 12 the eigenvalues move too far for the
-    # lift to follow, and the lifted branch sum of this det-1 field drops
-    # by a full turn
-    u = random_unitary_field(np.random.default_rng(42), 5, 65, amplitude=3.2,
-                             det_one=True)
-    for refuse in (cu_upper_bound_path, bound_sandwich):
-        with pytest.raises(SpectralCollisionError, match="branch sum") as exc:
-            refuse(u)
-        assert exc.value.t_index == 12
+    # every sampled bound refuses the first step where the lifted branch sum
+    # moves by pi or more: an eigenvalue moved too far to be followed
+    sampled = (cel_lower_distinct, bound_sandwich)
+    cases = [
+        # det-1 fields whose lifted sum drops a full turn (the lower bound
+        # alone used to certify, 6.49 for seed 137, above the 2 pi 4/5 a
+        # 5x5 det-1 field can reach)
+        *((random_unitary_field(np.random.default_rng(seed), 5, 65,
+                                amplitude=3.2, det_one=True),
+           index, (*sampled, cu_upper_bound_path))
+          for seed, index in ((42, 12), (137, 10), (149, 10))),
+        # no determinant needed: its phase moves by pi or more in one step,
+        # the grid is too coarse (4.64 was certified; grid 129 gives 5.96)
+        (random_unitary_field(np.random.default_rng(2), 3, 33, amplitude=3.0),
+         10, sampled),
+        # a half turn either way round: 3 pi/2 was certified as a lower
+        # bound and bound_sandwich failed on it as an invalid bound
+        (SampledMatrixField.diagonal_unitary(
+            np.array([[0.0], [PI / 2], [3 * PI / 2]])), 2, sampled),
+    ]
+    for u, index, refusers in cases:
+        for refuse in refusers:
+            with pytest.raises(SpectralCollisionError, match="branch sum") as exc:
+                refuse(u)
+            assert exc.value.t_index == index
+    finer = random_unitary_field(np.random.default_rng(2), 3, 129, amplitude=3.0)
+    assert abs(cel_lower_distinct(finer).lower - 5.963445658271884) < 1e-9
 
 
 def test_cu_length_bounds_chordal_measurement():

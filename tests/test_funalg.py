@@ -405,6 +405,12 @@ def test_interval_persistence_small_families(rng):
 def test_eigenvalue_list_field_validation():
     with pytest.raises(ValueError):
         EigenvalueListField(exact=(PLF.constant(1), PLF.constant(0)))
+    # the tent rises above 1/2 between the constant's knots: only the
+    # tent's middle knot shows it
+    tent = PLF((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
+    with pytest.raises(ValueError, match="pointwise sorted"):
+        EigenvalueListField(exact=(tent, PLF.constant(F(1, 2))))
+    EigenvalueListField(exact=(PLF.affine(1), PLF.affine(1), PLF.constant(1)))
 
 
 # ---------------------------------------------------------------------------
