@@ -92,7 +92,10 @@ class _FieldSpectrum:
     lam, vecs, residual: the raw normal eigendecomposition. eps_used: the
     eps jitter_spectrum used (0.0 when the gap was open). thetas, cols
     (n, grid): the lift of the jittered angles and, for each branch, the
-    column of lam and vecs it follows; the winding-pass guard on thetas
+    column of lam and vecs it follows. The jittered gaps are at least
+    gap_tol, above the lift's collision gap, so repeated eigenvalues never
+    reach the lift; it refuses only a step too coarse to decide (a tie
+    between matchings or a half turn). The winding-pass guard on thetas
     runs in its only reader, _lower_distinct. A lifted row is a bijection
     onto its spectrum, so the branch sum lifts arg det (plus the jitter's
     constant): _field_spectrum refuses the first step of it by pi - tie_tol
@@ -113,7 +116,7 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
     lam, vecs, residual = normal_unitary_eig(u.samples, tol)
     jittered, eps_used = jitter_spectrum(lam, tol)
     angles = np.angle(jittered)
-    thetas, cols = lift_angle_array(angles, np.sort(angles[0]), tol.tie_tol)
+    thetas, cols = lift_angle_array(angles, tol.tie_tol)
     jumps = np.flatnonzero(
         np.abs(np.diff(thetas.sum(axis=0))) >= math.pi - tol.tie_tol)
     if jumps.size:

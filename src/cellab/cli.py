@@ -65,6 +65,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), a zero denominator raising ValueError like any other
+    malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # scalar-cel
 # ---------------------------------------------------------------------------
@@ -89,12 +98,12 @@ def parse_fn_spec(spec: str, grid_size: int):
             body = body[: -len("-neg")]
         if not body.endswith("pi"):
             raise ValueError(f"ramp spec must end in 'pi': {spec!r}")
-        slope = Fraction(body[:-2])
+        slope = _fraction(body[:-2])
         return PiecewiseLinearFn.affine(-slope if neg else slope)
     if spec.startswith("sine"):
         amp = 1.0
         if ":" in spec:
-            amp = float(Fraction(spec.split(":", 1)[1]))
+            amp = float(_fraction(spec.split(":", 1)[1]))
         import numpy as np
 
         ts = np.linspace(0.0, 1.0, grid_size)
@@ -143,8 +152,8 @@ def cmd_witness(args, cfg: RunConfig) -> int:
             if args.L is None:
                 raise ValueError("chi needs --L")
             x = symbolic_element([(PiecewiseLinearFn.identity(), 1)])
-            _, rep = witness.chi_witness(args.L, x, Fraction(args.c),
-                                         Fraction(args.d))
+            _, rep = witness.chi_witness(args.L, x, _fraction(args.c),
+                                         _fraction(args.d))
         elif name == "jiang-su":
             if args.m is None or args.n is None:
                 raise ValueError("jiang-su needs --m and --n")
@@ -336,6 +345,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _build_config(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    out = getattr(args, "out", None)
+    if out and (os.path.isdir(out)
+                or not os.path.isdir(os.path.dirname(out) or ".")):
+        print(f"error: --out {out!r} is a directory or its parent directory"
+              " does not exist", file=sys.stderr)
         return USAGE_ERROR
     return args.func(args, cfg)
 

@@ -19,12 +19,6 @@ class SpectralCollisionError(CellabError):
         self.t_index = t_index
 
 
-class MatchingAmbiguityError(SpectralCollisionError):
-    """Two genuinely different branch matchings are within tie tolerance;
-    refusing to guess. (Ties that merely permute equal branch values are
-    resolved deterministically instead.)"""
-
-
 class DomainRangeError(CellabError):
     """Function-calculus input leaves the declared domain."""
 

@@ -195,12 +195,16 @@ class PiecewiseLinearFn:
 
     @staticmethod
     def from_json_obj(obj: Sequence[Sequence]) -> "PiecewiseLinearFn":
+        if not isinstance(obj, (list, tuple)):
+            raise ValueError(f"expected a list of [t, value] pairs, got {obj!r}")
         pairs = []
         for item in obj:
-            if len(item) != 2:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"expected [t, value] pair, got {item!r}")
-            t, v = item
-            pairs.append((Fraction(str(t)), Fraction(str(v))))
+            try:
+                pairs.append((Fraction(str(item[0])), Fraction(str(item[1]))))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in {item!r}") from exc
         return PiecewiseLinearFn.from_pairs(pairs)
 
 

@@ -13,12 +13,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    FlavorError,
-    MatchingAmbiguityError,
-    SpectralCollisionError,
-)
+from .config import DEFAULT_TOLERANCES, Tolerances
+from .errors import FlavorError, SpectralCollisionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,16 +226,6 @@ class SampledMatrixField:
         return float(np.max(operator_norm(self.samples - other.samples)))
 
     @staticmethod
-    def constant(matrix: np.ndarray, grid_size: int = DEFAULT_GRID,
-                 flavor: str = "general", **kw) -> "SampledMatrixField":
-        m = np.asarray(matrix, dtype=np.complex128)
-        return SampledMatrixField(np.tile(m, (grid_size, 1, 1)), flavor, **kw)
-
-    @staticmethod
-    def identity(dim: int, grid_size: int = DEFAULT_GRID) -> "SampledMatrixField":
-        return SampledMatrixField.constant(np.eye(dim), grid_size, "unitary")
-
-    @staticmethod
     def diagonal_unitary(angles: np.ndarray, **kw) -> "SampledMatrixField":
         """diag(e^{i angles[t, j]}) for an (grid_size, n) angle array."""
         angles = np.asarray(angles, dtype=float)
@@ -265,155 +251,105 @@ def circular_gaps(angles: np.ndarray) -> np.ndarray:
     return np.minimum(diffs.min(axis=-1), wrap)
 
 
-def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """All order-preserving matchings on the circle between rows of angles.
+def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray) -> np.ndarray:
+    """Costs of all order-preserving matchings on the circle between rows
+    of angles.
 
     a_sorted, b_sorted: (m, n), each row sorted ascending. Shift s matches
-    a[:, j] with b[:, (j + s) % n]. Returns (moves, costs): moves (m, n, n)
-    indexed [row, shift, j] holds the increments b - a wrapped to (-pi, pi],
-    costs (m, n) the largest |move| per row and shift. An optimal bottleneck
-    matching of two multisets on the circle is order preserving, so every
-    circle matching in the package scans exactly these shifts.
+    a[:, j] with b[:, (j + s) % n]. Returns costs (m, n) indexed [row,
+    shift]: the largest |b - a|, wrapped to (-pi, pi], per row and shift.
+    An optimal bottleneck matching of two multisets on the circle is order
+    preserving, so every circle matching in the package scans exactly these
+    shifts.
     """
     n = a_sorted.shape[-1]
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     moves = _wrap_to_pi(b_sorted[:, idx] - a_sorted[:, None, :])
-    return moves, np.max(np.abs(moves), axis=-1)
+    return np.max(np.abs(moves), axis=-1)
 
 
-def _match_row(prev_thetas: np.ndarray, new_angles: np.ndarray,
-               tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angle increments matching n >= 2 branch values to the next spectrum.
-
-    Both inputs are length-n; new_angles are principal values. Among the
-    order-preserving bijections on the circle (cyclic shifts of the sorted
-    sequences) picks the one minimizing the largest angular move: this
-    coincides with nearest-angle matching whenever the motion is below half
-    the minimal gap, and stays well defined for jitter-split clusters.
-    Ties between matchings that produce the same branch-value multiset
-    (e.g. at exact eigenvalue collisions) are resolved toward the smaller
-    shift; genuinely different matchings within tie_tol raise.
-    Returns (increments in (-pi, pi], slots), where slots[k] is the branch
-    matched to the k-th smallest of mod(new_angles, 2 pi).
-    """
-    n = prev_thetas.shape[0]
-    order_a = np.argsort(np.mod(prev_thetas, TWO_PI), kind="stable")
-    order_b = np.argsort(np.mod(new_angles, TWO_PI), kind="stable")
-    a_sorted = np.mod(prev_thetas, TWO_PI)[order_a]
-    b_sorted = np.mod(new_angles, TWO_PI)[order_b]
-    moves, costs = cyclic_match(a_sorted[None], b_sorted[None])
-    moves, costs = moves[0], costs[0]
-    best_shift = int(np.argmin(costs))
-    best_cost = costs[best_shift]
-    best_values = np.sort(a_sorted + moves[best_shift])
-    for shift in range(n):
-        if shift == best_shift or costs[shift] - best_cost > tie_tol:
-            continue
-        values = np.sort(a_sorted + moves[shift])
-        if np.max(np.abs(values - best_values)) > 1e-9:
-            raise MatchingAmbiguityError(
-                "two different branch matchings within tie_tol "
-                f"({best_cost:.3e} vs {costs[shift]:.3e})")
-    deltas = np.empty(n)
-    deltas[order_a] = moves[best_shift]
-    if np.max(np.abs(deltas)) >= math.pi - tie_tol:
-        raise MatchingAmbiguityError("branch step of size pi: wraparound ambiguous")
-    slots = np.empty(n, dtype=np.intp)
-    slots[(np.arange(n) + best_shift) % n] = order_a
-    return deltas, slots
-
-
-# A previous row with a circular gap at most this small is an exact
-# collision: which branch continues where is settled by _match_row's
-# stable tie-break on the lifted values, not by the sorted angles.
+# A previous row with a circular gap at most this small holds a repeated
+# eigenvalue: the sorted angles cannot tell which branch continues where.
 _COLLISION_GAP = 1e-9
-# Cost decisions closer than this to a threshold (a tie between shifts,
-# a step of pi) are left to _match_row on the lifted values, whose mod 2pi
-# may differ from the principal angles in the last bits.
+# Cost decisions closer than this to a threshold (a tie between shifts, a
+# step of pi) are refused: the recurrence reads the lifted values mod 2 pi,
+# which may differ from the principal angles in the last bits.
 _DECISION_MARGIN = 1e-9
 # Rows per cyclic_match batch: bounds the (rows, n, n) cost tensor.
 _MATCH_BATCH = 1 << 20
 
 
-def lift_angle_array(angles: np.ndarray, anchors: np.ndarray,
-                     tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def lift_angle_array(angles: np.ndarray, tie_tol: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrap an (grid, n) array of spectral angles into
-    branch functions (n, grid) starting from the given anchors.
+    branch functions (n, grid) starting from the sorted angles at t = 0.
 
     Returns (thetas, cols), both (n, grid): cols[j, i] is the column of
     angles[i] whose eigenvalue branch j follows at grid point i, so the
-    eigenvector paired with thetas[j, i] is column cols[j, i]. At t = 0 the
-    anchors, a lift of angles[0], take the columns of angles[0] in sorted
-    order mod 2 pi.
+    eigenvector paired with thetas[j, i] is column cols[j, i]. At t = 0
+    the branches take the columns of angles[0] in sorted order mod 2 pi.
 
-    The values are bit-identical to applying _match_row grid point by grid
-    point. Each step's best cyclic shift depends only on the sorted
-    principal angles of the previous and the current row, so all shifts
-    come from one batched cyclic_match. A branch's slot in the sorted row
-    is carried along by the chosen shifts, which gives every branch its
-    matched target value c and column; the values then follow _match_row's
-    own arithmetic, theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1},
-    2 pi)), in an n-wide loop over the grid. Rows after an exact collision
-    and rows whose decision sits within _DECISION_MARGIN of a tie or of a
-    step of pi run _match_row itself, so a refusal raises at the loop's
-    grid index with the loop's message.
+    Step i matches the sorted principal angles of row i - 1 to those of
+    row i by the cyclic shift of least bottleneck cost, all steps in one
+    batched cyclic_match. A step is decided when exactly one shift lies
+    within tie_tol + _DECISION_MARGIN of the best, the best step is below
+    pi - tie_tol - _DECISION_MARGIN, and row i - 1 has a circular gap above
+    _COLLISION_GAP. The first undecided step raises SpectralCollisionError
+    with t_index i: repeated eigenvalues are opened by jitter_spectrum
+    before the lift, never tie-broken by it. A branch's slot in the sorted
+    row is carried along by the chosen shifts, which gives every branch its
+    matched target value c and column; the values follow the recurrence
+    theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)) in an
+    n-wide loop over the grid.
     """
     grid, n = angles.shape
     thetas = np.empty((grid, n))
-    thetas[0] = anchors
+    thetas[0] = np.sort(angles[0])
     cols = np.zeros((grid, n), dtype=np.intp)
     if n == 1:
         for i in range(1, grid):
             thetas[i] = thetas[i - 1] + _wrap_to_pi(angles[i] - thetas[i - 1])
         return thetas.T.copy(), cols.T.copy()
-    # stable, so a _match_row row sorts its spectrum into the same order
     order = np.argsort(np.mod(angles, TWO_PI), axis=1, kind="stable")
-    b_order = order[1:]
-    b_sorted = np.take_along_axis(np.mod(angles[1:], TWO_PI), b_order, axis=1)
-    a_sorted = np.concatenate(
-        [np.sort(np.mod(anchors, TWO_PI))[None], b_sorted[:-1]])
+    by_angle = np.take_along_axis(np.mod(angles, TWO_PI), order, axis=1)
+    a_sorted, b_sorted = by_angle[:-1], by_angle[1:]
     shifts = np.empty(grid - 1, dtype=np.intp)
-    decided = np.empty(grid - 1, dtype=bool)
+    tied = np.empty(grid - 1, dtype=bool)
+    half_turn = np.empty(grid - 1, dtype=bool)
     rows = max(1, _MATCH_BATCH // (n * n))
     for lo in range(0, grid - 1, rows):
-        _, costs = cyclic_match(a_sorted[lo:lo + rows], b_sorted[lo:lo + rows])
+        costs = cyclic_match(a_sorted[lo:lo + rows], b_sorted[lo:lo + rows])
         best = np.argmin(costs, axis=1)
         best_cost = np.take_along_axis(costs, best[:, None], axis=1)
-        near = costs - best_cost <= tie_tol + _DECISION_MARGIN
         shifts[lo:lo + rows] = best
-        decided[lo:lo + rows] = (
-            (np.sum(near, axis=1) == 1)
-            & (best_cost[:, 0] < math.pi - tie_tol - _DECISION_MARGIN))
-    decided &= circular_gaps(a_sorted) > _COLLISION_GAP
+        tied[lo:lo + rows] = np.sum(
+            costs - best_cost <= tie_tol + _DECISION_MARGIN, axis=1) != 1
+        half_turn[lo:lo + rows] = (
+            best_cost[:, 0] >= math.pi - tie_tol - _DECISION_MARGIN)
+    collided = circular_gaps(a_sorted) <= _COLLISION_GAP
+    undecided = collided | tied | half_turn
+    if undecided.any():
+        k = int(np.argmax(undecided))
+        reasons = [text for failed, text in (
+            (collided, f"repeated eigenvalue at grid index {k} (circular gap"
+                       f" <= {_COLLISION_GAP:g}), open the gap by jitter first"),
+            (tied, "two cyclic matchings within tie_tol of the best"),
+            (half_turn, "branch step of pi or more")) if failed[k]]
+        raise SpectralCollisionError(
+            f"ambiguous branch continuation at grid index {k + 1}: "
+            + "; ".join(reasons), t_index=k + 1)
     # Slot k of row i holds the branch at frame position (k - frame[i]) % n;
-    # in this frame a branch keeps its position across decided rows.
-    frame = np.cumsum(np.where(decided, shifts, 0)) % n
-    frame_slots = (np.arange(n)[None, :] + frame[:, None]) % n
-    targets = np.take_along_axis(b_sorted, frame_slots, axis=1)
-    target_cols = np.take_along_axis(b_order, frame_slots, axis=1)
+    # in this frame a branch keeps its position across rows.
+    frame = np.cumsum(shifts) % n
     pos = np.empty(n, dtype=np.intp)
-    pos[np.argsort(np.mod(anchors, TWO_PI), kind="stable")] = np.arange(n)
+    pos[np.argsort(np.mod(thetas[0], TWO_PI), kind="stable")] = np.arange(n)
     cols[0] = order[0][pos]
-    start = 1
-    for stop in [*(np.flatnonzero(~decided) + 1).tolist(), grid]:
-        c = targets[start - 1:stop - 1][:, pos]
-        cols[start:stop] = target_cols[start - 1:stop - 1][:, pos]
-        for i in range(start, stop):
-            prev = thetas[i - 1]
-            thetas[i] = prev + _wrap_to_pi(c[i - start] - np.mod(prev, TWO_PI))
-        if stop == grid:
-            break
-        try:
-            deltas, slots = _match_row(thetas[stop - 1], angles[stop], tie_tol)
-        except MatchingAmbiguityError as exc:
-            raise SpectralCollisionError(
-                f"ambiguous branch continuation at grid index {stop}: {exc}",
-                t_index=stop) from exc
-        thetas[stop] = thetas[stop - 1] + deltas
-        cols[stop][slots] = b_order[stop - 1]
-        pos[slots] = (np.arange(n) - frame[stop - 1]) % n
-        start = stop + 1
+    slots = (pos[None, :] + frame[:, None]) % n
+    targets = np.take_along_axis(b_sorted, slots, axis=1)
+    cols[1:] = np.take_along_axis(order[1:], slots, axis=1)
+    for i in range(1, grid):
+        prev = thetas[i - 1]
+        thetas[i] = prev + _wrap_to_pi(targets[i - 1] - np.mod(prev, TWO_PI))
     return thetas.T.copy(), cols.T.copy()
 
 
@@ -439,7 +375,9 @@ def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
 def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
                     ) -> tuple[np.ndarray, float]:
     """Open a circular gap >= gap_tol in every row of an (m, n) spectrum;
-    the one place that decides whether a spectrum is jittered.
+    the one place that decides whether a spectrum is jittered, and the only
+    mechanism for repeated eigenvalues: lift_angle_array refuses a row whose
+    gap is at most _COLLISION_GAP instead of breaking the tie.
 
     A spectrum whose rows all have the gap comes back as is, with eps 0.0.
     Otherwise the j-th (angle-sorted) eigenvalue of every row is multiplied

@@ -21,6 +21,17 @@ def tol():
     return DEFAULT_TOLERANCES
 
 
+def constant_field(matrix: np.ndarray, grid_size: int, flavor: str = "general",
+                   **kw) -> SampledMatrixField:
+    """The field that takes the value matrix at every grid point."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    return SampledMatrixField(np.tile(m, (grid_size, 1, 1)), flavor, **kw)
+
+
+def identity_field(dim: int, grid_size: int) -> SampledMatrixField:
+    return constant_field(np.eye(dim), grid_size, "unitary")
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """A seeded random n x n unitary: the eigenbasis of a random hermitian."""
     return jacobi_eigh(random_hermitian(rng, n))[1]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import jitter_unitary
+from conftest import constant_field, identity_field, jitter_unitary
 
 from cellab.cel import (
     CelBound,
@@ -18,16 +18,18 @@ from cellab.cel import (
     winding_pass_slack,
 )
 from cellab.config import DEFAULT_TOLERANCES, Tolerances
+from cellab.dimdrop import tower
 from cellab.errors import CommutatorError, SpectralCollisionError, WindowError
 from cellab.funalg import EigenvalueListField, PiecewiseLinearFn
 from cellab.numerics import (
     SampledMatrixField,
     circular_gaps,
     lift_angle_array,
+    normal_unitary_eig,
     operator_norm,
     random_unitary_field,
 )
-from cellab.witness import pan_wang_witness
+from cellab.witness import dense_stage_witness_field, pan_wang_witness
 
 PLF = PiecewiseLinearFn
 PI = math.pi
@@ -108,7 +110,7 @@ def test_lower_distinct_half_turn_pair():
 
 
 def test_lower_distinct_jittered_identity():
-    u = SampledMatrixField.identity(3, 65)
+    u = identity_field(3, 65)
     b = cel_lower_distinct(u)
     assert b.lower <= 1e-5
 
@@ -118,6 +120,35 @@ def test_lower_distinct_k3_value():
     b = cel_lower_distinct(u)
     assert abs(b.lower - 4 * PI / 3) < 1e-6
     assert b.certificate["branch"] is not None
+
+
+@pytest.mark.parametrize("grid", [17, 257])
+def test_collided_witnesses_certify_through_jitter(grid):
+    # every row of these fields repeats an eigenvalue, so the lift alone
+    # refuses them at once; jitter opens the gaps and the bounds go through
+    cases = [(pan_wang_witness(k).field(grid), 2 * PI * (k - 1) / k, k == 3)
+             for k in (3, 4, 8)]
+    cases.append((dense_stage_witness_field(tower(1)[0], grid), 4 * PI / 3,
+                  True))
+    for u, value, sandwiched in cases:
+        angles = np.angle(normal_unitary_eig(u.samples)[0])
+        assert np.all(circular_gaps(angles) <= 1e-9)
+        with pytest.raises(SpectralCollisionError, match="repeated eigenvalue"):
+            lift_angle_array(angles, DEFAULT_TOLERANCES.tie_tol)
+        low = cel_lower_distinct(u)
+        assert low.certificate["jitter"] > 0
+        assert abs(low.lower - value) < 1e-6
+        if not sandwiched:
+            # Pan-Wang k = 4, 8: the principal-log geodesic undercuts the
+            # branch bound (its branch-cut test misses the sampled
+            # eigenvalue -1), so bound_sandwich rejects the pair after the
+            # lift went through
+            with pytest.raises(ValueError, match="invalid bound"):
+                bound_sandwich(u)
+            continue
+        b = bound_sandwich(u)
+        assert b.lower == low.lower and b.upper == b.lower
+        assert b.upper_method == "cu-constructive-path"
 
 
 def test_lower_distinct_refuses_interior_winding_pass():
@@ -216,7 +247,7 @@ def test_path_endpoint_metadata():
 # ---------------------------------------------------------------------------
 
 def test_cu_identity():
-    u = SampledMatrixField.identity(3, 65)
+    u = identity_field(3, 65)
     res = cu_upper_bound_path(u)
     assert res.length <= 1e-5
     assert res.endpoint_error <= 1e-5
@@ -241,7 +272,7 @@ def test_cu_random_dim3(rng):
 
 def test_cu_scalar_det_one_is_trivial():
     # dim 1, det = 1 forces u = 1: zero-length path
-    u = SampledMatrixField.identity(1, 33)
+    u = identity_field(1, 33)
     res = cu_upper_bound_path(u)
     assert res.length <= 1e-9
     assert res.winding == 0
@@ -289,8 +320,7 @@ def test_lift_never_passes_a_winding_level():
         walk = np.cumsum(rng.uniform(-step, step, (grid, n)), axis=0)
         ang = np.angle(np.exp(1j * walk))
         assert np.min(circular_gaps(ang)) >= DEFAULT_TOLERANCES.gap_tol
-        thetas, _ = lift_angle_array(ang, np.sort(ang[0]),
-                                     DEFAULT_TOLERANCES.tie_tol)
+        thetas, _ = lift_angle_array(ang, DEFAULT_TOLERANCES.tie_tol)
         assert _winding_pass(thetas / (2 * PI)) is None
 
 
@@ -306,8 +336,8 @@ def test_cu_refuses_a_winding_pass(monkeypatch):
     assert cu_upper_bound_path(u).n_repairs == 0
     lift = cel_mod.lift_angle_array
 
-    def crossing_lift(angles, anchors, tie_tol):
-        return 2 * PI * np.stack([h, -h]), lift(angles, anchors, tie_tol)[1]
+    def crossing_lift(angles, tie_tol):
+        return 2 * PI * np.stack([h, -h]), lift(angles, tie_tol)[1]
 
     monkeypatch.setattr(cel_mod, "lift_angle_array", crossing_lift)
     with pytest.raises(SpectralCollisionError, match="winding level") as exc:
@@ -360,14 +390,13 @@ def test_cu_length_bounds_chordal_measurement():
 # ---------------------------------------------------------------------------
 
 def test_geodesic_trivials():
-    assert geodesic_upper_bound(SampledMatrixField.identity(2, 9)) == 0
-    u = SampledMatrixField.constant(np.array([[np.exp(1j * PI / 2)]]), 9,
-                                    "unitary")
+    assert geodesic_upper_bound(identity_field(2, 9)) == 0
+    u = constant_field(np.array([[np.exp(1j * PI / 2)]]), 9, "unitary")
     assert abs(geodesic_upper_bound(u) - PI / 2) < 1e-12
 
 
 def test_geodesic_infinite_on_branch_cut():
-    u = SampledMatrixField.constant(np.diag([-1.0 + 0j, 1.0]), 9, "unitary")
+    u = constant_field(np.diag([-1.0 + 0j, 1.0]), 9, "unitary")
     assert geodesic_upper_bound(u) == math.inf
 
 

@@ -41,10 +41,18 @@ def test_scalar_cel_sampled_sine_matches_exact_refinement(capsys):
     assert abs(value - scalar_cel(fine)) < 1e-6
 
 
-def test_scalar_cel_parse_failure_exit2(capsys):
+def test_scalar_cel_parse_failure_exit2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scalar-cel", "[[0,0],[1")
     assert code == 2
     assert "col" in err or "line" in err
+    # zero denominators, JSON that is not a list of pairs, and an --out
+    # that is a directory or lacks its parent directory
+    for argv in (["sine:1/0"], ["ramp:1/0pi"], ['[[0,"1/0"],[1,0]]'], ["5"],
+                 ["[1,2]"], ["zero", "--out", str(tmp_path)],
+                 ["zero", "--out", str(tmp_path / "missing" / "out.txt")]):
+        code, out, err = run_cli(capsys, "scalar-cel", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_parse_fn_spec_json_exact():
@@ -138,6 +146,11 @@ def test_witness_chi_bad_interval_exit2(capsys):
                            "--c", "0.7", "--d", "0.3")
     assert code == 2
     assert "c" in err
+    for flag in ("--c", "--d"):
+        code, out, err = run_cli(capsys, "witness", "chi", "--L", "4",
+                                 flag, "1/0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 def test_witness_csv_format(capsys):

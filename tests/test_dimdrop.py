@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import constant_field, identity_field, random_unitary
 
 from cellab import dimdrop
 from cellab.dimdrop import (
@@ -424,7 +424,7 @@ def test_push_ev_never_increases(rng):
 
 def test_membership_scalar_field():
     alg = DimDropAlgebra(2, 6, 3)
-    f = SampledMatrixField.constant((0.3 + 0.1j) * np.eye(6), 9)
+    f = constant_field((0.3 + 0.1j) * np.eye(6), 9)
     assert membership_check(f, alg).ok
 
 
@@ -458,7 +458,7 @@ def test_membership_rejects_with_located_entry():
 def test_membership_dim_mismatch():
     alg = DimDropAlgebra(2, 6, 3)
     with pytest.raises(ValueError):
-        membership_check(SampledMatrixField.identity(4, 5), alg)
+        membership_check(identity_field(4, 5), alg)
 
 
 def test_dimdrop_algebra_rejects_nondividing_blocks():

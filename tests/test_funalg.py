@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import constant_field, identity_field
+
 from cellab.errors import DomainRangeError, UnsupportedPaddingError
 from cellab.funalg import (
     EigenvalueListField,
@@ -173,7 +175,7 @@ def test_eigenvalue_list_two_crossing_lines():
 
 
 def test_eigenvalue_list_constant():
-    f = SampledMatrixField.constant(np.diag([1.0, 2.0, 3.0]), 17, "selfadjoint")
+    f = constant_field(np.diag([1.0, 2.0, 3.0]), 17, "selfadjoint")
     e = _eigenvalue_list(f)
     assert np.allclose(e, [[1], [2], [3]] * np.ones((3, 17)))
 
@@ -242,7 +244,7 @@ def test_chi_family_argument_error():
 # ---------------------------------------------------------------------------
 
 def test_determinant_identity():
-    u = SampledMatrixField.identity(3, 9)
+    u = identity_field(3, 9)
     assert np.allclose(np.linalg.det(u.samples), 1.0, atol=1e-14)
 
 
@@ -275,8 +277,8 @@ def test_pset_circle_against_brute_force(rng):
 
         brute = min(max(circ(a, b) for a, b in zip(x, perm))
                     for perm in itertools.permutations(y))
-        _, costs = cyclic_match(np.sort(np.mod(x, 2 * math.pi))[None],
-                                np.sort(np.mod(y, 2 * math.pi))[None])
+        costs = cyclic_match(np.sort(np.mod(x, 2 * math.pi))[None],
+                             np.sort(np.mod(y, 2 * math.pi))[None])
         assert abs(float(np.min(costs)) - brute) < 1e-12
 
 

@@ -1,10 +1,15 @@
-"""The vectorized branch lift against the grid-point loop it replaces.
+"""The vectorized branch lift against the grid-point loop it replaced and
+against its documented refusal rule.
 
-`loop_lift` is the original lifting loop, kept here as the oracle: one
-cyclic-shift matching per grid point, on the lifted values themselves.
-`lift_angle_array` must return the same bits (np.array_equal) and the same
-eigenvalue column for every branch and grid point, or refuse with the same
-exception class, grid index and message.
+`loop_lift` is the original lifting loop, kept here as the reference: one
+cyclic-shift matching per grid point, on the lifted values themselves,
+with a stable tie-break at exact collisions. `first_undecided` recomputes
+the lift's refusal rule from the sorted principal angles. Where every step
+is decided, `lift_angle_array` must return the same bits as the loop
+(np.array_equal) and the same eigenvalue column for every branch and grid
+point. Otherwise it must refuse at the first undecided step, which is no
+later than the loop's own refusal: repeated eigenvalues are opened by
+jitter before the lift, never tie-broken by it.
 """
 
 import math
@@ -20,6 +25,7 @@ from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import SpectralCollisionError
 from cellab.numerics import (
     circular_gaps,
+    jitter_spectrum,
     lift_angle_array,
     normal_unitary_eig,
     random_unitary_field,
@@ -27,6 +33,10 @@ from cellab.numerics import (
 
 TWO_PI = 2 * math.pi
 TIE_TOL = DEFAULT_TOLERANCES.tie_tol
+# the lift's documented thresholds: a previous-row circular gap at most
+# COLLISION_GAP, and cost decisions within MARGIN of a tie or of a step of pi
+COLLISION_GAP = 1e-9
+MARGIN = 1e-9
 
 
 class _Ambiguous(Exception):
@@ -69,14 +79,15 @@ def _loop_step(prev_thetas, new_angles, tie_tol):
     return deltas, cols
 
 
-def loop_lift(angles, anchors, tie_tol):
-    """(thetas, cols), both (n, grid). At t = 0 the anchors take the
-    columns of angles[0] in sorted order mod 2 pi."""
+def loop_lift(angles, tie_tol):
+    """(thetas, cols), both (n, grid). At t = 0 the branches start at the
+    sorted angles and take the columns of angles[0] in sorted order mod
+    2 pi."""
     grid, n = angles.shape
     thetas = np.empty((n, grid))
     cols = np.empty((n, grid), dtype=int)
-    thetas[:, 0] = anchors
-    rank = np.argsort(np.argsort(np.mod(anchors, TWO_PI), kind="stable"))
+    thetas[:, 0] = np.sort(angles[0])
+    rank = np.argsort(np.argsort(np.mod(thetas[:, 0], TWO_PI), kind="stable"))
     cols[:, 0] = np.argsort(np.mod(angles[0], TWO_PI), kind="stable")[rank]
     for i in range(1, grid):
         try:
@@ -89,27 +100,52 @@ def loop_lift(angles, anchors, tie_tol):
     return thetas, cols
 
 
-def _outcome(lift, angles, anchors):
+def first_undecided(angles, tie_tol):
+    """The first grid index i whose step the documented rule leaves
+    undecided, or None. Row i - 1 is matched to row i, both sorted mod
+    2 pi, by cyclic shifts; the step is decided when row i - 1 has a
+    circular gap above COLLISION_GAP, exactly one shift costs within
+    tie_tol + MARGIN of the best, and the best is below
+    pi - tie_tol - MARGIN. A single branch is always decided."""
+    grid, n = angles.shape
+    if n == 1:
+        return None
+    for i in range(1, grid):
+        a = np.sort(np.mod(angles[i - 1], TWO_PI))
+        b = np.sort(np.mod(angles[i], TWO_PI))
+        gap = min(float(np.min(np.diff(a))), TWO_PI - (a[-1] - a[0]))
+        costs = [float(np.max(np.abs(_wrap(np.roll(b, -s) - a))))
+                 for s in range(n)]
+        best = min(costs)
+        near = sum(c - best <= tie_tol + MARGIN for c in costs)
+        if (gap <= COLLISION_GAP or near != 1
+                or best >= math.pi - tie_tol - MARGIN):
+            return i
+    return None
+
+
+def _outcome(lift, angles):
     try:
-        return "ok", lift(angles, anchors, TIE_TOL)
+        return "ok", lift(angles, TIE_TOL)
     except SpectralCollisionError as exc:
-        return "refused", (type(exc), exc.t_index, str(exc))
+        return "refused", exc.t_index
 
 
-def assert_same_lift(angles, anchors=None):
-    """Both lifts agree bit for bit, columns included; returns the oracle's
-    outcome kind."""
-    if anchors is None:
-        anchors = np.sort(angles[0])
-    want = _outcome(loop_lift, angles, anchors)
-    got = _outcome(lift_angle_array, angles, anchors)
-    assert got[0] == want[0], (got, want)
-    if want[0] == "ok":
+def assert_same_lift(angles):
+    """The lift keeps its contract against the loop and the rule; returns
+    the lift's outcome kind."""
+    undecided = first_undecided(angles, TIE_TOL)
+    want = _outcome(loop_lift, angles)
+    got = _outcome(lift_angle_array, angles)
+    if undecided is None:
+        assert got[0] == want[0] == "ok", (got, want)
         assert np.array_equal(got[1][0], want[1][0])
         assert np.array_equal(got[1][1], want[1][1])
     else:
-        assert got[1] == want[1]
-    return want[0]
+        assert got == ("refused", undecided), (got, undecided)
+        if want[0] == "refused":
+            assert undecided <= want[1], (undecided, want)
+    return got[0]
 
 
 def diagonal_angles(slopes, offsets, grid):
@@ -141,9 +177,9 @@ def test_lift_matches_loop_on_gapped_det1_fields(seed, k, grid, amp):
     assert_same_lift(angles)
 
 
-# Both examples lift differently (the second loses its refusal) when rows
-# after an exact collision follow the sorted principal angles instead of
-# the loop's stable tie-break on the lifted values.
+# Both examples collide exactly at interior grid points. The loop
+# tie-broke the first through and refused the second only at index 28;
+# the lift refuses both at the step after their first collision.
 COLLIDING = ([3, 0, -2], [4, 1, 2])
 COLLIDING_REFUSED = ([3, 4, -5, 6], [-4, -3, 2, -3])
 
@@ -156,15 +192,20 @@ def test_lift_matches_loop_on_exact_crossings(field, grid):
     assert_same_lift(diagonal_angles(*field, grid))
 
 
-def test_exact_collision_rows_follow_the_loop():
-    ang = diagonal_angles(*COLLIDING, 33)
-    assert np.min(circular_gaps(ang)) <= 1e-9
-    assert assert_same_lift(ang) == "ok"
-    ang = diagonal_angles(*COLLIDING_REFUSED, 33)
-    assert assert_same_lift(ang) == "refused"
-    with pytest.raises(SpectralCollisionError) as exc:
-        lift_angle_array(ang, np.sort(ang[0]), TIE_TOL)
-    assert np.min(circular_gaps(ang[:exc.value.t_index])) <= 1e-9
+def test_exact_collision_rows_refuse():
+    for field, collision in ((COLLIDING, 2), (COLLIDING_REFUSED, 0)):
+        ang = diagonal_angles(*field, 33)
+        gaps = circular_gaps(ang)
+        assert np.flatnonzero(gaps <= COLLISION_GAP)[0] == collision
+        assert assert_same_lift(ang) == "refused"
+        with pytest.raises(SpectralCollisionError,
+                           match="repeated eigenvalue") as exc:
+            lift_angle_array(ang, TIE_TOL)
+        assert exc.value.t_index == collision + 1
+        # jitter opens every gap, and the jittered angles lift like the loop
+        lam, eps = jitter_spectrum(np.exp(1j * ang))
+        assert eps > 0
+        assert assert_same_lift(np.angle(lam)) == "ok"
 
 
 @given(field=diagonal_fields(8), grid=st.sampled_from([5, 9, 17]))
@@ -177,17 +218,22 @@ def test_lift_matches_loop_on_coarse_grids(field, grid):
 def test_coarse_grid_refusals_carry_the_loop_index():
     tie = np.array([[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]])
     half_turn = diagonal_angles([-4, -2], [-4, -4], 5)
-    for ang, reason in ((tie, "two different branch matchings"),
-                        (half_turn, "branch step of size pi")):
+    for ang, reason in ((tie, "two cyclic matchings"),
+                        (half_turn, "branch step of pi")):
         assert assert_same_lift(ang) == "refused"
         with pytest.raises(SpectralCollisionError, match=reason) as exc:
-            lift_angle_array(ang, np.sort(ang[0]), TIE_TOL)
+            lift_angle_array(ang, TIE_TOL)
         assert exc.value.t_index == 1
+        with pytest.raises(SpectralCollisionError) as loop_exc:
+            loop_lift(ang, TIE_TOL)
+        assert loop_exc.value.t_index == 1
 
 
-def test_lift_matches_loop_with_given_anchors():
-    # anchors off the principal branch, and a single branch
-    ang = diagonal_angles([2, -1, 1], [1, 0, -3], 65)
-    assert_same_lift(ang, np.sort(ang[0]) + TWO_PI * np.array([1, -2, 0]))
-    ang = diagonal_angles([5], [3], 33)
-    assert_same_lift(ang, ang[0] - TWO_PI)
+def test_lift_starts_at_the_sorted_first_row():
+    # three branches crossing between grid points, and a single branch
+    for ang in (diagonal_angles([2, -1, 1], [1, 0, -3], 64),
+                diagonal_angles([5], [3], 33)):
+        assert assert_same_lift(ang) == "ok"
+        thetas, cols = lift_angle_array(ang, TIE_TOL)
+        assert np.array_equal(thetas[:, 0], np.sort(ang[0]))
+        assert np.array_equal(ang[0][cols[:, 0]], thetas[:, 0])

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import jitter_unitary, random_unitary
+from conftest import (
+    constant_field,
+    identity_field,
+    jitter_unitary,
+    random_unitary,
+)
 
 from cellab.cel import geodesic_upper_bound
 from cellab.config import DEFAULT_TOLERANCES
@@ -37,13 +42,11 @@ def _min_gap(f: SampledMatrixField) -> float:
     return float(np.min(circular_gaps(np.angle(lam))))
 
 
-def _lift(f: SampledMatrixField, anchors: np.ndarray | None = None) -> np.ndarray:
+def _lift(f: SampledMatrixField) -> np.ndarray:
     """Branches (n, grid) lifted from a unitary field's principal angles,
-    anchored at the sorted angles at t = 0 unless anchors are given."""
+    starting at the sorted angles at t = 0."""
     angles = np.angle(normal_unitary_eig(f.samples)[0])
-    if anchors is None:
-        anchors = np.sort(angles[0])
-    return lift_angle_array(angles, anchors, DEFAULT_TOLERANCES.tie_tol)[0]
+    return lift_angle_array(angles, DEFAULT_TOLERANCES.tie_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def test_field_flavor_validation():
 
 
 def test_field_immutable():
-    f = SampledMatrixField.identity(2, 8)
+    f = identity_field(2, 8)
     with pytest.raises(AttributeError):
         f.flavor = "general"
     with pytest.raises(ValueError):
@@ -193,7 +196,8 @@ def test_sorted_eigenvalue_continuity(rng):
 def test_lift_scalar_full_turn():
     ts = np.linspace(0, 1, 129)
     f = SampledMatrixField.diagonal_unitary((TWO_PI * ts)[:, None])
-    thetas = _lift(f, anchors=np.array([0.0]))
+    thetas = _lift(f)
+    assert thetas[0, 0] == 0.0
     assert np.allclose(thetas[0], TWO_PI * ts, atol=1e-12)
 
 
@@ -201,9 +205,17 @@ def test_lift_diagonal_pair_with_endpoint_collisions():
     ts = np.linspace(0, 1, 257)
     ang = np.stack([math.pi * ts, -math.pi * ts], axis=1)
     f = SampledMatrixField.diagonal_unitary(ang)
-    thetas = _lift(f, anchors=np.array([0.0, 0.0]))
+    # the lift does not guess at a repeated eigenvalue: it refuses
+    with pytest.raises(SpectralCollisionError,
+                       match="repeated eigenvalue at grid index 0") as exc:
+        _lift(f)
+    assert exc.value.t_index == 1
+    # jitter opens both collisions, and the lift follows the pair within it
+    lam, eps = jitter_spectrum(normal_unitary_eig(f.samples)[0])
+    assert eps > 0
+    thetas, _ = lift_angle_array(np.angle(lam), DEFAULT_TOLERANCES.tie_tol)
     assert np.allclose(np.sort(thetas, axis=0).T, np.sort(ang, axis=1),
-                       atol=1e-12)
+                       atol=2 * eps + 1e-12)
     assert np.max(np.abs(np.diff(thetas, axis=1))) < math.pi
 
 
@@ -226,8 +238,8 @@ def test_lift_roundtrip_against_spectrum_oracle(rng):
         assert err < 1e-8
     # and at every grid point against the spectrum the lift was built from
     lam, _, _ = normal_unitary_eig(f.samples)
-    _, costs = cyclic_match(np.sort(np.mod(np.angle(lam), TWO_PI), axis=1),
-                            np.sort(np.mod(thetas.T, TWO_PI), axis=1))
+    costs = cyclic_match(np.sort(np.mod(np.angle(lam), TWO_PI), axis=1),
+                         np.sort(np.mod(thetas.T, TWO_PI), axis=1))
     assert np.max(np.min(costs, axis=1)) < 1e-8
 
 
@@ -235,7 +247,8 @@ def test_lift_ambiguous_half_turn_collision():
     # antipodal spectra half a turn apart: both continuations differ and tie
     ang = np.array([[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]])
     f = SampledMatrixField.diagonal_unitary(ang)
-    with pytest.raises(SpectralCollisionError) as exc:
+    with pytest.raises(SpectralCollisionError,
+                       match="two cyclic matchings") as exc:
         _lift(f)
     assert exc.value.t_index == 1
 
@@ -251,8 +264,8 @@ def test_unitary_exp_zero_field():
 
 
 def test_unitary_exp_constant_diagonal():
-    h = SampledMatrixField.constant(np.diag([math.pi / 2, -math.pi / 2]), 8,
-                                    "selfadjoint")
+    h = constant_field(np.diag([math.pi / 2, -math.pi / 2]), 8,
+                       "selfadjoint")
     u = unitary_exp(h)
     assert np.allclose(u.samples[0], np.diag([1j, -1j]), atol=1e-12)
 
@@ -281,7 +294,7 @@ def test_principal_log_right_half_circle_bound(rng):
 # ---------------------------------------------------------------------------
 
 def test_jitter_splits_repeated_eigenvalues(tol):
-    u = SampledMatrixField.identity(4, 16)
+    u = identity_field(4, 16)
     assert _min_gap(u) < tol.gap_tol
     v, eps = jitter_unitary(u)
     assert _min_gap(v) >= tol.gap_tol

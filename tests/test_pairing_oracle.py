@@ -43,7 +43,7 @@ def pair_columns(vecs, angles, h):
     hsort = np.argsort(have, axis=1, kind="stable")
     tvals = np.take_along_axis(target, tsort, axis=1)
     hvals = np.take_along_axis(have, hsort, axis=1)
-    _, costs = cyclic_match(hvals, tvals)
+    costs = cyclic_match(hvals, tvals)
     best = np.argmin(costs, axis=1)
     assert float(np.max(np.min(costs, axis=1))) <= 1e-6
     perm = np.empty_like(hsort)
