@@ -15,8 +15,7 @@ _EXPORTS = {name: module for module, names in {
     "cel": ("cel", "bound_sandwich", "cel_lower_distinct",
             "cu_upper_bound_path", "geodesic_upper_bound"),
     "config": ("config", "DEFAULT_TOLERANCES", "RunConfig", "Tolerances"),
-    "dimdrop": ("dimdrop", "DimDropAlgebra", "Pattern", "PatternMultiset",
-                "TowerStage", "boundary_check", "compose_patterns",
+    "dimdrop": ("dimdrop", "DimDropAlgebra", "TowerStage", "boundary_check",
                 "connecting_patterns", "initial_stage", "membership_check",
                 "next_stage", "one_step_patterns", "push_element", "tower"),
     "errors": ("errors",),

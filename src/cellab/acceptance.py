@@ -129,10 +129,10 @@ def criterion_tower(cfg: RunConfig, res: CriterionResult) -> None:
             pats = dimdrop.connecting_patterns(stages, m, n)
             rep = dimdrop.boundary_check(pats, target=stages[n - 1],
                                          source=stages[m - 1])
-            unital = pats.total == stages[n - 1].d // stages[m - 1].d
+            unital = pats.total_rank == stages[n - 1].d // stages[m - 1].d
             res.record(f"boundary law + unitality {m}->{n}",
                        rep.ok and unital,
-                       f"levels={pats.level}, total={pats.total}")
+                       f"levels={n - m}, total={pats.total_rank}")
     # dichotomy: every coprime pair with d <= 1e4, all K
     bad_pairs = 0
     pairs = 0
@@ -332,8 +332,9 @@ def _random_patterns(rng: np.random.Generator) -> list[tuple[PiecewiseLinearFn, 
                         int(rng.integers(1, 4))))
         else:
             l = int(rng.integers(0, (1 << r)))
-            out.append((dimdrop.Pattern("affine", l, r).plf(),
-                        int(rng.integers(1, 4))))
+            out.append((PiecewiseLinearFn.from_pairs(
+                [(0, Fraction(l, 1 << r)), (1, Fraction(l + 1, 1 << r))]),
+                int(rng.integers(1, 4))))
     return out
 
 

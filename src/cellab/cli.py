@@ -103,7 +103,13 @@ def parse_fn_spec(spec: str, grid_size: int):
     if spec.startswith("sine"):
         amp = 1.0
         if ":" in spec:
-            amp = float(_fraction(spec.split(":", 1)[1]))
+            text = spec.split(":", 1)[1]
+            try:
+                amp = float(_fraction(text))
+            except OverflowError:
+                amp = math.inf
+            if not math.isfinite(amp * math.pi):
+                raise ValueError(f"sine amplitude {text} times pi overflows a float")
         import numpy as np
 
         ts = np.linspace(0.0, 1.0, grid_size)

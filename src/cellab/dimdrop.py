@@ -1,12 +1,15 @@
 """Dimension-drop algebras and the inductive tower behind the Jiang-Su
-algebra: exact big-integer stage recursion, connecting-map point patterns,
-endpoint multiplicity laws, spectral push-forward, endpoint block-structure
+algebra: exact big-integer stage recursion, connecting maps, endpoint
+multiplicity laws, spectral push-forward, endpoint block-structure
 membership, and the coprimality dichotomy.
 
 Everything here is exact: stages are Python integers (they leave 64-bit
-range by stage 5), patterns are dyadic-rational point evaluations, and the
-dichotomy scan is integer arithmetic. The one exception is membership_check,
-which reads a sampled field and imports numpy where it runs.
+range by stage 5), and a connecting map is a SymbolicElement whose entries
+are its point evaluations, dyadic functions l/2^r or (t+l)/2^r with
+big-integer multiplicities, composed across stages by compose_spectral.
+The dichotomy scan is integer arithmetic. The one exception is
+membership_check, which reads a sampled field and imports numpy where it
+runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .funalg import PiecewiseLinearFn, SymbolicElement, compose_spectral
+from .funalg import (PiecewiseLinearFn, SymbolicElement, compose_spectral,
+                     symbolic_element)
 
 if TYPE_CHECKING:
     from .numerics import SampledMatrixField
@@ -282,130 +286,31 @@ def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Connecting-map point patterns
+# Connecting maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pattern:
-    """A point-evaluation pattern: Const l/2^r or Affine t -> (t+l)/2^r."""
-
-    kind: str  # "const" | "affine"
-    l: int
-    r: int
-
-    def __post_init__(self):
-        if self.kind not in ("const", "affine"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.r < 0:
-            raise ValueError("level must be nonnegative")
-        hi = 1 << self.r
-        if self.kind == "const":
-            if not (0 < self.l < hi):
-                raise ValueError(f"const pattern value {self.l}/{hi} not interior")
-        else:
-            if not (0 <= self.l < hi):
-                raise ValueError(f"affine pattern (t+{self.l})/{hi} leaves [0,1]")
-
-    def value(self, t: Fraction) -> Fraction:
-        if self.kind == "const":
-            return Fraction(self.l, 1 << self.r)
-        return (t + self.l) / (1 << self.r)
-
-    def plf(self) -> PiecewiseLinearFn:
-        if self.kind == "const":
-            return PiecewiseLinearFn.constant(Fraction(self.l, 1 << self.r))
-        den = 1 << self.r
-        return PiecewiseLinearFn.from_pairs(
-            [(0, Fraction(self.l, den)), (1, Fraction(self.l + 1, den))])
-
-    def compose(self, inner: "Pattern") -> "Pattern":
-        """self o inner, again of the Const/Affine dyadic form (the grammar
-        is closed; leaving [0,1] would fail validation and cannot occur for
-        valid factors)."""
-        if self.kind == "const":
-            return Pattern("const", self.l << inner.r, self.r + inner.r)
-        return Pattern(inner.kind, inner.l + (self.l << inner.r),
-                       self.r + inner.r)
-
-
-@dataclass(frozen=True)
-class PatternMultiset:
-    """Multiset of patterns of one connecting map, all at level r = n - m,
-    with source/target stage indices kept for the endpoint laws."""
-
-    entries: tuple[tuple[Pattern, int], ...]
-    level: int
-    src_index: int
-    dst_index: int
-
-    def __post_init__(self):
-        for pat, mult in self.entries:
-            if mult <= 0:
-                raise ValueError("pattern multiplicities must be positive")
-            if pat.r != self.level:
-                raise ValueError("all patterns must sit at the multiset level")
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def endpoint_values(self, t: int) -> dict[Fraction, int]:
-        """Value -> multiplicity multiset of {xi_j(t)} at t in {0, 1}."""
-        out: dict[Fraction, int] = {}
-        tq = Fraction(t)
-        for pat, mult in self.entries:
-            v = pat.value(tq)
-            out[v] = out.get(v, 0) + mult
-        return out
-
-    def plf_entries(self) -> list[tuple[PiecewiseLinearFn, int]]:
-        return [(pat.plf(), m) for pat, m in self.entries]
-
-
-def one_step_patterns(stage: TowerStage) -> PatternMultiset:
-    """Patterns of the connecting map INTO this stage (from index-1):
-    {t/2 with multiplicity r0, 1/2 with k - r0 - r1, (t+1)/2 with r1}."""
+def one_step_patterns(stage: TowerStage) -> SymbolicElement:
+    """The connecting map INTO this stage (from index-1), as the multiset of
+    its point evaluations: t/2 with multiplicity r0, 1/2 with k - r0 - r1,
+    (t+1)/2 with r1."""
     if not stage.has_transition:
         raise ValueError("initial stage carries no connecting map")
-    k = stage.k
-    entries = []
-    if stage.r0:
-        entries.append((Pattern("affine", 0, 1), stage.r0))
-    mid = k - stage.r0 - stage.r1
-    if mid:
-        entries.append((Pattern("const", 1, 1), mid))
-    if stage.r1:
-        entries.append((Pattern("affine", 1, 1), stage.r1))
-    entries.sort(key=lambda pm: (pm[0].kind, pm[0].l))
-    return PatternMultiset(entries=tuple(entries), level=1,
-                           src_index=stage.index - 1, dst_index=stage.index)
+    half = Fraction(1, 2)
+    return symbolic_element([
+        (PiecewiseLinearFn.affine(half), stage.r0),
+        (PiecewiseLinearFn.constant(half), stage.k - stage.r0 - stage.r1),
+        (PiecewiseLinearFn.affine(half, half), stage.r1)])
 
 
-def compose_patterns(outer: PatternMultiset, inner: PatternMultiset
-                     ) -> PatternMultiset:
-    """Patterns of the composite map: outer is the earlier stage map m->j,
-    inner the later j->n; composites are outer_pattern o inner_pattern."""
-    if outer.dst_index != inner.src_index:
-        raise ValueError(
-            f"maps do not compose: {outer.src_index}->{outer.dst_index} then "
-            f"{inner.src_index}->{inner.dst_index}")
-    acc: dict[Pattern, int] = {}
-    for po, mo in outer.entries:
-        for pi, mi in inner.entries:
-            c = po.compose(pi)
-            acc[c] = acc.get(c, 0) + mo * mi
-    entries = tuple(sorted(acc.items(), key=lambda pm: (pm[0].kind, pm[0].l)))
-    return PatternMultiset(entries=entries, level=outer.level + inner.level,
-                           src_index=outer.src_index, dst_index=inner.dst_index)
-
-
-def connecting_patterns(stages: list[TowerStage], m: int, n: int) -> PatternMultiset:
-    """Composite pattern multiset of the map from stage m to stage n."""
+def connecting_patterns(stages: list[TowerStage], m: int, n: int) -> SymbolicElement:
+    """The map from stage m to stage n as a multiset of point evaluations:
+    each is the earlier step's function composed with the later one's, so
+    every entry is a constant l/2^(n-m) or t -> (t+l)/2^(n-m)."""
     if not (1 <= m < n <= len(stages)):
         raise ValueError(f"need 1 <= m < n <= {len(stages)}")
     acc = one_step_patterns(stages[m])  # m -> m+1
     for j in range(m + 1, n):
-        acc = compose_patterns(acc, one_step_patterns(stages[j]))
+        acc = compose_spectral(one_step_patterns(stages[j]).entries, acc)
     return acc
 
 
@@ -432,9 +337,9 @@ class BoundaryReport:
         return all(r.ok for r in self.at_zero + self.at_one)
 
 
-def boundary_check(patterns: PatternMultiset, target: TowerStage,
+def boundary_check(patterns: SymbolicElement, target: TowerStage,
                    source: TowerStage) -> BoundaryReport:
-    """Endpoint multiplicity laws of a connecting map's patterns.
+    """Endpoint multiplicity laws of a connecting map's point evaluations.
 
     At t=0 the evaluation lands in M_{p_n} (x) 1_{q_n}: every eigenvalue
     multiplicity must be divisible by q_n. Interior sample values contribute
@@ -442,31 +347,33 @@ def boundary_check(patterns: PatternMultiset, target: TowerStage,
     itself q_m-fold, so its count enters weighted by q_m. Symmetrically at
     t=1 with p_n and weight p_m on the value 1.
     """
-    rows0 = []
-    for value, count in sorted(patterns.endpoint_values(0).items()):
-        weighted = count * (source.q if value == 0 else 1)
-        rows0.append(BoundaryRow(value=value, count=count, weighted=weighted,
-                                 modulus=target.q, ok=weighted % target.q == 0))
-    rows1 = []
-    for value, count in sorted(patterns.endpoint_values(1).items()):
-        weighted = count * (source.p if value == 1 else 1)
-        rows1.append(BoundaryRow(value=value, count=count, weighted=weighted,
-                                 modulus=target.p, ok=weighted % target.p == 0))
-    return BoundaryReport(at_zero=tuple(rows0), at_one=tuple(rows1))
+    rows: list[list[BoundaryRow]] = [[], []]
+    for t, weight, modulus in ((0, source.q, target.q), (1, source.p, target.p)):
+        counts: dict[Fraction, int] = {}
+        for f, mult in patterns.entries:
+            v = f(t)
+            counts[v] = counts.get(v, 0) + mult
+        for value, count in sorted(counts.items()):
+            weighted = count * (weight if value == t else 1)
+            rows[t].append(BoundaryRow(value=value, count=count,
+                                       weighted=weighted, modulus=modulus,
+                                       ok=weighted % modulus == 0))
+    return BoundaryReport(at_zero=tuple(rows[0]), at_one=tuple(rows[1]))
 
 
 # ---------------------------------------------------------------------------
 # Spectral push-forward
 # ---------------------------------------------------------------------------
 
-def push_element(e: SymbolicElement, patterns: PatternMultiset) -> SymbolicElement:
-    """Spectral data of phi(e) for the connecting map with these patterns.
+def push_element(e: SymbolicElement, patterns: SymbolicElement) -> SymbolicElement:
+    """Spectral data of phi(e) for the connecting map with these point
+    evaluations.
 
     Only conjugation-invariant data is produced: the unitary path inside
     the connecting map cannot change it and is not represented.
     """
-    out = compose_spectral(patterns.plf_entries(), e)
-    if out.total_rank != e.total_rank * patterns.total:
+    out = compose_spectral(patterns.entries, e)
+    if out.total_rank != e.total_rank * patterns.total_rank:
         raise AssertionError("push-forward rank is not rank(e) * #patterns")
     return out
 

@@ -370,7 +370,11 @@ class SymbolicElement:
 def compose_spectral(patterns: Sequence[tuple[PiecewiseLinearFn, int]],
                      source: SymbolicElement) -> SymbolicElement:
     """Push spectral data through a block homomorphism given by point
-    patterns: entries become (h o xi, mult_h * mult_xi)."""
+    patterns: entries become (h o xi, mult_h * mult_xi).
+
+    A connecting map is itself a SymbolicElement of its point evaluations,
+    so with source the map m -> j and patterns those of j -> n this
+    composes the maps: the result is the map m -> n."""
     pats = [(f, int(m)) for f, m in patterns]
     if not pats:
         raise ValueError("empty pattern multiset")
@@ -450,19 +454,19 @@ def _minmax_over_shifts(m, M, two: Fraction | float):
     """min over integers k of sup_t |alpha(t) - k*two|, where alpha has
     range [m, M] and `two` represents one full turn in the working unit
     (Fraction(2) for pi units, 2*pi for radians). The sup equals
-    max(M - k*two, k*two - m). The scan covers |k| up to
-    ceil(max|alpha| / two) + 1, which suffices: beyond it both endpoint
-    distances grow with |k|.
+    max(M - k*two, k*two - m), which falls while k*two is below the range's
+    midpoint (m + M)/2 and rises after it. So the least minimizing k is
+    floor((m + M)/(2 two)) or the next integer; the scan covers one more
+    shift on each side, which absorbs float rounding of the midpoint, and
+    keeps the first (least) k on ties.
     """
-    bound = int(math.ceil(float(max(abs(m), abs(M))) / float(two))) + 1
-    best = None
-    best_k = 0
-    for k in range(-bound, bound + 1):
+    def sup(k):
         c = two * k
-        cand = max(M - c, c - m)  # == max(|M-c|, |m-c|) since m <= M
-        if best is None or cand < best:
-            best, best_k = cand, k
-    return best, best_k
+        return max(M - c, c - m)  # == max(|M-c|, |m-c|) since m <= M
+
+    mid = math.floor((m + M) / (2 * two))
+    best_k = min(range(mid - 1, mid + 3), key=sup)  # the first of equal values
+    return sup(best_k), best_k
 
 
 def _max_over_branches(mins, maxs, two: Fraction | float):

@@ -296,7 +296,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
     base = stage_witness_element(sm)
     pushed = push_element(base, patterns)
     if block_k > 1:
-        pushed = pushed.padded((block_k - 1) * d * patterns.total)
+        pushed = pushed.padded((block_k - 1) * d * patterns.total_rank)
     blocks = pushed.sorted_branches()
     top_fn, top_mult = blocks[-1]
     bottom_fn, _ = blocks[0]

