@@ -51,18 +51,18 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     the last axis and v unitary, A v[..., :, j] = w[..., j] v[..., :, j];
     (w, None) when compute_v is False. Rotations are applied to the whole
     batch at once, so fields of matrices cost one sweep loop, not one per
-    grid point. Eigenvector columns carry a deterministic phase (largest
-    entry real positive).
+    grid point. The batch is held last, as (n, n, batch), so a rotated row
+    or column is one contiguous (n, batch) block. Eigenvector columns carry
+    a deterministic phase (largest entry real positive).
     """
     a = np.asarray(a, dtype=np.complex128)
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError("matrices must be square")
     batch_shape = a.shape[:-2]
-    A = a.reshape(-1, n, n).copy()
+    A = a.reshape(-1, n, n)
     A = (A + adjoint(A)) / 2.0
     nb = A.shape[0]
-    V = np.tile(np.eye(n, dtype=np.complex128), (nb, 1, 1)) if compute_v else None
 
     if n == 1:
         w = A[:, 0, 0].real.reshape(*batch_shape, 1)
@@ -70,52 +70,51 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
             return w, np.ones((*batch_shape, 1, 1), dtype=np.complex128)
         return w, None
 
+    # summed batch-first, in the order of the contiguous (n, n) blocks
     scale = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
     thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
     offdiag_mask = ~np.eye(n, dtype=bool)
+    A = np.ascontiguousarray(A.transpose(1, 2, 0))
+    V = np.eye(n, dtype=np.complex128)[:, :, None].repeat(nb, 2) if compute_v else None
 
     for _ in range(_MAX_SWEEPS):
-        off = np.max(np.abs(A[:, offdiag_mask]), axis=1)
+        off = np.max(np.abs(A[offdiag_mask]), axis=0)
         if np.all(off <= thr):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[:, p, q]
+                apq = A[p, q]
                 r = np.abs(apq)
                 active = r > 1e-300
                 phase = np.where(active, apq / np.where(active, r, 1.0), 1.0)
-                app = A[:, p, p].real
-                aqq = A[:, q, q].real
-                tau = np.where(active, (app - aqq) / np.where(active, 2.0 * r, 1.0), 0.0)
-                # stable small root of t^2 - 2*tau*t - 1 = 0
-                denom = np.abs(tau) + np.sqrt(1.0 + tau * tau)
-                t = np.where(tau >= 0, -1.0, 1.0) / denom
+                app = A[p, p].real
+                aqq = A[q, q].real
+                # a tiny |a_pq| overflows tau * tau to inf: t = +-0, no rotation
+                with np.errstate(over="ignore"):
+                    tau = np.where(active, (app - aqq) / np.where(active, 2.0 * r, 1.0), 0.0)
+                    # stable small root of t^2 - 2*tau*t - 1 = 0
+                    denom = np.abs(tau) + np.sqrt(1.0 + tau * tau)
+                    t = np.where(tau >= 0, -1.0, 1.0) / denom
                 t = np.where(active, t, 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 sp = s * phase
                 spc = s * np.conjugate(phase)
-                colp = A[:, :, p].copy()
-                colq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * colp - spc[:, None] * colq
-                A[:, :, q] = sp[:, None] * colp + c[:, None] * colq
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rowp - sp[:, None] * rowq
-                A[:, q, :] = spc[:, None] * rowp + c[:, None] * rowq
+                colp, colq = A[:, p], A[:, q]
+                A[:, p], A[:, q] = c * colp - spc * colq, sp * colp + c * colq
+                rowp, rowq = A[p], A[q]
+                A[p], A[q] = c * rowp - sp * rowq, spc * rowp + c * rowq
                 if compute_v:
-                    vp = V[:, :, p].copy()
-                    vq = V[:, :, q].copy()
-                    V[:, :, p] = c[:, None] * vp - spc[:, None] * vq
-                    V[:, :, q] = sp[:, None] * vp + c[:, None] * vq
+                    vp, vq = V[:, p], V[:, q]
+                    V[:, p], V[:, q] = c * vp - spc * vq, sp * vp + c * vq
     else:
         raise ArithmeticError("jacobi_eigh failed to converge")
 
-    w = np.real(np.einsum("bii->bi", A))
+    w = np.real(np.einsum("iib->bi", A))
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     if compute_v:
-        V = np.take_along_axis(V, order[:, None, :], axis=2)
+        V = np.take_along_axis(V.transpose(2, 0, 1), order[:, None, :], axis=2)
         # deterministic column phases
         mags = np.abs(V)
         lead = np.argmax(mags, axis=1)
@@ -299,17 +298,17 @@ def lift_angle_array(angles: np.ndarray, tie_tol: float
     before the lift, never tie-broken by it. A branch's slot in the sorted
     row is carried along by the chosen shifts, which gives every branch its
     matched target value c and column; the values follow the recurrence
-    theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)) in an
-    n-wide loop over the grid.
+    theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)), run along
+    the grid one branch at a time.
     """
     grid, n = angles.shape
-    thetas = np.empty((grid, n))
-    thetas[0] = np.sort(angles[0])
-    cols = np.zeros((grid, n), dtype=np.intp)
+    start = np.sort(angles[0])
+    cols = np.zeros((n, grid), dtype=np.intp)
     if n == 1:
+        thetas = np.repeat(start[None], grid, axis=0)
         for i in range(1, grid):
             thetas[i] = thetas[i - 1] + _wrap_to_pi(angles[i] - thetas[i - 1])
-        return thetas.T.copy(), cols.T.copy()
+        return thetas.T.copy(), cols
     order = np.argsort(np.mod(angles, TWO_PI), axis=1, kind="stable")
     by_angle = np.take_along_axis(np.mod(angles, TWO_PI), order, axis=1)
     a_sorted, b_sorted = by_angle[:-1], by_angle[1:]
@@ -342,15 +341,21 @@ def lift_angle_array(angles: np.ndarray, tie_tol: float
     # in this frame a branch keeps its position across rows.
     frame = np.cumsum(shifts) % n
     pos = np.empty(n, dtype=np.intp)
-    pos[np.argsort(np.mod(thetas[0], TWO_PI), kind="stable")] = np.arange(n)
-    cols[0] = order[0][pos]
+    pos[np.argsort(np.mod(start, TWO_PI), kind="stable")] = np.arange(n)
+    cols[:, 0] = order[0][pos]
     slots = (pos[None, :] + frame[:, None]) % n
     targets = np.take_along_axis(b_sorted, slots, axis=1)
-    cols[1:] = np.take_along_axis(order[1:], slots, axis=1)
-    for i in range(1, grid):
-        prev = thetas[i - 1]
-        thetas[i] = prev + _wrap_to_pi(targets[i - 1] - np.mod(prev, TWO_PI))
-    return thetas.T.copy(), cols.T.copy()
+    cols[:, 1:] = np.take_along_axis(order[1:], slots, axis=1).T
+    # prev + _wrap_to_pi(c - mod(prev, 2 pi)) bit for bit on floats: negating
+    # a difference is exact, and float % is np.mod's fmod with its sign fix
+    thetas = np.empty((n, grid))
+    for j, (prev, row) in enumerate(zip(start.tolist(), targets.T.tolist())):
+        branch = [prev]
+        for c in row:
+            prev = prev - ((prev % TWO_PI - c + math.pi) % TWO_PI - math.pi)
+            branch.append(prev)
+        thetas[j] = branch
+    return thetas, cols
 
 
 # ---------------------------------------------------------------------------

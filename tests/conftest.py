@@ -4,10 +4,12 @@ import pytest
 from cellab.config import DEFAULT_TOLERANCES, Tolerances
 from cellab.numerics import (
     SampledMatrixField,
+    adjoint,
     jacobi_eigh,
     jitter_spectrum,
     normal_unitary_eig,
     random_hermitian,
+    unitary_exp,
 )
 
 
@@ -51,3 +53,15 @@ def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANC
         return field, eps
     samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
     return SampledMatrixField(samples, "unitary", tol=tol), eps
+
+
+def conjugated_field(field: SampledMatrixField, seed: int) -> SampledMatrixField:
+    """W u W* for W(t) = exp(i(tA + t^2 B)), with A and B seeded random
+    hermitian matrices: a smooth, non-constant change of eigenbasis that
+    keeps every eigenvalue, so a diagonal witness field keeps its exact
+    value while the eigensolver has real work to do."""
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(rng, field.dim), random_hermitian(rng, field.dim)
+    ts = np.linspace(0.0, 1.0, field.grid_size)[:, None, None]
+    w = unitary_exp(SampledMatrixField(ts * a + ts ** 2 * b, "selfadjoint")).samples
+    return SampledMatrixField(w @ field.samples @ adjoint(w), "unitary")

@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import constant_field, identity_field, jitter_unitary
+from conftest import (
+    conjugated_field,
+    constant_field,
+    identity_field,
+    jitter_unitary,
+)
 
 from cellab.cel import (
     CelBound,
@@ -149,6 +154,32 @@ def test_collided_witnesses_certify_through_jitter(grid):
         b = bound_sandwich(u)
         assert b.lower == low.lower and b.upper == b.lower
         assert b.upper_method == "cu-constructive-path"
+
+
+@pytest.mark.parametrize("seed", [1201, 1202, 1203])
+def test_conjugated_witnesses_keep_their_exact_values(seed):
+    # the witness fields are diagonal, so the eigensolver does no work on
+    # them; conjugated by a smooth non-constant unitary they keep every
+    # eigenvalue, and the sampled bounds must still meet the exact value
+    grid = 513
+    cases = [(pan_wang_witness(k).field(grid), 2 * PI * (k - 1) / k, k <= 3)
+             for k in (2, 3, 4, 8)]
+    cases.append((dense_stage_witness_field(tower(1)[0], grid), 4 * PI / 3,
+                  True))
+    for u, exact, sandwiched in cases:
+        v = conjugated_field(u, seed)
+        assert normal_unitary_eig(v.samples)[2] > 0
+        if not sandwiched:
+            # Pan-Wang k = 4, 8: the same invalid bound as unconjugated
+            # (test_collided_witnesses_certify_through_jitter)
+            with pytest.raises(ValueError, match="invalid bound"):
+                bound_sandwich(v)
+            continue
+        b = bound_sandwich(v)
+        eps = b.epsilon_report
+        assert exact - eps <= b.lower <= exact + eps
+        assert b.upper >= exact - eps
+        assert b.lower <= b.upper + 1e-6
 
 
 def test_lower_distinct_refuses_interior_winding_pass():

@@ -89,6 +89,22 @@ def test_jacobi_against_numpy_oracle(rng):
         assert np.max(np.abs(g - np.eye(n))) < 1e-12
 
 
+def test_jacobi_tiny_off_diagonal_entries_do_not_overflow():
+    # |a_pq| between 1e-300 and ~1e-154 against an O(1) diagonal gap
+    # overflows tau * tau; the rotation is then none (t = +-0), and the
+    # suite's RuntimeWarning filter turns any numpy warning into a failure
+    single = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    single[0, 1] = single[1, 0] = 1e-200
+    single[1, 2] = single[2, 1] = 0.5
+    tiny = np.diag([1.0, 2.0]).astype(complex)
+    tiny[0, 1] = tiny[1, 0] = 1e-170
+    batch = np.stack([tiny, np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)])
+    for a in (single, batch):
+        w, v = jacobi_eigh(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) < 1e-12
+        assert np.max(np.abs(a @ v - v * w[..., None, :])) < 1e-12
+
+
 def test_jacobi_deterministic(rng):
     a = random_hermitian(rng, 6)
     w1, v1 = jacobi_eigh(a)
