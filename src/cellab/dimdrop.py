@@ -429,14 +429,14 @@ def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
 # ---------------------------------------------------------------------------
 
 def dichotomy_violations(p: int, q: int) -> tuple[int, ...]:
-    """All K in (0, pq) with q | K and p | (pq - K), ascending.
+    """All K in (0, pq) with q | K and p | (pq - K), ascending; p, q >= 1.
 
     Exact integer scan over the min(p, q) - 1 candidates that meet one
     condition: K = q*s for 0 < s < p when p <= q, otherwise K = pq - p*s
     for 0 < s < q; each is tested against the other condition.
     """
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p}, q={q} must be coprime")
+    if p < 1 or q < 1:
+        raise ValueError(f"p={p}, q={q} must be positive")
     d = p * q
     if p <= q:
         found = [q * s for s in range(1, p) if (d - q * s) % p == 0]
@@ -449,13 +449,12 @@ def dichotomy_modular_count(p: int, q: int) -> int:
     """Number of violating K by the modular argument, without scanning.
 
     Candidates are K = q*s with 0 < s < p; the second condition asks
-    p | q*(p - s), and since q is invertible mod p this forces s = 0
-    (mod p). The count of such s in (0, p) is (p-1)//p = 0.
+    p | q*s, which holds exactly when p/g divides s, g = gcd(p, q). That
+    leaves g - 1 violations: none exactly when p and q are coprime.
     """
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p}, q={q} must be coprime")
-    pow(q, -1, p)  # q invertible mod p; raises otherwise
-    return (p - 1) // p
+    if p < 1 or q < 1:
+        raise ValueError(f"p={p}, q={q} must be positive")
+    return math.gcd(p, q) - 1
 
 
 # ---------------------------------------------------------------------------

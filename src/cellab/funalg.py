@@ -13,7 +13,7 @@ branch of scalar_cel_certificate, so the exact commands never load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -164,25 +164,24 @@ class PiecewiseLinearFn:
     # -- composition ----------------------------------------------------------
 
     def compose(self, g: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        """self o g, by pulling the outer knots back through g's affine
-        pieces; knot count is bounded by |self|*|g|."""
+        """self o g: self is evaluated once at each knot of g, and a knot x of
+        self strictly inside g's range on a piece (a, b) pulls back to the t
+        in (a, b) with g(t) = x, where self's stored value at x is read."""
         lo, hi = g.range()
         if lo < 0 or hi > 1:
             raise DomainRangeError(
                 f"inner function range [{lo},{hi}] leaves the domain [0,1]")
-        cuts: set[Fraction] = set(g.breakpoints)
-        for i in range(len(g.breakpoints) - 1):
-            a, b = g.breakpoints[i], g.breakpoints[i + 1]
-            ga, gb = g.values[i], g.values[i + 1]
+        pts = {t: self(v) for t, v in zip(g.breakpoints, g.values)}
+        for a, b, ga, gb in zip(g.breakpoints, g.breakpoints[1:],
+                                g.values, g.values[1:]):
             if ga == gb:
                 continue
-            slope = (gb - ga) / (b - a)
-            for x in self.breakpoints:
-                t = a + (x - ga) / slope
-                if a < t < b:
-                    cuts.add(t)
-        bps = tuple(sorted(cuts))
-        return PiecewiseLinearFn(bps, tuple(self(g(t)) for t in bps))
+            i = bisect_right(self.breakpoints, min(ga, gb))
+            j = bisect_left(self.breakpoints, max(ga, gb))
+            for x, v in zip(self.breakpoints[i:j], self.values[i:j]):
+                pts[a + (x - ga) * (b - a) / (gb - ga)] = v
+        bps = tuple(sorted(pts))
+        return PiecewiseLinearFn(bps, tuple(pts[t] for t in bps))
 
     def __repr__(self):
         pts = ", ".join(f"({b},{v})" for b, v in zip(self.breakpoints, self.values))
@@ -370,25 +369,18 @@ class SymbolicElement:
 def compose_spectral(patterns: Sequence[tuple[PiecewiseLinearFn, int]],
                      source: SymbolicElement) -> SymbolicElement:
     """Push spectral data through a block homomorphism given by point
-    patterns: entries become (h o xi, mult_h * mult_xi).
-
-    A connecting map is itself a SymbolicElement of its point evaluations,
-    so with source the map m -> j and patterns those of j -> n this
-    composes the maps: the result is the map m -> n."""
+    patterns: entries become (h o xi, mult_h * mult_xi). A pattern leaving
+    [0,1] raises DomainRangeError in compose; a zero multiplicity raises here.
+    Connecting maps and the chi witness are both pushed here: a connecting
+    map is itself a SymbolicElement of its point evaluations, so with source
+    the map m -> j and patterns those of j -> n this composes the maps."""
     pats = [(f, int(m)) for f, m in patterns]
     if not pats:
         raise ValueError("empty pattern multiset")
-    for f, m in pats:
-        lo, hi = f.range()
-        if lo < 0 or hi > 1:
-            raise DomainRangeError(f"pattern range [{lo},{hi}] not within [0,1]")
-        if m <= 0:
-            raise ValueError("pattern multiplicities must be positive")
-    out = []
-    for h, mh in source.entries:
-        for xi, mxi in pats:
-            out.append((h.compose(xi), mh * mxi))
-    return symbolic_element(out)
+    if any(m <= 0 for _, m in pats):
+        raise ValueError("pattern multiplicities must be positive")
+    return symbolic_element([(h.compose(xi), mh * mxi)
+                             for h, mh in source.entries for xi, mxi in pats])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .funalg import (
     SymbolicElement,
     cel_lower_ordered_log,
     chi_family,
+    compose_spectral,
     symbolic_element,
 )
 
@@ -193,7 +194,8 @@ def pan_wang_report(k: int, *, grid_size: int = DEFAULT_GRID,
 def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
                 ) -> tuple[SymbolicElement, WitnessReport]:
     """Witness with one chi2-composed block and L-1 chi1-composed blocks per
-    branch of x (plus optional zero padding for the ambient corner).
+    branch of x (plus optional zero padding for the ambient corner), pushed
+    by compose_spectral: (chi2 o chi o h, m) and (chi1 o chi o h, (L-1) m).
 
     Requires some branch of x to cover [c, d]; then the lower bound is
     exactly 2 pi (1 - 1/L).
@@ -211,13 +213,8 @@ def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
         raise CoverageError(
             f"no branch of x covers [{cq},{dq}]; best branch has range "
             f"[{lo},{hi}], leaving [{missing_lo},{missing_hi}] uncovered")
-    w2 = chi2.compose(chi)
-    w1 = chi1.compose(chi)
-    entries = []
-    for h, m in x.entries:
-        entries.append((w2.compose(h), m))
-        entries.append((w1.compose(h), (L - 1) * m))
-    element = symbolic_element(entries)
+    element = compose_spectral(x.entries, symbolic_element(
+        [(chi2.compose(chi), 1), (chi1.compose(chi), L - 1)]))
     if pad:
         element = element.padded(pad)
     lower_pi, cert = _ordered_log_pi(element.sorted_branches())

@@ -492,21 +492,26 @@ def test_dichotomy_stage2_scan():
 
 
 def test_dichotomy_precondition_error():
-    with pytest.raises(ValueError, match="coprime"):
-        dichotomy_violations(2, 2)
-    with pytest.raises(ValueError, match="coprime"):
-        dichotomy_modular_count(2, 4)
+    for p, q in ((0, 3), (3, 0), (-2, 5)):
+        with pytest.raises(ValueError, match="positive"):
+            dichotomy_violations(p, q)
+        with pytest.raises(ValueError, match="positive"):
+            dichotomy_modular_count(p, q)
 
 
 def test_dichotomy_matches_brute_force_over_every_k():
-    # every coprime pair with pq <= 2000, every K in (0, pq)
+    # every pair with pq <= 2000, coprime or not, every K in (0, pq):
+    # K = q*s violates exactly when p/g divides s, g = gcd(p, q), so there
+    # are g - 1 violations
+    nonzero = 0
     for p in range(1, 2001):
         for q in range(1, 2000 // p + 1):
-            if math.gcd(p, q) != 1:
-                continue
             d = p * q
             brute = [K for K in range(1, d) if K % q == 0 and (d - K) % p == 0]
             assert dichotomy_violations(p, q) == tuple(brute), (p, q)
+            assert dichotomy_modular_count(p, q) == len(brute), (p, q)
+            nonzero += bool(brute)
+    assert nonzero > 0
 
 
 def test_dichotomy_random_coprime_pairs(rng):

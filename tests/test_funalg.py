@@ -106,15 +106,48 @@ def test_plf_pointwise_algebra(f, g, t):
     assert f.scale(F(3, 7))(t) == f(t) * F(3, 7)
 
 
-@given(plfs(lo=0, hi=1), plfs(lo=0, hi=1), unit_interior)
-@settings(max_examples=60, deadline=None)
-def test_plf_compose_pointwise(f, g, t):
-    lo, hi = g.range()
-    if lo < 0 or hi > 1:
-        with pytest.raises(DomainRangeError):
-            f.compose(g)
-    else:
-        assert f.compose(g)(t) == f(g(t))
+@st.composite
+def inner_plfs(draw, outer):
+    """Functions into [0,1] with constant and decreasing pieces, whose
+    values often land exactly on a knot of outer."""
+    interior = draw(st.lists(unit_interior, unique=True, max_size=4))
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    value = st.one_of(st.sampled_from(outer.breakpoints),
+                      st.integers(0, 12).map(lambda n: F(n, 12)))
+    vals = [draw(value)]
+    for _ in bps[1:]:
+        vals.append(draw(st.one_of(st.just(vals[-1]), value)))
+    return PLF(tuple(bps), tuple(vals))
+
+
+@given(plfs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_plf_compose_pointwise(f, data):
+    g = data.draw(inner_plfs(f))
+    h = f.compose(g)
+    knots = sorted(set(h.breakpoints) | set(g.breakpoints))
+    for t in knots + [(a + b) / 2 for a, b in zip(knots, knots[1:])]:
+        assert h(t) == f(g(t)), t
+
+
+def test_plf_compose_evaluates_only_at_inner_knots(monkeypatch):
+    f = PLF.from_pairs([(0, F(1, 4)), (F(1, 3), 1), (F(3, 5), -1), (1, 0)])
+    cases = [(PLF.identity(), PLF.affine(F(-1, 2), 1)),
+             (f, PLF.identity()),
+             (f, PLF.from_pairs([(0, 1), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3)),
+                                 (1, F(1, 10))]))]
+    calls = []
+    plain_call = PLF.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return plain_call(self, t)
+
+    monkeypatch.setattr(PLF, "__call__", counted)
+    for outer, g in cases:
+        calls.clear()
+        outer.compose(g)
+        assert len(calls) == len(g.breakpoints)
 
 
 def test_plf_compose_domain_error():
@@ -300,6 +333,15 @@ def test_compose_spectral_tower_patterns():
     assert out.total_rank == 2
     fns = [f for f, _ in out.entries]
     assert half_lo in fns and half_hi in fns
+
+
+def test_compose_spectral_rejects_bad_patterns():
+    e = symbolic_element([(PLF.identity(), 1), (PLF.constant(F(1, 2)), 2)])
+    with pytest.raises(DomainRangeError):
+        compose_spectral([(PLF.identity(), 1),
+                          (PLF.from_pairs([(0, 0), (1, F(3, 2))]), 1)], e)
+    with pytest.raises(ValueError, match="positive"):
+        compose_spectral([(PLF.identity(), 1), (PLF.constant(0), 0)], e)
 
 
 def test_compose_spectral_ev_monotone(rng):

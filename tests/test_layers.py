@@ -22,6 +22,8 @@ EXACT_COMMANDS = [
     "curve chi-bound --max-l 20",
     "curve jiangsu-floor --m 1 --max-n 4",
     "acceptance chi-witness",
+    "acceptance tower",
+    "acceptance jiangsu-floor",
     "tower --stages 0",
 ]
 

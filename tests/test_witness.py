@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -131,6 +132,44 @@ def test_chi_witness_multibranch_source():
     element, rep = chi_witness(4, x, F(2, 10), F(8, 10))
     assert rep.lower_pi == F(3, 2)
     assert element.total_rank == 4 * x.total_rank
+
+
+def loop_chi_element(L, x, c, d, pad=0):
+    """The chi witness element by an explicit loop over x's branches (the
+    construction before chi_witness went through compose_spectral): the
+    oracle for that push."""
+    chi, chi1, chi2 = funalg.chi_family(L, c, d)
+    w2 = chi2.compose(chi)
+    w1 = chi1.compose(chi)
+    entries = []
+    for h, m in x.entries:
+        entries.append((w2.compose(h), m))
+        entries.append((w1.compose(h), (L - 1) * m))
+    element = symbolic_element(entries)
+    return element.padded(pad) if pad else element
+
+
+def _random_unit_plf(rng: random.Random) -> PiecewiseLinearFn:
+    bps = [0] + sorted(rng.sample(range(1, 12), rng.randint(0, 3))) + [12]
+    return PLF.from_pairs([(F(t, 12), F(rng.randint(0, 10), 10)) for t in bps])
+
+
+@pytest.mark.parametrize("pad", (0, 3))
+@pytest.mark.parametrize("branches", (1, 2, 3, 4))
+def test_chi_witness_matches_the_branch_loop(branches, pad):
+    rng = random.Random(100 * branches + pad)
+    for _ in range(12):
+        c = F(rng.randint(0, 6), 10)
+        d = c + F(rng.randint(1, 10 - int(10 * c)), 10)
+        ends = (F(rng.randint(0, int(10 * c)), 10),
+                F(rng.randint(int(10 * d), 10), 10))
+        cover = PLF.from_pairs(zip((0, 1), ends[::rng.choice((1, -1))]))
+        x = symbolic_element([(cover, rng.randint(1, 3))]
+                             + [(_random_unit_plf(rng), rng.randint(1, 3))
+                                for _ in range(branches - 1)])
+        L = rng.choice((2, 3, 7, 100))
+        element, _ = chi_witness(L, x, c, d, pad=pad)
+        assert element == loop_chi_element(L, x, c, d, pad)
 
 
 # ---------------------------------------------------------------------------
