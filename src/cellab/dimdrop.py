@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .funalg import (PiecewiseLinearFn, SymbolicElement, compose_spectral,
@@ -179,40 +179,42 @@ def _isprime(n: int) -> bool:
     return n < _TRIAL_EXACT or _bpsw(n)
 
 
+def _window_primes(lo: int, width: int) -> Iterator[int]:
+    """The primes in [lo, lo + width), in order. The window is sieved by
+    small primes (a small prime itself is never struck, so every struck
+    number has a proper factor), and the survivors are tested."""
+    sieve = bytearray([1]) * width  # sieve[i] stands for lo + i
+    top = lo + width - 1
+    # A survivor below 2^32 is taken as prime, so a window starting there
+    # is sieved up to the root of its top. Above 2^32 BPSW decides, and
+    # striking by p pays only while the Miller-Rabin tests it saves (about
+    # 1/p of them, each ~bits^3 work) cost more than the strike: bits^3/3000
+    # was measured best from 35 to 923 bits, and from ~600 bits on every
+    # p < 2^16 pays.
+    bound = math.isqrt(top) if lo < _TRIAL_EXACT else lo.bit_length() ** 3 // 3000
+    for p in _SMALL_PRIMES:
+        if p > bound:
+            break
+        start = -lo % p
+        if lo + start == p:
+            start += p
+        if p < width:
+            sieve[start::p] = bytes(len(range(start, width, p)))
+        elif start < width:
+            sieve[start] = 0
+    return (c for c in compress(range(lo, top + 1), sieve)
+            if c < _TRIAL_EXACT or _bpsw(c))
+
+
 def _nextprime(n: int) -> int:
-    """The least prime above n. Windows above n are sieved by small primes
-    (a small prime itself is never struck), and the survivors are tested in
-    order."""
+    """The least prime above n, searched window by window."""
     if n < 2:
         return 2
-    bits = n.bit_length()
-    width = max(256, 4 * bits)
+    width = max(256, 4 * n.bit_length())
     lo = n + 1
-    while True:
-        sieve = bytearray([1]) * width  # sieve[i] stands for lo + i
-        top = lo + width - 1
-        # A survivor below 2^32 is taken as prime, so a window starting there
-        # is sieved up to the root of its top. Above 2^32 BPSW decides, and
-        # striking by p pays only while the Miller-Rabin tests it saves
-        # (about 1/p of them, each ~bits^3 work) cost more than the strike:
-        # bits^3/3000 was measured best from 35 to 923 bits, and from ~600
-        # bits on every p < 2^16 pays.
-        bound = math.isqrt(top) if lo < _TRIAL_EXACT else bits ** 3 // 3000
-        for p in _SMALL_PRIMES:
-            if p > bound:
-                break
-            start = -lo % p
-            if lo + start == p:
-                start += p
-            if p < width:
-                sieve[start::p] = bytes(len(range(start, width, p)))
-            elif start < width:
-                sieve[start] = 0
-        for i in compress(range(width), sieve):
-            c = lo + i
-            if c < _TRIAL_EXACT or _bpsw(c):
-                return c
+    while (c := next(_window_primes(lo, width), None)) is None:
         lo += width
+    return c
 
 
 def next_stage(s: TowerStage) -> TowerStage:
@@ -258,7 +260,9 @@ def _stage(index: int) -> TowerStage:
 
 
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
-    """Exact invariant checks for one tower step; raises on violation."""
+    """Exact invariant checks for one tower step; raises on violation. The
+    gap (2d, k1) is sieved once by the small primes and only its survivors
+    are tested: k0 must be the one prime found there."""
     if cur.index != prev.index + 1:
         raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1
@@ -266,7 +270,7 @@ def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
         raise AssertionError("transition factors must be prime")
     if not (k0 > 2 * prev.d and k1 > 2 * prev.d and k0 < k1):
         raise AssertionError("need the first two primes above 2d")
-    if any(_isprime(c) for c in range(2 * prev.d + 1, k1) if c != k0):
+    if any(c != k0 for c in _window_primes(2 * prev.d + 1, k1 - 2 * prev.d - 1)):
         raise AssertionError("k0, k1 are not the first two primes above 2d")
     if cur.p != k0 * prev.p or cur.q != k1 * prev.q:
         raise AssertionError("sizes must multiply by the prime factors")

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainRangeError, UnsupportedPaddingError, WindowError
@@ -223,9 +224,14 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     top as (function, multiplicity) with the same total; branch k of the
     underlying eigenvalue list is found by walking the cumulative counts.
     Exact: the cuts are all breakpoints plus all pairwise crossings, so
-    every entry is affine between consecutive cuts and each returned branch
-    is again piecewise linear. Entries are evaluated once per base knot and
-    once per cut; everything after reads that value table.
+    every returned branch is again piecewise linear. Entries are evaluated
+    only at the base knots. On a base interval (a, b) two entries cross
+    inside iff their order at a is strictly opposite to that at b: sorted by
+    (value at a, value at b), the crossing pairs are the strict inversions
+    of the values at b, found by insertion. At an inner cut only the entries
+    meeting there move (they leave it sorted by slope), and only their
+    values v_a + slope·(t − a) are formed. A branch gets a knot only where
+    the slope it follows changes: the canonical knots.
     """
     entries = [(f, int(m)) for f, m in entries if m != 0]
     if not entries:
@@ -233,54 +239,62 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     if any(m < 0 for _, m in entries):
         raise ValueError("multiplicities must be positive")
     fns = [f for f, _ in entries]
+    mults = [m for _, m in entries]
     base = sorted(set().union(*[f.breakpoints for f in fns]))
-    cuts = set(base)
-    # the value tables are indexed [knot][entry]
     base_vals = [[f(t) for f in fns] for t in base]
-    for k, (a, b) in enumerate(zip(base, base[1:])):
+    # per piece between cuts: its left cut, the values there (at an inner
+    # cut, of the entries meeting there), the slopes and the entry order
+    pieces = []
+    order = range(len(fns))
+    for a, b, va, vb in zip(base, base[1:], base_vals, base_vals[1:]):
         width = b - a
-        segs = [(va, (vb - va) / width)
-                for va, vb in zip(base_vals[k], base_vals[k + 1])]
-        for i, (vi, mi) in enumerate(segs):
-            for vj, mj in segs[i + 1:]:
-                if mi == mj:
-                    continue
-                t = a + (vj - vi) / (mi - mj)
-                if a < t < b:
-                    cuts.add(t)
-    cuts = sorted(cuts)
-    vals = [[f(t) for f in fns] for t in cuts]
-    # per interval: entry order (by value at the midpoint, doubled) and
-    # cumulative multiplicity boundaries
-    orders: list[list[int]] = []
-    cums: list[list[int]] = []
-    for left, right in zip(vals, vals[1:]):
-        order = sorted(range(len(entries)), key=lambda e: (left[e] + right[e], e))
-        cum = [0]
-        for e in order:
-            cum.append(cum[-1] + entries[e][1])
-        orders.append(order)
-        cums.append(cum)
+        slope = [(y - x) / width for x, y in zip(va, vb)]
+        order = sorted(order, key=lambda e: (va[e], vb[e], e))
+        pieces.append((a, va, slope, order))
+        meets: dict[Fraction, set[int]] = {}
+        seen_v, seen_e = [], []
+        for j in order:
+            pos = bisect_right(seen_v, vb[j])
+            for i in seen_e[pos:]:
+                d = va[j] - va[i]
+                t = a + width * d / (d + vb[i] - vb[j])
+                meets.setdefault(t, set()).update((i, j))
+            seen_v.insert(pos, vb[j])
+            seen_e.insert(pos, j)
+        for t in sorted(meets):
+            # the entries meeting at t hold adjacent places in the order
+            row = {e: va[e] + slope[e] * (t - a) for e in meets[t]}
+            order = order.copy()
+            for p, e in zip(sorted(map(order.index, row)),
+                            sorted(row, key=lambda e: (row[e], slope[e], e))):
+                order[p] = e
+            pieces.append((t, row, slope, order))
+    cums = [list(accumulate(map(mults.__getitem__, order), initial=0))
+            for *_, order in pieces]
     total = cums[0][-1]
-    rank_cuts = sorted(set().union(*[set(c) for c in cums]))
+    rank_cuts = sorted(set().union(*cums))
     if rank_cuts[0] != 0 or rank_cuts[-1] != total:
         raise AssertionError("rank cuts do not span 0..total multiplicity")
     out: list[tuple[PiecewiseLinearFn, int]] = []
     for lo, hi in zip(rank_cuts, rank_cuts[1:]):
-        values = []
-        for i, (order, cum) in enumerate(zip(orders, cums)):
+        knots, values = [], []
+        e = s = None
+        for (t, row, slope, order), cum in zip(pieces, cums):
             # the order-part containing ranks (lo, hi]
             part = bisect_right(cum, lo) - 1
             if not (cum[part] <= lo and hi <= cum[part + 1]):
                 raise AssertionError("rank range straddles two sorted entries")
-            e = order[part]
-            if i == 0:
-                values.append(vals[0][e])
-            elif values[-1] != vals[i][e]:
+            prev, e = e, order[part]
+            if prev is not None and prev != e and row[prev] != row[e]:
                 # continuity of the k-th lowest across the cut
                 raise AssertionError("sorted branch discontinuity")
-            values.append(vals[i + 1][e])
-        out.append((PiecewiseLinearFn(tuple(cuts), tuple(values)), hi - lo))
+            if prev is None or (slope[e] is not s and slope[e] != s):
+                knots.append(t)
+                values.append(row[e])
+            s = slope[e]
+        knots.append(base[-1])
+        values.append(base_vals[-1][e])
+        out.append((PiecewiseLinearFn(tuple(knots), tuple(values)), hi - lo))
     return out
 
 

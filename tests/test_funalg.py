@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_field, identity_field
@@ -423,6 +424,145 @@ def test_merge_golden_digest():
            for fam in _golden_merge_families()]
     digest = hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
     assert digest == "4589a6c02737d999ff175c3a9da2ced325222b6cf8f391ec529184638ef631fb"
+
+
+def pairwise_merge_sorted_branches(entries):
+    """The merge as it was before crossings were read from order flips, kept
+    as the reference: every pair of entries is tested for a crossing on
+    every base interval, every entry is evaluated at every cut, and each
+    branch hands every cut to PiecewiseLinearFn, which drops the collinear
+    ones."""
+    entries = [(f, int(m)) for f, m in entries if m != 0]
+    fns = [f for f, _ in entries]
+    base = sorted(set().union(*[f.breakpoints for f in fns]))
+    cuts = set(base)
+    base_vals = [[f(t) for f in fns] for t in base]
+    for k, (a, b) in enumerate(zip(base, base[1:])):
+        width = b - a
+        segs = [(va, (vb - va) / width)
+                for va, vb in zip(base_vals[k], base_vals[k + 1])]
+        for i, (vi, mi) in enumerate(segs):
+            for vj, mj in segs[i + 1:]:
+                if mi == mj:
+                    continue
+                t = a + (vj - vi) / (mi - mj)
+                if a < t < b:
+                    cuts.add(t)
+    cuts = sorted(cuts)
+    vals = [[f(t) for f in fns] for t in cuts]
+    orders, cums = [], []
+    for left, right in zip(vals, vals[1:]):
+        order = sorted(range(len(entries)), key=lambda e: (left[e] + right[e], e))
+        cum = [0]
+        for e in order:
+            cum.append(cum[-1] + entries[e][1])
+        orders.append(order)
+        cums.append(cum)
+    rank_cuts = sorted(set().union(*[set(c) for c in cums]))
+    out = []
+    for lo, hi in zip(rank_cuts, rank_cuts[1:]):
+        values = []
+        for i, (order, cum) in enumerate(zip(orders, cums)):
+            part = bisect_right(cum, lo) - 1
+            assert cum[part] <= lo and hi <= cum[part + 1]
+            e = order[part]
+            if i == 0:
+                values.append(vals[0][e])
+            else:
+                assert values[-1] == vals[i][e]
+            values.append(vals[i + 1][e])
+        out.append((PLF(tuple(cuts), tuple(values)), hi - lo))
+    return out
+
+
+knot_grid = st.integers(1, 11).map(lambda n: F(n, 12))
+sixths = st.integers(-6, 6).map(lambda n: F(n, 6))
+
+
+@st.composite
+def grid_plfs(draw):
+    """Knots on the 1/12 grid and values in sixths, so that crossings often
+    land exactly on a knot of some entry."""
+    interior = draw(st.lists(knot_grid, unique=True, max_size=3))
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    return PLF(tuple(bps), tuple(draw(sixths) for _ in bps))
+
+
+@st.composite
+def merge_families(draw):
+    """Families of 1 to 24 entries built to hit the merge's edge cases."""
+    fns = draw(st.lists(grid_plfs(), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 6))):
+        f = draw(st.sampled_from(fns))
+        t0 = draw(st.sampled_from([F(1, 3), F(5, 12), F(1, 2), F(4, 7)]))
+        kind = draw(st.sampled_from(["pencil", "touch", "copy", "parallel",
+                                     "partial", "knot"]))
+        if kind == "pencil":
+            # three or more lines concurrent at an interior point, which is
+            # a base knot when t0 is on the grid
+            v0 = draw(sixths)
+            for s in draw(st.lists(st.integers(-4, 4), min_size=3, max_size=5,
+                                   unique=True)):
+                fns.append(PLF.from_pairs([(0, v0 - s * t0), (1, v0 + s * (1 - t0))]))
+        elif kind == "touch":
+            # meets f at t0 and stays above it on both sides
+            a, b = draw(sixths), draw(sixths)
+            fns.append(f + PLF.from_pairs([(0, abs(a)), (t0, 0), (1, abs(b))]))
+        elif kind == "copy":
+            fns.append(PLF(f.breakpoints, f.values))
+        elif kind == "parallel":
+            fns.append(f + draw(sixths))
+        elif kind == "partial":
+            # equal to f on [0, t0], then leaves it
+            fns.append(PLF.from_pairs(
+                [(t, f(t)) for t in sorted(set(f.breakpoints) | {t0}) if t <= t0]
+                + [(1, draw(sixths))]))
+        else:
+            # crosses f exactly at t0, a knot of the new entry
+            fns.append(PLF.from_pairs([(0, f(0) + 1), (t0, f(t0)), (1, f(1) - 1)]))
+    fns = draw(st.permutations(fns[:24]))
+    mults = st.sampled_from([1, 1, 2, 3, 10 ** 30])
+    return [(f, draw(mults)) for f in fns]
+
+
+# 24 distinct lines between 7 heights at t = 0 and 11 at t = 1: they cross
+# at 21 inner cuts, up to four of them at one point
+TWENTY_FOUR_LINES = [(PLF.from_pairs([(0, F(i % 7, 6)), (1, F(5 * i % 11, 6))]),
+                      [1, 2, 10 ** 30][i % 3]) for i in range(24)]
+
+
+# four lines through (1/3, 1/2), a V with its knot at 1/2 that crosses
+# them on both sides, and a copy of one line with multiplicity 10**30
+PENCIL = [PLF.from_pairs([(0, F(1, 2) - F(s, 3)), (1, F(1, 2) + F(2 * s, 3))])
+          for s in (-2, -1, 1, 3)]
+PENCIL_AND_VEE = [(f, 1) for f in PENCIL] + [
+    (PLF.from_pairs([(0, 1), (F(1, 2), 0), (1, F(3, 2))]), 2), (PENCIL[0], 10 ** 30)]
+
+
+@given(merge_families())
+@example(TWENTY_FOUR_LINES)
+@example(PENCIL_AND_VEE)
+@settings(max_examples=100, deadline=None)
+def test_merge_matches_pairwise_oracle(family):
+    assert merge_sorted_branches(family) == pairwise_merge_sorted_branches(family)
+
+
+def test_merge_evaluates_entries_only_at_base_knots(monkeypatch):
+    family = PENCIL_AND_VEE
+    base = {F(0), F(1, 2), F(1)}
+    calls = []
+    plain_call = PLF.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return plain_call(self, t)
+
+    monkeypatch.setattr(PLF, "__call__", counted)
+    merged = merge_sorted_branches(family)
+    assert len(calls) == len(family) * len(base)
+    assert set(calls) == base
+    # the merge did cut inside the base intervals, at 1/3 and elsewhere
+    assert {F(1, 3)} < set().union(*[f.breakpoints for f, _ in merged]) - base
 
 
 def test_interval_persistence_small_families(rng):
