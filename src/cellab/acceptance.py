@@ -1,11 +1,14 @@
-"""The acceptance suites: every headline quantitative claim as an
-executable criterion with pinned tolerances, runnable from the CLI and from
-pytest. All randomness is seeded through RunConfig; identical configs give
-identical results.
+"""The acceptance suites: each criterion checks a claim of the paper on
+computed data, with pinned tolerances, runnable from the CLI and from
+pytest: the finite-matrix value 2pi(k-1)/k, the chi bound 2pi(1-1/L), the
+dimension-drop tower, the Jiang-Su floor toward cel_CU = 2pi, and the dense
+first-stage witness. Properties of the library's internals are tier-1
+tests, not criteria. All randomness is seeded through RunConfig; identical
+configs give identical results.
 
 The exact criteria (chi-witness, tower, jiangsu-floor) run without numpy;
-the sampled ones (finite-cel, properties, oracle-dense) import it, and the
-sampled layer, where they run.
+the sampled ones (finite-cel, oracle-dense) import it, and the sampled
+layer, where they run.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import dimdrop, funalg, witness
 from .config import RunConfig
 from .funalg import PiecewiseLinearFn
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PI = math.pi
 
@@ -196,150 +195,7 @@ def criterion_jiangsu_floor(cfg: RunConfig, res: CriterionResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Criterion 5: property suites
-# ---------------------------------------------------------------------------
-
-def _random_plf(rng: np.random.Generator, *, n_knots: int = 4, lo=-2, hi=2,
-                denom: int = 64) -> PiecewiseLinearFn:
-    import numpy as np
-
-    ts = sorted(rng.choice(np.arange(1, denom), size=n_knots - 2,
-                           replace=False).tolist())
-    bps = [Fraction(0)] + [Fraction(int(t), denom) for t in ts] + [Fraction(1)]
-    vals = [Fraction(int(rng.integers(lo * denom, hi * denom + 1)), denom)
-            for _ in bps]
-    return PiecewiseLinearFn(tuple(bps), tuple(vals))
-
-
-def criterion_properties(cfg: RunConfig, res: CriterionResult) -> None:
-    """Seeded property suites at pinned counts: scalar 1-Lipschitz
-    stability (200), EV monotonicity under spectral composition (200,
-    exact), interval persistence of sorted merges (500 vs a dense-sampling
-    oracle), bound sandwich (100), eigenvalue stability under perturbation
-    (200, Weyl)."""
-    import numpy as np
-    from . import cel, numerics
-
-    tol = cfg.tolerances
-
-    # 1-Lipschitz: |cel(alpha) - cel(beta)| <= sup|alpha - beta|
-    rng = np.random.default_rng(cfg.seed + 51)
-    worst = Fraction(0)
-    lips_ok = True
-    for _ in range(200):
-        f = _random_plf(rng)
-        g = _random_plf(rng)
-        cf, cg = cel.scalar_cel(f), cel.scalar_cel(g)
-        dist = (f - g)
-        sup = max(abs(dist.min_value()), abs(dist.max_value()))
-        lips_ok &= abs(cf - cg) <= sup
-        worst = max(worst, abs(cf - cg) - sup)
-    res.record("scalar formula 1-Lipschitz (200 exact pairs)", lips_ok,
-               f"max slack used={worst}")
-    samp_ok = True
-    for _ in range(200):
-        a = rng.standard_normal(33).cumsum() * 0.3
-        b = a + rng.standard_normal(33) * 0.1
-        ca, cb = cel.scalar_cel(a), cel.scalar_cel(b)
-        samp_ok &= abs(ca - cb) <= float(np.max(np.abs(a - b))) + 1e-9
-    res.record("scalar formula 1-Lipschitz (200 sampled pairs, 1e-9)", samp_ok)
-
-    # EV monotonicity under composition, exact
-    rng = np.random.default_rng(cfg.seed + 52)
-    ev_ok = True
-    for _ in range(200):
-        n_br = int(rng.integers(1, 4))
-        entries = [(_random_plf(rng, lo=0, hi=1), int(rng.integers(1, 4)))
-                   for _ in range(n_br)]
-        # clamped into [0,1] so the patterns can compose
-        src = funalg.symbolic_element(
-            [(_clamp01(f), m) for f, m in entries])
-        pats = _random_patterns(rng)
-        out = funalg.compose_spectral(pats, src)
-        ev_ok &= out.variation() <= src.variation()
-    res.record("EV never grows under spectral composition (200 exact cases)",
-               ev_ok)
-
-    # interval persistence: no merged branch covers [c,d] unless an input does
-    rng = np.random.default_rng(cfg.seed + 53)
-    dense = np.linspace(0.0, 1.0, 10_000)
-    pers_ok = True
-    oracle_ok = True
-    for _ in range(500):
-        n_f = int(rng.integers(1, 7))
-        fns = [_random_plf(rng, lo=0, hi=1) for _ in range(n_f)]
-        fns = [_clamp01(f) for f in fns]
-        c = Fraction(int(rng.integers(0, 40)), 100)
-        d = c + Fraction(int(rng.integers(10, 45)), 100)
-        if any(f.covers(c, d) for f in fns):
-            continue
-        merged = funalg.merge_sorted_branches([(f, 1) for f in fns])
-        pers_ok &= not any(f.covers(c, d) for f, _ in merged)
-        # dense-sampling oracle: sorted samples match the exact branches
-        stacked = np.sort(np.stack([f.sample(dense) for f in fns]), axis=0)
-        exact = np.stack([f.sample(dense) for f, _ in merged])
-        oracle_ok &= bool(np.max(np.abs(stacked - exact)) < 1e-12)
-    res.record("interval persistence of sorted merges (500 families)", pers_ok)
-    res.record("merge agrees with dense-sampling oracle (1e4 points)", oracle_ok)
-
-    # bound sandwich on 100 seeded unitaries
-    rng = np.random.default_rng(cfg.seed + 54)
-    sand_ok = True
-    worst_gap = -math.inf
-    for i in range(100):
-        n = int(rng.integers(2, 5))
-        u = numerics.random_unitary_field(rng, n, 129, amplitude=1.0,
-                                          max_log_norm=0.85 * PI, tol=tol)
-        b = cel.bound_sandwich(u, tol=tol)
-        sand_ok &= b.lower <= b.upper + 1e-6
-        worst_gap = max(worst_gap, b.lower - b.upper)
-    res.record("bound sandwich lower <= upper on 100 unitaries (1e-6)",
-               sand_ok, f"max lower-upper={worst_gap:.3e}")
-
-    # Weyl stability on 200 hermitian pairs
-    rng = np.random.default_rng(cfg.seed + 55)
-    weyl_ok = True
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        a = numerics.random_hermitian(rng, n)
-        b = a + 0.1 * numerics.random_hermitian(rng, n)
-        wa, _ = numerics.jacobi_eigh(a, compute_v=False)
-        wb, _ = numerics.jacobi_eigh(b, compute_v=False)
-        gap = float(np.max(np.abs(wa - wb)))
-        weyl_ok &= gap <= numerics.operator_norm(a - b) + 1e-9
-    res.record("eigenvalue stability |l_j(A)-l_j(B)| <= ||A-B|| (200 pairs, 1e-9)",
-               weyl_ok)
-
-
-def _clamp01(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    lo, hi = f.range()
-    if lo >= 0 and hi <= 1:
-        return f
-    span = hi - lo
-    if span == 0:
-        return PiecewiseLinearFn.constant(Fraction(1, 2))
-    return PiecewiseLinearFn(
-        f.breakpoints, tuple((v - lo) / span for v in f.values))
-
-
-def _random_patterns(rng: np.random.Generator) -> list[tuple[PiecewiseLinearFn, int]]:
-    out = []
-    for _ in range(int(rng.integers(1, 4))):
-        r = int(rng.integers(1, 4))
-        if rng.integers(0, 2):
-            l = int(rng.integers(1, (1 << r)))
-            out.append((PiecewiseLinearFn.constant(Fraction(l, 1 << r)),
-                        int(rng.integers(1, 4))))
-        else:
-            l = int(rng.integers(0, (1 << r)))
-            out.append((PiecewiseLinearFn.from_pairs(
-                [(0, Fraction(l, 1 << r)), (1, Fraction(l + 1, 1 << r))]),
-                int(rng.integers(1, 4))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Criterion 6: dense oracle consistency
+# Criterion 5: dense oracle consistency
 # ---------------------------------------------------------------------------
 
 def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
@@ -384,7 +240,6 @@ CRITERIA = {
     "chi-witness": criterion_chi_witness,
     "tower": criterion_tower,
     "jiangsu-floor": criterion_jiangsu_floor,
-    "properties": criterion_properties,
     "oracle-dense": criterion_oracle_dense,
 }
 

@@ -260,9 +260,10 @@ def _stage(index: int) -> TowerStage:
 
 
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
-    """Exact invariant checks for one tower step; raises on violation. The
-    gap (2d, k1) is sieved once by the small primes and only its survivors
-    are tested: k0 must be the one prime found there."""
+    """Exact invariant checks for one tower step; raises on violation. Once
+    k0 and k1 are prime, the gaps (2d, k0) and (k0, k1) are sieved by the
+    small primes and only their survivors are tested: neither holds a
+    prime, so k0 itself is tested once."""
     if cur.index != prev.index + 1:
         raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1
@@ -270,7 +271,8 @@ def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
         raise AssertionError("transition factors must be prime")
     if not (k0 > 2 * prev.d and k1 > 2 * prev.d and k0 < k1):
         raise AssertionError("need the first two primes above 2d")
-    if any(c != k0 for c in _window_primes(2 * prev.d + 1, k1 - 2 * prev.d - 1)):
+    if (any(_window_primes(2 * prev.d + 1, k0 - 2 * prev.d - 1))
+            or any(_window_primes(k0 + 1, k1 - k0 - 1))):
         raise AssertionError("k0, k1 are not the first two primes above 2d")
     if cur.p != k0 * prev.p or cur.q != k1 * prev.q:
         raise AssertionError("sizes must multiply by the prime factors")

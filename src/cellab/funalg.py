@@ -353,11 +353,12 @@ class SymbolicElement:
         return max(f.max_value() - f.min_value() for f, _ in self.sorted_branches())
 
     def weighted_sum(self) -> PiecewiseLinearFn:
-        """sum over entries of multiplicity * branch (exact)."""
-        acc = ZERO_FN
-        for f, m in self.entries:
-            acc = acc + f.scale(m)
-        return acc
+        """sum over entries of multiplicity * branch (exact), evaluated
+        once at the union of the entries' knots."""
+        knots = sorted(set(ZERO_FN.breakpoints).union(
+            *[f.breakpoints for f, _ in self.entries]))
+        return PiecewiseLinearFn(tuple(knots), tuple(
+            sum(m * f(t) for f, m in self.entries) for t in knots))
 
     def padded(self, extra: int) -> "SymbolicElement":
         """Corner-embedding zero padding.

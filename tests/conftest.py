@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cellab.config import DEFAULT_TOLERANCES, Tolerances
+from cellab.funalg import PiecewiseLinearFn
 from cellab.numerics import (
     SampledMatrixField,
     adjoint,
@@ -65,3 +68,47 @@ def conjugated_field(field: SampledMatrixField, seed: int) -> SampledMatrixField
     ts = np.linspace(0.0, 1.0, field.grid_size)[:, None, None]
     w = unitary_exp(SampledMatrixField(ts * a + ts ** 2 * b, "selfadjoint")).samples
     return SampledMatrixField(w @ field.samples @ adjoint(w), "unitary")
+
+
+def random_plf(rng: np.random.Generator, *, n_knots: int = 4, lo=-2, hi=2,
+               denom: int = 64) -> PiecewiseLinearFn:
+    """A seeded piecewise-linear function with n_knots knots on the grid
+    1/denom and values in [lo, hi] on the same grid."""
+    ts = sorted(rng.choice(np.arange(1, denom), size=n_knots - 2,
+                           replace=False).tolist())
+    bps = [Fraction(0)] + [Fraction(int(t), denom) for t in ts] + [Fraction(1)]
+    vals = [Fraction(int(rng.integers(lo * denom, hi * denom + 1)), denom)
+            for _ in bps]
+    return PiecewiseLinearFn(tuple(bps), tuple(vals))
+
+
+def clamp01(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """f rescaled affinely onto [0, 1] unless its range already lies there;
+    a constant outside [0, 1] becomes the constant 1/2."""
+    lo, hi = f.range()
+    if lo >= 0 and hi <= 1:
+        return f
+    span = hi - lo
+    if span == 0:
+        return PiecewiseLinearFn.constant(Fraction(1, 2))
+    return PiecewiseLinearFn(
+        f.breakpoints, tuple((v - lo) / span for v in f.values))
+
+
+def random_patterns(rng: np.random.Generator) -> list[tuple[PiecewiseLinearFn, int]]:
+    """One to three seeded point patterns into [0, 1], each a dyadic
+    constant l/2^r or a dyadic step t |-> (l + t)/2^r, with multiplicity
+    1 to 3."""
+    out = []
+    for _ in range(int(rng.integers(1, 4))):
+        r = int(rng.integers(1, 4))
+        if rng.integers(0, 2):
+            l = int(rng.integers(1, (1 << r)))
+            out.append((PiecewiseLinearFn.constant(Fraction(l, 1 << r)),
+                        int(rng.integers(1, 4))))
+        else:
+            l = int(rng.integers(0, (1 << r)))
+            out.append((PiecewiseLinearFn.from_pairs(
+                [(0, Fraction(l, 1 << r)), (1, Fraction(l + 1, 1 << r))]),
+                int(rng.integers(1, 4))))
+    return out

@@ -49,13 +49,6 @@ def test_jiangsu_witness_floor():
     _run("jiangsu-floor")
 
 
-def test_property_suites():
-    # 1-Lipschitz stability, EV monotonicity, interval persistence,
-    # bound sandwich, eigenvalue perturbation stability - pinned counts
-    result = _run("properties")
-    assert result.elapsed < 180.0
-
-
 def test_oracle_consistency_dense_scale():
     # first-stage witness dense in dim 6 at grid 2049: lower bound within
     # [4pi/3 - 1e-4, best upper], frame ordering respected

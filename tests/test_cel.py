@@ -9,6 +9,7 @@ from conftest import (
     constant_field,
     identity_field,
     jitter_unitary,
+    random_plf,
 )
 
 from cellab.cel import (
@@ -97,9 +98,17 @@ def test_scalar_cel_k_range_sufficiency(rng):
 
 
 def test_scalar_cel_lipschitz(rng):
-    for _ in range(50):
-        a = rng.standard_normal(17).cumsum()
-        b = a + rng.standard_normal(17) * 0.2
+    # |cel(f) - cel(g)| <= sup|f - g|: exactly on piecewise-linear pairs,
+    # to 1e-12 on sampled ones
+    for _ in range(200):
+        f, g = random_plf(rng), random_plf(rng)
+        cf, cg = scalar_cel(f), scalar_cel(g)
+        assert isinstance(cf, F) and isinstance(cg, F)
+        diff = f - g
+        assert abs(cf - cg) <= max(abs(diff.min_value()), abs(diff.max_value()))
+    for _ in range(200):
+        a = rng.standard_normal(33).cumsum()
+        b = a + rng.standard_normal(33) * 0.2
         assert abs(scalar_cel(a) - scalar_cel(b)) <= np.max(np.abs(a - b)) + 1e-12
 
 
@@ -442,8 +451,9 @@ def test_geodesic_dominates_lower_bound(rng):
 
 
 def test_bound_sandwich(rng):
-    for _ in range(20):
-        u = random_unitary_field(rng, 3, 129, amplitude=1.0,
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        u = random_unitary_field(rng, n, 129, amplitude=1.0,
                                  max_log_norm=0.85 * PI)
         b = bound_sandwich(u)
         assert b.lower <= b.upper + 1e-6

@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import constant_field, identity_field, random_unitary
+from conftest import (
+    clamp01,
+    constant_field,
+    identity_field,
+    random_plf,
+    random_unitary,
+)
 
 from cellab import dimdrop
 from cellab.dimdrop import (
@@ -156,6 +162,20 @@ def test_validate_stage_step_refuses_a_search_that_skips_a_prime(monkeypatch):
     assert (bad.k0, bad.k1) == (17, 19)
     with pytest.raises(AssertionError, match="not the first two primes above 2d"):
         validate_stage_step(prev, bad)
+
+
+def test_validate_stage_step_runs_bpsw_once_on_k0(monkeypatch):
+    # k0 passes _isprime's BPSW; the gap sieve must not test it again
+    stages = tower(6)
+    tested = []
+    bpsw = dimdrop._bpsw
+    monkeypatch.setattr(dimdrop, "_bpsw", lambda n: tested.append(n) or bpsw(n))
+    for prev, cur in zip(stages[2:], stages[3:]):
+        assert cur.k0 > 1 << 32
+        tested.clear()
+        validate_stage_step(prev, cur)
+        assert tested.count(cur.k0) == 1
+        assert tested.count(cur.k1) == 1
 
 
 @pytest.fixture
@@ -420,9 +440,8 @@ def test_push_ev_never_increases(rng):
     stages = tower(2)
     pats = one_step_patterns(stages[1])
     for _ in range(25):
-        from cellab.acceptance import _clamp01, _random_plf
         e = symbolic_element(
-            [(_clamp01(_random_plf(rng, lo=0, hi=1)), int(rng.integers(1, 3)))
+            [(clamp01(random_plf(rng, lo=0, hi=1)), int(rng.integers(1, 3)))
              for _ in range(int(rng.integers(1, 3)))])
         out = push_element(e, pats)
         assert out.variation() <= e.variation()

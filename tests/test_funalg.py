@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_field, identity_field
+from conftest import (
+    clamp01,
+    constant_field,
+    identity_field,
+    random_patterns,
+    random_plf,
+)
 
 from cellab.errors import DomainRangeError, UnsupportedPaddingError
 from cellab.funalg import (
@@ -346,13 +352,12 @@ def test_compose_spectral_rejects_bad_patterns():
 
 
 def test_compose_spectral_ev_monotone(rng):
-    from cellab.acceptance import _clamp01, _random_patterns, _random_plf
-    for _ in range(100):
-        entries = [(_clamp01(_random_plf(rng, lo=0, hi=1)),
+    for _ in range(200):
+        entries = [(clamp01(random_plf(rng, lo=0, hi=1)),
                     int(rng.integers(1, 4)))
                    for _ in range(int(rng.integers(1, 4)))]
         src = symbolic_element(entries)
-        out = compose_spectral(_random_patterns(rng), src)
+        out = compose_spectral(random_patterns(rng), src)
         assert out.variation() <= src.variation()
 
 
@@ -568,10 +573,9 @@ def test_merge_evaluates_entries_only_at_base_knots(monkeypatch):
 def test_interval_persistence_small_families(rng):
     # no merged branch covers [c, d] unless an input branch does
     dense = np.linspace(0, 1, 10_000)
-    from cellab.acceptance import _clamp01, _random_plf
     checked = 0
-    for _ in range(150):
-        fns = [_clamp01(_random_plf(rng, lo=0, hi=1))
+    for _ in range(500):
+        fns = [clamp01(random_plf(rng, lo=0, hi=1))
                for _ in range(int(rng.integers(1, 7)))]
         c = F(int(rng.integers(0, 40)), 100)
         d = c + F(int(rng.integers(10, 45)), 100)
@@ -583,7 +587,7 @@ def test_interval_persistence_small_families(rng):
         stacked = np.sort(np.stack([f.sample(dense) for f in fns]), axis=0)
         exact = np.stack([f.sample(dense) for f, _ in merged])
         assert np.max(np.abs(stacked - exact)) < 1e-12
-    assert checked > 20
+    assert checked > 70
 
 
 def test_eigenvalue_list_field_validation():

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import random_plf
+
 from cellab import funalg
 from cellab.cel import cel_lower_distinct, cu_upper_bound_path
-from cellab.dimdrop import membership_check, tower
+from cellab.dimdrop import connecting_patterns, membership_check, push_element, tower
 from cellab.errors import CoverageError
 from cellab.funalg import PiecewiseLinearFn, symbolic_element
 from cellab.witness import (
@@ -301,6 +303,30 @@ def test_stage_witness_element_rank():
     e = stage_witness_element(s1)
     assert e.total_rank == 6
     assert verify_cu(e).passed
+
+
+def _folded_sum(e):
+    # the weighted branch sum as a fold of exact additions
+    acc = funalg.ZERO_FN
+    for f, m in e.entries:
+        acc = acc + f.scale(m)
+    return acc
+
+
+def test_weighted_sum_matches_the_fold(rng):
+    for _ in range(100):
+        e = symbolic_element([(random_plf(rng, n_knots=int(rng.integers(2, 7))),
+                               int(rng.integers(1, 10 ** 12)))
+                              for _ in range(int(rng.integers(1, 6)))])
+        assert e.weighted_sum() == _folded_sum(e)
+    # the largest Jiang-Su push: stage 1 to stage 7, 254 distinct entries
+    stages = tower(7)
+    pushed = push_element(stage_witness_element(stages[0]),
+                          connecting_patterns(stages, 1, 7))
+    assert len(pushed.entries) == 254
+    total = pushed.weighted_sum()
+    assert total == _folded_sum(pushed)
+    assert total.breakpoints == (0, 1) and total.values == (0, 0)
 
 
 # ---------------------------------------------------------------------------
