@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainRangeError, UnsupportedPaddingError, WindowError
@@ -28,7 +28,11 @@ QLike = Fraction | int | str
 
 
 def as_fraction(x: QLike) -> Fraction:
-    """Coerce to an exact rational; floats are rejected deliberately."""
+    """Coerce to an exact rational; floats are rejected deliberately. A
+    Fraction comes back unchanged (it is immutable), so building a function
+    from existing knots or evaluating at one does not rebuild it."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass Fraction, int or string")
     return Fraction(x)
@@ -61,18 +65,17 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        out_b, out_v = [bps[0]], [vals[0]]
-        for i in range(1, len(bps) - 1):
-            a, b, c = out_b[-1], bps[i], bps[i + 1]
-            va, vb, vc = out_v[-1], vals[i], vals[i + 1]
-            if (vb - va) * (c - a) == (vc - va) * (b - a):
-                continue
-            out_b.append(b)
-            out_v.append(vb)
-        out_b.append(bps[-1])
-        out_v.append(vals[-1])
-        object.__setattr__(self, "breakpoints", tuple(out_b))
-        object.__setattr__(self, "values", tuple(out_v))
+        if len(bps) > 2:
+            # an interior knot goes when the pieces on its two sides have
+            # one slope; each piece's slope is formed once
+            slopes = [(y - x) / (b - a)
+                      for a, b, x, y in zip(bps, bps[1:], vals, vals[1:])]
+            keep = [0, *(i for i in range(1, len(bps) - 1)
+                         if slopes[i - 1] != slopes[i]), len(bps) - 1]
+            bps, vals = (tuple(bps[i] for i in keep),
+                         tuple(vals[i] for i in keep))
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "values", vals)
 
     # -- constructors ------------------------------------------------------
 
@@ -110,6 +113,28 @@ class PiecewiseLinearFn:
         va, vb = self.values[i], self.values[i + 1]
         return va + (vb - va) * (t - a) / (b - a)
 
+    def _values_at(self, ts: Sequence[Fraction]) -> list[Fraction]:
+        """The values at ascending points ts of [0, 1] (repeats allowed), in
+        one walk along the knots: the same Fractions as [self(t) for t in ts].
+        At one of its own knots the stored value is returned; inside a piece
+        it is __call__'s interpolation. The points are not checked: every
+        caller passes knots of functions on [0, 1], or values already
+        checked to lie there."""
+        bps, vals = self.breakpoints, self.values
+        last = len(bps) - 1
+        out = []
+        i = 0
+        for t in ts:
+            while i < last and bps[i + 1] <= t:
+                i += 1
+            a = bps[i]
+            if t == a:
+                out.append(vals[i])
+            else:
+                va, vb = vals[i], vals[i + 1]
+                out.append(va + (vb - va) * (t - a) / (bps[i + 1] - a))
+        return out
+
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """Float evaluation on a float grid (np.interp is exactly piecewise
         linear, matching this representation)."""
@@ -140,8 +165,12 @@ class PiecewiseLinearFn:
     # -- algebra ---------------------------------------------------------------
 
     def _aligned(self, other: "PiecewiseLinearFn"):
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return bps, [self(t) for t in bps], [other(t) for t in bps]
+        """The union of both functions' knots, ascending, and each
+        function's values there, read in one walk per function. The union
+        merges the two ascending knot runs (sorted finds them) and drops
+        repeats, with no hashing."""
+        bps = [t for t, _ in groupby(sorted(self.breakpoints + other.breakpoints))]
+        return bps, self._values_at(bps), other._values_at(bps)
 
     def __add__(self, other):
         if isinstance(other, PiecewiseLinearFn):
@@ -165,14 +194,17 @@ class PiecewiseLinearFn:
     # -- composition ----------------------------------------------------------
 
     def compose(self, g: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        """self o g: self is evaluated once at each knot of g, and a knot x of
-        self strictly inside g's range on a piece (a, b) pulls back to the t
-        in (a, b) with g(t) = x, where self's stored value at x is read."""
+        """self o g: self is evaluated once at each knot of g (g's values,
+        sorted once, are read in one walk along self), and a knot x of self
+        strictly inside g's range on a piece (a, b) pulls back to the t in
+        (a, b) with g(t) = x, where self's stored value at x is read."""
         lo, hi = g.range()
         if lo < 0 or hi > 1:
             raise DomainRangeError(
                 f"inner function range [{lo},{hi}] leaves the domain [0,1]")
-        pts = {t: self(v) for t, v in zip(g.breakpoints, g.values)}
+        xs = sorted(g.values)
+        at = dict(zip(xs, self._values_at(xs)))
+        pts = {t: at[v] for t, v in zip(g.breakpoints, g.values)}
         for a, b, ga, gb in zip(g.breakpoints, g.breakpoints[1:],
                                 g.values, g.values[1:]):
             if ga == gb:
@@ -231,7 +263,8 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     of the values at b, found by insertion. At an inner cut only the entries
     meeting there move (they leave it sorted by slope), and only their
     values v_a + slope·(t − a) are formed. A branch gets a knot only where
-    the slope it follows changes: the canonical knots.
+    the slope it follows changes: the canonical knots. Each entry's values
+    at the base knots are read in one walk along it.
     """
     entries = [(f, int(m)) for f, m in entries if m != 0]
     if not entries:
@@ -241,7 +274,7 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     fns = [f for f, _ in entries]
     mults = [m for _, m in entries]
     base = sorted(set().union(*[f.breakpoints for f in fns]))
-    base_vals = [[f(t) for f in fns] for t in base]
+    base_vals = list(zip(*[f._values_at(base) for f in fns]))
     # per piece between cuts: its left cut, the values there (at an inner
     # cut, of the entries meeting there), the slopes and the entry order
     pieces = []
@@ -304,7 +337,13 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
 
 @dataclass(frozen=True)
 class EigenvalueListField:
-    """Ordered exact branch functions h_1 <= ... <= h_k."""
+    """Ordered exact branch functions h_1 <= ... <= h_k.
+
+    Construction checks the order: two piecewise-linear functions compare
+    pointwise iff they compare at every knot of either, so each adjacent
+    pair is read at the union of its knots (`_aligned`, one walk per
+    function) and a pair out of order there is rejected.
+    """
 
     exact: tuple[PiecewiseLinearFn, ...]
 
@@ -354,11 +393,11 @@ class SymbolicElement:
 
     def weighted_sum(self) -> PiecewiseLinearFn:
         """sum over entries of multiplicity * branch (exact), evaluated
-        once at the union of the entries' knots."""
+        once at the union of the entries' knots, one walk per entry."""
         knots = sorted(set(ZERO_FN.breakpoints).union(
             *[f.breakpoints for f, _ in self.entries]))
-        return PiecewiseLinearFn(tuple(knots), tuple(
-            sum(m * f(t) for f, m in self.entries) for t in knots))
+        cols = [[m * v for v in f._values_at(knots)] for f, m in self.entries]
+        return PiecewiseLinearFn(tuple(knots), tuple(map(sum, zip(*cols))))
 
     def padded(self, extra: int) -> "SymbolicElement":
         """Corner-embedding zero padding.

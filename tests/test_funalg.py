@@ -105,6 +105,36 @@ def test_plf_collinear_knot_insertion_is_invisible(f, data):
     assert hash(g) == hash(f)
 
 
+def cross_product_canonical(bps, vals):
+    """The canonical pass as it was before each piece's slope was formed
+    once, kept as the oracle: a knot b after the last kept knot a goes when
+    (b, vb) lies on the line from (a, va) to the next knot (c, vc)."""
+    out_b, out_v = [bps[0]], [vals[0]]
+    for i in range(1, len(bps) - 1):
+        a, b, c = out_b[-1], bps[i], bps[i + 1]
+        va, vb, vc = out_v[-1], vals[i], vals[i + 1]
+        if (vb - va) * (c - a) != (vc - va) * (b - a):
+            out_b.append(b)
+            out_v.append(vb)
+    return tuple(out_b + [bps[-1]]), tuple(out_v + [vals[-1]])
+
+
+@given(st.lists(st.integers(1, 11).map(lambda n: F(n, 12)), unique=True, max_size=9),
+       st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_plf_canonical_knots_match_the_cross_product_pass(interior, lines, data):
+    # each knot's value lies on one of a few lines, so runs of collinear
+    # knots, and knots where two lines meet, are common
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    vals = []
+    for t in bps:
+        a, s = data.draw(st.sampled_from(lines))
+        vals.append(F(a, 6) + F(s, 6) * t)
+    f = PLF(tuple(bps), tuple(vals))
+    assert (f.breakpoints, f.values) == cross_product_canonical(bps, vals)
+
+
 @given(plfs(), plfs(), unit_interior)
 @settings(max_examples=60, deadline=None)
 def test_plf_pointwise_algebra(f, g, t):
@@ -137,24 +167,69 @@ def test_plf_compose_pointwise(f, data):
         assert h(t) == f(g(t)), t
 
 
+def count_evaluations(monkeypatch):
+    """Record every __call__ point and every walk handed to _values_at, as
+    (function, points) pairs."""
+    calls, walks = [], []
+    plain_call, plain_walk = PLF.__call__, PLF._values_at
+
+    def counted_call(self, t):
+        calls.append(t)
+        return plain_call(self, t)
+
+    def counted_walk(self, ts):
+        walks.append((self, list(ts)))
+        return plain_walk(self, ts)
+
+    monkeypatch.setattr(PLF, "__call__", counted_call)
+    monkeypatch.setattr(PLF, "_values_at", counted_walk)
+    return calls, walks
+
+
 def test_plf_compose_evaluates_only_at_inner_knots(monkeypatch):
     f = PLF.from_pairs([(0, F(1, 4)), (F(1, 3), 1), (F(3, 5), -1), (1, 0)])
     cases = [(PLF.identity(), PLF.affine(F(-1, 2), 1)),
              (f, PLF.identity()),
              (f, PLF.from_pairs([(0, 1), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3)),
                                  (1, F(1, 10))]))]
-    calls = []
-    plain_call = PLF.__call__
-
-    def counted(self, t):
-        calls.append(t)
-        return plain_call(self, t)
-
-    monkeypatch.setattr(PLF, "__call__", counted)
+    calls, walks = count_evaluations(monkeypatch)
     for outer, g in cases:
-        calls.clear()
+        walks.clear()
         outer.compose(g)
-        assert len(calls) == len(g.breakpoints)
+        # one walk along the outer function, at g's sorted knot values
+        assert walks == [(outer, sorted(g.values))]
+        assert len(walks[0][1]) == len(g.breakpoints)
+    assert calls == []
+
+
+@st.composite
+def huge_grid_plfs(draw):
+    """Knots on the 1/12 grid, values with numerators up to 10**30."""
+    interior = draw(st.lists(st.integers(1, 11).map(lambda n: F(n, 12)),
+                             unique=True, max_size=6))
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    return PLF(tuple(bps), tuple(F(draw(st.integers(-10 ** 30, 10 ** 30)),
+                                   draw(st.integers(1, 10 ** 6))) for _ in bps))
+
+
+@given(huge_grid_plfs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_values_at_matches_pointwise_calls(f, data):
+    knots = list(f.breakpoints)
+    mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+    other = data.draw(st.lists(st.integers(0, 10 ** 6).map(lambda n: F(n, 10 ** 6)),
+                               max_size=8))
+    pts = [F(0), F(1)] + knots + mids + other
+    # every point may come again, so the walk sees runs of equal points
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=6))
+    # and a draw from them, so the walk also passes knots it is not asked at
+    some = data.draw(st.lists(st.sampled_from(pts), max_size=6))
+    for ts in (sorted(pts), sorted(some)):
+        got = f._values_at(ts)
+        assert got == [f(t) for t in ts]
+        assert all(type(v) is F for v in got)
+    # a knot reads the stored value itself
+    assert all(v is s for v, s in zip(f._values_at(knots), f.values))
 
 
 def test_plf_compose_domain_error():
@@ -554,20 +629,16 @@ def test_merge_matches_pairwise_oracle(family):
 
 def test_merge_evaluates_entries_only_at_base_knots(monkeypatch):
     family = PENCIL_AND_VEE
-    base = {F(0), F(1, 2), F(1)}
-    calls = []
-    plain_call = PLF.__call__
-
-    def counted(self, t):
-        calls.append(t)
-        return plain_call(self, t)
-
-    monkeypatch.setattr(PLF, "__call__", counted)
+    base = [F(0), F(1, 2), F(1)]
+    calls, walks = count_evaluations(monkeypatch)
     merged = merge_sorted_branches(family)
-    assert len(calls) == len(family) * len(base)
-    assert set(calls) == base
+    # each entry is walked once, at exactly the base knots: 6 x 3 points
+    assert [w for w, _ in walks] == [f for f, _ in family]
+    assert all(ts == base for _, ts in walks)
+    assert sum(len(ts) for _, ts in walks) == len(family) * len(base) == 18
+    assert calls == []
     # the merge did cut inside the base intervals, at 1/3 and elsewhere
-    assert {F(1, 3)} < set().union(*[f.breakpoints for f, _ in merged]) - base
+    assert {F(1, 3)} < set().union(*[f.breakpoints for f, _ in merged]) - set(base)
 
 
 def test_interval_persistence_small_families(rng):
@@ -599,6 +670,43 @@ def test_eigenvalue_list_field_validation():
     with pytest.raises(ValueError, match="pointwise sorted"):
         EigenvalueListField(exact=(tent, PLF.constant(F(1, 2))))
     EigenvalueListField(exact=(PLF.affine(1), PLF.affine(1), PLF.constant(1)))
+
+
+def test_eigenvalue_list_field_of_a_merged_family_makes_no_call(monkeypatch):
+    merged = merge_sorted_branches(TWENTY_FOUR_LINES)
+    calls, walks = count_evaluations(monkeypatch)
+    EigenvalueListField(exact=tuple(f for f, _ in merged))
+    assert calls == []
+    # two walks per adjacent pair of branches
+    assert len(walks) == 2 * (len(merged) - 1)
+
+
+def pointwise_aligned(f, g):
+    """_aligned as it was before the one-walk kernel, kept as the oracle:
+    both functions evaluated through __call__ at each knot of either."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return bps, [f(t) for t in bps], [g(t) for t in bps]
+
+
+TENT = PLF((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
+
+
+@given(grid_plfs(), grid_plfs())
+@example(TENT, PLF.constant(F(1, 2)))
+@example(PLF.affine(1), PLF.affine(1))
+@settings(max_examples=300, deadline=None)
+def test_eigenvalue_list_field_agrees_with_the_pointwise_oracle(f, g):
+    # grid_plfs put knots on the 1/12 grid and values in sixths, so a pair
+    # often touches or crosses exactly at a knot of one of them
+    for lo, hi in ((f, g), (g, f), (f, g + F(1, 6)), (g, f + F(1, 6))):
+        bps, va, vb = pointwise_aligned(lo, hi)
+        assert lo._aligned(hi) == (bps, va, vb)
+        sorted_ = all(a <= b for a, b in zip(va, vb))
+        if sorted_:
+            EigenvalueListField(exact=(lo, hi))
+        else:
+            with pytest.raises(ValueError, match="pointwise sorted"):
+                EigenvalueListField(exact=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
