@@ -3,8 +3,11 @@ exponential onto the unit circle, continuous eigenvalue-branch lifting, and
 sampled matrix fields over the interval.
 
 All eigendecompositions run through the in-house batched cyclic Jacobi
-solver: reproducible across platforms and entirely adequate for the small
-dimensions (<= 64) this package works at. numpy supplies array plumbing only.
+solver, adequate for the small dimensions (<= 64) this package works at.
+numpy supplies array plumbing only. The printed outputs were byte-identical
+under every CPU setting tried, but the last bits of a sampled bound depend on
+numpy's SIMD level (`np.angle`, complex `abs`) and on the OpenBLAS kernel
+(`@`, `np.linalg.det`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -77,44 +76,6 @@ def test_parse_fn_spec_json_exact():
 def test_parse_fn_spec_bad_ramp():
     with pytest.raises(ValueError):
         parse_fn_spec("ramp:fast", 17)
-
-
-# ---------------------------------------------------------------------------
-# golden outputs: exact arithmetic, so the bytes are platform independent
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("argv, sha256", [
-    ("witness jiang-su --m 1 --n 3",
-     "2c3c5340cda5a5c5e1b6e90736756aae691f816f26b245838d39b3168f86039d"),
-    ("witness jiang-su --m 1 --n 5",
-     "83a63ca9ab11c2eec2a2ceafd9df4017eba2181bcbd18cd525eecf7e9d4815a8"),
-    ("witness jiang-su --m 2 --n 4",
-     "39ea52408d5e2272e79edc8b942422777dcf32e0f8abc07f2309a99982af90d2"),
-    ("witness chi --L 100",
-     "d0389ba11250324f49ed5b7a58726795f4b025e415118316963da61ba0b5e815"),
-    ("tower --stages 4",
-     "7a50a944cbb219b7a56d1e2d5125bc64dfac38fdd67d6c8d78d05e5ff533c7b5"),
-    ("tower --stages 6",
-     "ab1ae2adbe4f1f49b5e0fd2b1a5ab49f01369b9b028ff77712caf3fafe8d7be7"),
-    ("scalar-cel ramp:3/2pi-neg",
-     "b473705e26205516ea0b20d943bc8bf9eb5f18a7a684f229ba7e7f851523b38e"),
-    ("acceptance chi-witness",
-     "a12dc31e6f91ceba5bfa28b593997fbafad983c55a4e7c2223100a7c2e3edf8b"),
-    ("acceptance jiangsu-floor",
-     "ac1b8369da6a6e80bee75e890a6fd769be7b8bee7fbae350d72e3a67b44a9dea"),
-    ("curve jiangsu-floor --m 1 --max-n 5",
-     "0e1245d7c4c9d1888839596586dcd7d1084eb2bf2248eb5f19cffdf696d2e666"),
-    ("acceptance tower",
-     "f849f0166f306559a7ba9d66f3be0f24d5ac7c6bfdde4c821df786b2f38d6a57"),
-    ("curve branches --k 3 --grid 257",
-     "6948532e6d28510143e73b80dca379e99903c24b2ada8a285f78ce6463cc6f5c"),
-    ("curve branches --k 8",
-     "077bb822ca910da7145dff2fa3175f22add23ffeba350ef85053012337e3a893"),
-])
-def test_golden_stdout_digest(capsys, argv, sha256):
-    code, out, _ = run_cli(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------
