@@ -4,7 +4,8 @@ composition for block homomorphisms, and the exact exponential-length
 formulas read from them (the scalar min-max formula and the ordered-log
 lower bound, with the CelBound they report in).
 
-Exact objects use fractions.Fraction throughout, so every witness bound
+Exact values are fractions.Fraction (the hot kernels compare cross-multiplied
+numerators and build one only for a value they keep), so every witness bound
 downstream evaluates with zero grid error. The layer imports numpy only
 where it takes sampled input, inside PiecewiseLinearFn.sample and the array
 branch of scalar_cel_certificate, so the exact commands never load it.
@@ -38,6 +39,20 @@ def as_fraction(x: QLike) -> Fraction:
     return Fraction(x)
 
 
+def _ints(xs: Iterable[Fraction]) -> list[tuple[int, int]]:
+    """(numerator, positive denominator) of each rational."""
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def _lerp(a, b, p, q, x: int, y: int) -> tuple[int, int]:
+    """The value at t = x/y of the line through (a, p) and (b, q), a < b, all
+    `_ints` pairs, as an unreduced numerator and positive denominator."""
+    (an, ad), (bn, bd), (pn, pd), (qn, qd) = a, b, p, q
+    w = bn * ad - an * bd
+    return (pn * qd * y * w + (qn * pd - pn * qd) * (x * ad - an * y) * bd,
+            pd * qd * y * w)
+
+
 # ---------------------------------------------------------------------------
 # Exact piecewise-linear functions on [0, 1]
 # ---------------------------------------------------------------------------
@@ -63,15 +78,20 @@ class PiecewiseLinearFn:
             raise ValueError("need matching breakpoints/values, at least two")
         if bps[0] != 0 or bps[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        # knots, values and each piece's run dt as (numerator, positive
+        # denominator) pairs, so that the pass forms no Fraction
+        ts, vs = _ints(bps), _ints(vals)
+        runs = [(n * c - m * d, c * d) for (m, c), (n, d) in zip(ts, ts[1:])]
+        if any(n <= 0 for n, _ in runs):
             raise ValueError("breakpoints must be strictly increasing")
         if len(bps) > 2:
             # an interior knot goes when the pieces on its two sides have
-            # one slope; each piece's slope is formed once
-            slopes = [(y - x) / (b - a)
-                      for a, b, x, y in zip(bps, bps[1:], vals, vals[1:])]
+            # one slope dv/dt: dv1·dt2 == dv2·dt1 on cross-multiplied integers
+            slopes = [((n * c - m * d) * rd, c * d * rn)
+                      for (m, c), (n, d), (rn, rd) in zip(vs, vs[1:], runs)]
             keep = [0, *(i for i in range(1, len(bps) - 1)
-                         if slopes[i - 1] != slopes[i]), len(bps) - 1]
+                         if slopes[i - 1][0] * slopes[i][1]
+                         != slopes[i][0] * slopes[i - 1][1]), len(bps) - 1]
             bps, vals = (tuple(bps[i] for i in keep),
                          tuple(vals[i] for i in keep))
         object.__setattr__(self, "breakpoints", bps)
@@ -117,22 +137,22 @@ class PiecewiseLinearFn:
         """The values at ascending points ts of [0, 1] (repeats allowed), in
         one walk along the knots: the same Fractions as [self(t) for t in ts].
         At one of its own knots the stored value is returned; inside a piece
-        it is __call__'s interpolation. The points are not checked: every
-        caller passes knots of functions on [0, 1], or values already
-        checked to lie there."""
-        bps, vals = self.breakpoints, self.values
+        the interpolation runs on integers and is normalized once. The points
+        are not checked: every caller passes knots of functions on [0, 1],
+        or values already checked to lie there."""
+        bps, vals = _ints(self.breakpoints), _ints(self.values)
         last = len(bps) - 1
         out = []
         i = 0
         for t in ts:
-            while i < last and bps[i + 1] <= t:
+            x, y = t.numerator, t.denominator
+            while i < last and bps[i + 1][0] * y <= x * bps[i + 1][1]:
                 i += 1
-            a = bps[i]
-            if t == a:
-                out.append(vals[i])
+            if bps[i] == (x, y):
+                out.append(self.values[i])
             else:
-                va, vb = vals[i], vals[i + 1]
-                out.append(va + (vb - va) * (t - a) / (bps[i + 1] - a))
+                out.append(Fraction(*_lerp(bps[i], bps[i + 1], vals[i], vals[i + 1],
+                                           x, y)))
         return out
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
@@ -264,7 +284,9 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     meeting there move (they leave it sorted by slope), and only their
     values v_a + slope·(t − a) are formed. A branch gets a knot only where
     the slope it follows changes: the canonical knots. Each entry's values
-    at the base knots are read in one walk along it.
+    at the base knots are read in one walk along it. Each base interval
+    scales its entries' end values to one common denominator, so all the
+    keys, values and slopes above are integers.
     """
     entries = [(f, int(m)) for f, m in entries if m != 0]
     if not entries:
@@ -276,32 +298,41 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     base = sorted(set().union(*[f.breakpoints for f in fns]))
     base_vals = list(zip(*[f._values_at(base) for f in fns]))
     # per piece between cuts: its left cut, the values there (at an inner
-    # cut, of the entries meeting there), the slopes and the entry order
+    # cut, of the entries meeting there) and the slopes, each as integer
+    # numerators over one denominator, and the entry order
     pieces = []
     order = range(len(fns))
     for a, b, va, vb in zip(base, base[1:], base_vals, base_vals[1:]):
-        width = b - a
-        slope = [(y - x) / width for x, y in zip(va, vb)]
-        order = sorted(order, key=lambda e: (va[e], vb[e], e))
-        pieces.append((a, va, slope, order))
-        meets: dict[Fraction, set[int]] = {}
+        den = math.lcm(*(v.denominator for v in va + vb))
+        A = [v.numerator * (den // v.denominator) for v in va]
+        B = [v.numerator * (den // v.denominator) for v in vb]
+        (an, ad), (bn, bd) = _ints((a, b))
+        wn, wd = bn * ad - an * bd, ad * bd
+        slope, slope_den = [(y - x) * wd for x, y in zip(A, B)], den * wn
+        order = sorted(order, key=lambda e: (A[e], B[e], e))
+        pieces.append((a, A, den, slope, slope_den, order))
+        meets: dict[tuple[int, int], set[int]] = {}
         seen_v, seen_e = [], []
         for j in order:
-            pos = bisect_right(seen_v, vb[j])
+            pos = bisect_right(seen_v, B[j])
             for i in seen_e[pos:]:
-                d = va[j] - va[i]
-                t = a + width * d / (d + vb[i] - vb[j])
-                meets.setdefault(t, set()).update((i, j))
-            seen_v.insert(pos, vb[j])
+                # i and j meet at a + (b - a)·p/q, the key p/q in lowest terms
+                p = A[j] - A[i]
+                q = p + B[i] - B[j]
+                g = math.gcd(p, q)
+                meets.setdefault((p // g, q // g), set()).update((i, j))
+            seen_v.insert(pos, B[j])
             seen_e.insert(pos, j)
-        for t in sorted(meets):
-            # the entries meeting at t hold adjacent places in the order
-            row = {e: va[e] + slope[e] * (t - a) for e in meets[t]}
+        for t, p, q in sorted((Fraction(an * wd * q + wn * p * ad, ad * wd * q), p, q)
+                              for p, q in meets):
+            # the entries meeting at t hold adjacent places in the order;
+            # their values there are row[e] / (den·q)
+            row = {e: A[e] * (q - p) + B[e] * p for e in meets[p, q]}
             order = order.copy()
-            for p, e in zip(sorted(map(order.index, row)),
+            for k, e in zip(sorted(map(order.index, row)),
                             sorted(row, key=lambda e: (row[e], slope[e], e))):
-                order[p] = e
-            pieces.append((t, row, slope, order))
+                order[k] = e
+            pieces.append((t, row, den * q, slope, slope_den, order))
     cums = [list(accumulate(map(mults.__getitem__, order), initial=0))
             for *_, order in pieces]
     total = cums[0][-1]
@@ -311,8 +342,8 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
     out: list[tuple[PiecewiseLinearFn, int]] = []
     for lo, hi in zip(rank_cuts, rank_cuts[1:]):
         knots, values = [], []
-        e = s = None
-        for (t, row, slope, order), cum in zip(pieces, cums):
+        e = s = s_den = None
+        for (t, row, den, slope, slope_den, order), cum in zip(pieces, cums):
             # the order-part containing ranks (lo, hi]
             part = bisect_right(cum, lo) - 1
             if not (cum[part] <= lo and hi <= cum[part + 1]):
@@ -321,10 +352,12 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
             if prev is not None and prev != e and row[prev] != row[e]:
                 # continuity of the k-th lowest across the cut
                 raise AssertionError("sorted branch discontinuity")
-            if prev is None or (slope[e] is not s and slope[e] != s):
+            # within one base interval the slopes share their denominator
+            if prev is None or (slope[e] != s if slope_den is s_den
+                                else slope[e] * s_den != s * slope_den):
                 knots.append(t)
-                values.append(row[e])
-            s = slope[e]
+                values.append(Fraction(row[e], den))
+            s, s_den = slope[e], slope_den
         knots.append(base[-1])
         values.append(base_vals[-1][e])
         out.append((PiecewiseLinearFn(tuple(knots), tuple(values)), hi - lo))
@@ -340,17 +373,32 @@ class EigenvalueListField:
     """Ordered exact branch functions h_1 <= ... <= h_k.
 
     Construction checks the order: two piecewise-linear functions compare
-    pointwise iff they compare at every knot of either, so each adjacent
-    pair is read at the union of its knots (`_aligned`, one walk per
-    function) and a pair out of order there is rejected.
+    pointwise iff they compare at every knot of either, so each knot of one
+    branch of an adjacent pair is compared with the other's piece there
+    (`_against`, on integers) and a pair out of order there is rejected.
     """
 
     exact: tuple[PiecewiseLinearFn, ...]
 
     def __post_init__(self):
-        for lo, hi in zip(self.exact, self.exact[1:]):
-            if any(b < a for a, b in zip(*lo._aligned(hi)[1:])):
+        knots = [(_ints(h.breakpoints), _ints(h.values)) for h in self.exact]
+        for lo, hi in zip(knots, knots[1:]):
+            if not (all(a <= b for a, b in _against(lo, hi))
+                    and all(a <= b for b, a in _against(hi, lo))):
                 raise ValueError("branches must be pointwise sorted")
+
+
+def _against(f, g):
+    """f's value and g's at each knot of f, as integer numerators over one
+    positive denominator; f and g are their knots' and values' `_ints`."""
+    (fb, fv), (gb, gv) = f, g
+    last = len(gb) - 2
+    i = 0
+    for (x, y), (vn, vd) in zip(fb, fv):
+        while i < last and gb[i + 1][0] * y <= x * gb[i + 1][1]:
+            i += 1
+        n, d = _lerp(gb[i], gb[i + 1], gv[i], gv[i + 1], x, y)
+        yield vn * d, n * vd
 
 
 def symbolic_element(entries: Iterable[tuple[PiecewiseLinearFn, int]]

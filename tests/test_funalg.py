@@ -54,6 +54,16 @@ def plfs(draw, lo=-2, hi=2):
     return PLF(tuple(bps), tuple(vals))
 
 
+@st.composite
+def huge_grid_plfs(draw):
+    """Knots on the 1/12 grid, values with numerators up to 10**30."""
+    interior = draw(st.lists(st.integers(1, 11).map(lambda n: F(n, 12)),
+                             unique=True, max_size=6))
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    return PLF(tuple(bps), tuple(F(draw(st.integers(-10 ** 30, 10 ** 30)),
+                                   draw(st.integers(1, 10 ** 6))) for _ in bps))
+
+
 # ---------------------------------------------------------------------------
 # PiecewiseLinearFn basics
 # ---------------------------------------------------------------------------
@@ -65,6 +75,9 @@ def test_plf_validation():
         PLF((F(0), F(1, 2)), (F(0), F(0)))
     with pytest.raises(ValueError):
         PLF((F(0), F(1, 2), F(1, 2), F(1)), (F(0), F(0), F(0), F(0)))
+    # knots that fall back by 10**-30
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLF((F(0), F(1, 2), F(1, 2) - F(1, 10 ** 30), F(1)), (F(0), F(0), F(0), F(0)))
     with pytest.raises(TypeError):
         PLF((0.0, 1.0), (0, 0))
 
@@ -119,11 +132,21 @@ def cross_product_canonical(bps, vals):
     return tuple(out_b + [bps[-1]]), tuple(out_v + [vals[-1]])
 
 
+def fraction_canonical(bps, vals):
+    """The canonical pass as it was on Fractions, before it compared
+    cross-multiplied numerators, kept as the oracle: each piece's slope is
+    formed once, and a knot goes when its two pieces have one slope."""
+    slopes = [(y - x) / (b - a) for a, b, x, y in zip(bps, bps[1:], vals, vals[1:])]
+    keep = [0, *(i for i in range(1, len(bps) - 1) if slopes[i - 1] != slopes[i]),
+            len(bps) - 1]
+    return tuple(bps[i] for i in keep), tuple(vals[i] for i in keep)
+
+
 @given(st.lists(st.integers(1, 11).map(lambda n: F(n, 12)), unique=True, max_size=9),
        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=3),
-       st.data())
+       huge_grid_plfs(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_plf_canonical_knots_match_the_cross_product_pass(interior, lines, data):
+def test_plf_canonical_knots_match_the_cross_product_pass(interior, lines, huge, data):
     # each knot's value lies on one of a few lines, so runs of collinear
     # knots, and knots where two lines meet, are common
     bps = [F(0)] + sorted(interior) + [F(1)]
@@ -131,8 +154,18 @@ def test_plf_canonical_knots_match_the_cross_product_pass(interior, lines, data)
     for t in bps:
         a, s = data.draw(st.sampled_from(lines))
         vals.append(F(a, 6) + F(s, 6) * t)
-    f = PLF(tuple(bps), tuple(vals))
-    assert (f.breakpoints, f.values) == cross_product_canonical(bps, vals)
+    # and a function with numerators up to 10**30, given with a collinear
+    # knot in the middle of each piece, one of them raised by 10**-30
+    hb, hv = [F(0)], [huge.values[0]]
+    for a, b, x, y in zip(huge.breakpoints, huge.breakpoints[1:],
+                          huge.values, huge.values[1:]):
+        hb += [(a + b) / 2, b]
+        hv += [(x + y) / 2, y]
+    hv[2 * data.draw(st.integers(0, len(huge.breakpoints) - 2)) + 1] += F(1, 10 ** 30)
+    for bps, vals in ((bps, vals), (hb, hv)):
+        f = PLF(tuple(bps), tuple(vals))
+        assert ((f.breakpoints, f.values) == cross_product_canonical(bps, vals)
+                == fraction_canonical(bps, vals))
 
 
 @given(plfs(), plfs(), unit_interior)
@@ -202,14 +235,21 @@ def test_plf_compose_evaluates_only_at_inner_knots(monkeypatch):
     assert calls == []
 
 
-@st.composite
-def huge_grid_plfs(draw):
-    """Knots on the 1/12 grid, values with numerators up to 10**30."""
-    interior = draw(st.lists(st.integers(1, 11).map(lambda n: F(n, 12)),
-                             unique=True, max_size=6))
-    bps = [F(0)] + sorted(interior) + [F(1)]
-    return PLF(tuple(bps), tuple(F(draw(st.integers(-10 ** 30, 10 ** 30)),
-                                   draw(st.integers(1, 10 ** 6))) for _ in bps))
+def fraction_values_at(f, ts):
+    """_values_at as it was on Fractions, before the interpolation ran on
+    integers, kept as the oracle."""
+    bps, vals = f.breakpoints, f.values
+    out, i = [], 0
+    for t in ts:
+        while i < len(bps) - 1 and bps[i + 1] <= t:
+            i += 1
+        a = bps[i]
+        if t == a:
+            out.append(vals[i])
+        else:
+            va, vb = vals[i], vals[i + 1]
+            out.append(va + (vb - va) * (t - a) / (bps[i + 1] - a))
+    return out
 
 
 @given(huge_grid_plfs(), st.data())
@@ -226,7 +266,7 @@ def test_values_at_matches_pointwise_calls(f, data):
     some = data.draw(st.lists(st.sampled_from(pts), max_size=6))
     for ts in (sorted(pts), sorted(some)):
         got = f._values_at(ts)
-        assert got == [f(t) for t in ts]
+        assert got == [f(t) for t in ts] == fraction_values_at(f, ts)
         assert all(type(v) is F for v in got)
     # a knot reads the stored value itself
     assert all(v is s for v, s in zip(f._values_at(knots), f.values))
@@ -619,9 +659,38 @@ PENCIL_AND_VEE = [(f, 1) for f in PENCIL] + [
     (PLF.from_pairs([(0, 1), (F(1, 2), 0), (1, F(3, 2))]), 2), (PENCIL[0], 10 ** 30)]
 
 
+def _huge_family():
+    """Seeded: values with numerators up to 10**30 over denominators up to
+    10**6, so the common denominator of a base interval changes from one
+    interval to the next; with three lines through one huge point, a copy,
+    a copy raised by 10**-30, and one touching another at a knot."""
+    r = random.Random(20261019)
+    grid = [F(k, 12) for k in range(13)]
+
+    def value():
+        return F(r.randint(-10 ** 30, 10 ** 30), r.randint(1, 10 ** 6))
+
+    fns = []
+    for _ in range(6):
+        bps = [F(0)] + sorted(r.sample(grid[1:-1], r.randint(0, 3))) + [F(1)]
+        fns.append(PLF(tuple(bps), tuple(value() for _ in bps)))
+    t0, v0 = F(5, 12), value()
+    fns += [PLF.from_pairs([(0, v0 - s * t0), (1, v0 + s * (1 - t0))])
+            for s in (value(), value(), value())]
+    f = fns[0]
+    fns += [PLF(f.breakpoints, f.values), f + F(1, 10 ** 30),
+            f + PLF.from_pairs([(0, 1), (F(1, 2), 0), (1, F(1, 3))])]
+    r.shuffle(fns)
+    return [(g, r.choice([1, 2, 10 ** 30])) for g in fns]
+
+
+HUGE_FAMILY = _huge_family()
+
+
 @given(merge_families())
 @example(TWENTY_FOUR_LINES)
 @example(PENCIL_AND_VEE)
+@example(HUGE_FAMILY)
 @settings(max_examples=100, deadline=None)
 def test_merge_matches_pairwise_oracle(family):
     assert merge_sorted_branches(family) == pairwise_merge_sorted_branches(family)
@@ -673,12 +742,21 @@ def test_eigenvalue_list_field_validation():
 
 
 def test_eigenvalue_list_field_of_a_merged_family_makes_no_call(monkeypatch):
-    merged = merge_sorted_branches(TWENTY_FOUR_LINES)
+    merged = [f for f, _ in merge_sorted_branches(TWENTY_FOUR_LINES)]
+    # a pair of adjacent branches that meet at a knot of the upper one, with
+    # the upper lowered there by 10**-30
+    lo, hi, k = next((lo, hi, k) for lo, hi in zip(merged, merged[1:])
+                     for k, (t, v) in enumerate(zip(hi.breakpoints, hi.values))
+                     if 0 < t < 1 and lo(t) == v)
+    lowered = PLF(hi.breakpoints,
+                  hi.values[:k] + (hi.values[k] - F(1, 10 ** 30),) + hi.values[k + 1:])
     calls, walks = count_evaluations(monkeypatch)
-    EigenvalueListField(exact=tuple(f for f, _ in merged))
-    assert calls == []
-    # two walks per adjacent pair of branches
-    assert len(walks) == 2 * (len(merged) - 1)
+    EigenvalueListField(exact=tuple(merged))
+    for pair in ((TENT, PLF.constant(F(1, 2))), (lo, lowered)):
+        with pytest.raises(ValueError, match="pointwise sorted"):
+            EigenvalueListField(exact=pair)
+    # the check reads stored knots and values only: no call and no walk
+    assert calls == [] and walks == []
 
 
 def pointwise_aligned(f, g):
@@ -691,14 +769,16 @@ def pointwise_aligned(f, g):
 TENT = PLF((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
 
 
-@given(grid_plfs(), grid_plfs())
-@example(TENT, PLF.constant(F(1, 2)))
-@example(PLF.affine(1), PLF.affine(1))
+@given(grid_plfs(), grid_plfs(), huge_grid_plfs())
+@example(TENT, PLF.constant(F(1, 2)), PLF.constant(10 ** 30))
+@example(PLF.affine(1), PLF.affine(1), PLF.affine(F(10 ** 30 + 1, 7)))
 @settings(max_examples=300, deadline=None)
-def test_eigenvalue_list_field_agrees_with_the_pointwise_oracle(f, g):
+def test_eigenvalue_list_field_agrees_with_the_pointwise_oracle(f, g, h):
     # grid_plfs put knots on the 1/12 grid and values in sixths, so a pair
-    # often touches or crosses exactly at a knot of one of them
-    for lo, hi in ((f, g), (g, f), (f, g + F(1, 6)), (g, f + F(1, 6))):
+    # often touches or crosses exactly at a knot of one of them; adding h,
+    # with numerators up to 10**30, keeps that order at huge values
+    for lo, hi in ((f, g), (g, f), (f, g + F(1, 6)), (g, f + F(1, 6)),
+                   (h + f, h + g), (h + g, h + f)):
         bps, va, vb = pointwise_aligned(lo, hi)
         assert lo._aligned(hi) == (bps, va, vb)
         sorted_ = all(a <= b for a, b in zip(va, vb))
