@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterator
 
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -92,8 +92,8 @@ def initial_stage() -> TowerStage:
 
 
 # ---------------------------------------------------------------------------
-# Prime search: trial division or a sieve by the primes below 2^16, exact
-# below 2^32, then Baillie-PSW above it (Baillie & Wagstaff 1980; Pomerance,
+# Prime search: a window sieve by the primes below 2^16, exact below 2^32,
+# then Baillie-PSW above it (Baillie & Wagstaff 1980; Pomerance,
 # Selfridge & Wagstaff 1980). No composite is known to pass BPSW.
 # ---------------------------------------------------------------------------
 
@@ -168,21 +168,15 @@ def _bpsw(n: int) -> bool:
     return False
 
 
-def _isprime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
-    return n < _TRIAL_EXACT or _bpsw(n)
-
-
 def _window_primes(lo: int, width: int) -> Iterator[int]:
-    """The primes in [lo, lo + width), in order. The window is sieved by
-    small primes (a small prime itself is never struck, so every struck
-    number has a proper factor), and the survivors are tested."""
+    """The primes in [lo, lo + width), in order; lo must be at least 2
+    (below it the sieve would pass 1 and strike 2 and 3), and a width <= 0
+    gives none. The window is sieved by small primes (a small prime itself
+    is never struck, so every struck number has a proper factor), and the
+    survivors are tested."""
+    if lo < 2:
+        raise ValueError(f"a prime window must start at 2 or above, not {lo}")
+    width = max(width, 0)
     sieve = bytearray([1]) * width  # sieve[i] stands for lo + i
     top = lo + width - 1
     # A survivor below 2^32 is taken as prime, so a window starting there
@@ -206,23 +200,20 @@ def _window_primes(lo: int, width: int) -> Iterator[int]:
             if c < _TRIAL_EXACT or _bpsw(c))
 
 
-def _nextprime(n: int) -> int:
-    """The least prime above n, searched window by window."""
-    if n < 2:
-        return 2
+def _primes_above(n: int) -> Iterator[int]:
+    """The primes above n, in order, searched window by window."""
     width = max(256, 4 * n.bit_length())
-    lo = n + 1
-    while (c := next(_window_primes(lo, width), None)) is None:
+    lo = max(n + 1, 2)
+    while True:
+        yield from _window_primes(lo, width)
         lo += width
-    return c
 
 
 def next_stage(s: TowerStage) -> TowerStage:
     """The successor stage: k0, k1 are the first two primes above 2*d, the
     sizes multiply, and r0 (r1) is the residue of k = k0*k1 in (0, q'] with
     q' | k - r0 (respectively in (0, p'] with p' | k - r1)."""
-    k0 = _nextprime(2 * s.d)
-    k1 = _nextprime(k0)
+    k0, k1 = islice(_primes_above(2 * s.d), 2)
     p_next = k0 * s.p
     q_next = k1 * s.q
     k = k0 * k1
@@ -260,26 +251,18 @@ def _stage(index: int) -> TowerStage:
 
 
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
-    """Exact invariant checks for one tower step; raises on violation. Once
-    k0 and k1 are prime, the gaps (2d, k0) and (k0, k1) are sieved by the
-    small primes and only their survivors are tested: neither holds a
-    prime, so k0 itself is tested once."""
+    """Exact invariant checks for one tower step; raises on violation
+    (d = p*q and gcd(p, q) = 1 hold for every TowerStage). The primes in
+    (2d, k1] must be exactly k0 and k1: one window sieve, independent of
+    the search, tests each survivor in it once, and stops at a third."""
     if cur.index != prev.index + 1:
         raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1
-    if not (_isprime(k0) and _isprime(k1)):
-        raise AssertionError("transition factors must be prime")
-    if not (k0 > 2 * prev.d and k1 > 2 * prev.d and k0 < k1):
-        raise AssertionError("need the first two primes above 2d")
-    if (any(_window_primes(2 * prev.d + 1, k0 - 2 * prev.d - 1))
-            or any(_window_primes(k0 + 1, k1 - k0 - 1))):
+    window = _window_primes(2 * prev.d + 1, k1 - 2 * prev.d)
+    if list(islice(window, 3)) != [k0, k1]:
         raise AssertionError("k0, k1 are not the first two primes above 2d")
     if cur.p != k0 * prev.p or cur.q != k1 * prev.q:
         raise AssertionError("sizes must multiply by the prime factors")
-    if cur.d != cur.p * cur.q:
-        raise AssertionError("d = p*q violated")
-    if math.gcd(cur.p, cur.q) != 1:
-        raise AssertionError("stage sizes must be coprime")
     k = k0 * k1
     if not (0 < r0 <= cur.q and (k - r0) % cur.q == 0):
         raise AssertionError("r0 residue law violated")

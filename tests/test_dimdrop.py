@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,8 @@ from cellab.dimdrop import (
     DimDropAlgebra,
     TowerStage,
     _bpsw,
-    _isprime,
-    _nextprime,
+    _primes_above,
+    _window_primes,
     boundary_check,
     connecting_patterns,
     dichotomy_modular_count,
@@ -133,19 +135,51 @@ def _stage_from(prev: TowerStage, k0: int, k1: int) -> TowerStage:
                       r0=k % q or q, r1=k % p or p)
 
 
+def _next_prime(n: int) -> int:
+    return next(_primes_above(n))
+
+
 def test_validate_stage_step_rejects_composite_k0():
     prev, cur = tower(4)[2:4]
     assert _stage_from(prev, cur.k0, cur.k1) == cur
     # no factor below 2^16, so only the BPSW stage can reject it
-    a = _nextprime(math.isqrt(2 * prev.d))
-    bad = _stage_from(prev, a * _nextprime(a), cur.k1)
-    with pytest.raises(AssertionError, match="must be prime"):
+    a = _next_prime(math.isqrt(2 * prev.d))
+    bad = _stage_from(prev, a * _next_prime(a), cur.k1)
+    with pytest.raises(AssertionError, match="first two primes"):
         validate_stage_step(prev, bad)
 
 
 def test_validate_stage_step_rejects_skipped_prime_k1():
     prev, cur = tower(4)[2:4]
-    bad = _stage_from(prev, cur.k0, _nextprime(cur.k1))
+    bad = _stage_from(prev, cur.k0, _next_prime(cur.k1))
+    with pytest.raises(AssertionError, match="first two primes"):
+        validate_stage_step(prev, bad)
+
+
+def test_validate_stage_step_stops_at_a_third_prime(monkeypatch):
+    # k1 a million above 2d: the proof window stops BPSW at its third prime,
+    # so a far k1 is refused at once and never tested itself
+    prev, cur = tower(4)[2:4]
+    bad = dataclasses.replace(cur, k1=_next_prime(2 * prev.d + 10 ** 6))
+    tested = []
+    bpsw = dimdrop._bpsw
+    monkeypatch.setattr(dimdrop, "_bpsw", lambda n: tested.append(n) or bpsw(n))
+    with pytest.raises(AssertionError, match="first two primes"):
+        validate_stage_step(prev, bad)
+    assert max(tested) < cur.k1 + 10 ** 4 < bad.k1
+
+
+@pytest.mark.parametrize("k0, k1", [
+    (13, 12),  # k1 <= 2d = 12: the proof window (12, k1] is empty
+    (13, 11),  # ... or of negative width
+    (13, 13),  # k0 == k1: the window (12, 13] holds one prime
+    (17, 13),  # swapped
+])
+def test_validate_stage_step_refuses_misordered_factors(k0, k1):
+    # only the factors change; the sizes stay those of the true stage 2, as
+    # TowerStage refuses k0 == k1 with multiplied sizes (gcd(p, q) = k0)
+    prev = initial_stage()
+    bad = dataclasses.replace(next_stage(prev), k0=k0, k1=k1)
     with pytest.raises(AssertionError, match="first two primes"):
         validate_stage_step(prev, bad)
 
@@ -154,9 +188,9 @@ def test_validate_stage_step_refuses_a_search_that_skips_a_prime(monkeypatch):
     # a window sieve that also strikes a small prime p itself skips 13 above
     # 12 and gives stage 2 as (17, 19); the validator must not trust the
     # search. next_stage is called directly, so no faulty stage is cached.
-    search = dimdrop._nextprime
-    monkeypatch.setattr(dimdrop, "_nextprime",
-                        lambda n: search(13) if search(n) == 13 else search(n))
+    search = dimdrop._primes_above
+    monkeypatch.setattr(dimdrop, "_primes_above",
+                        lambda n: (c for c in search(n) if c != 13))
     prev = initial_stage()
     bad = next_stage(prev)
     assert (bad.k0, bad.k1) == (17, 19)
@@ -165,17 +199,27 @@ def test_validate_stage_step_refuses_a_search_that_skips_a_prime(monkeypatch):
 
 
 def test_validate_stage_step_runs_bpsw_once_on_k0(monkeypatch):
-    # k0 passes _isprime's BPSW; the gap sieve must not test it again
-    stages = tower(6)
+    # the proof window BPSW-tests each survivor in (2d, k1] once, k0 and k1
+    # included: exactly the numbers the search tested to find them. The
+    # per-step counts are those of the two-window check this one replaced.
+    stages = tower(7)
     tested = []
     bpsw = dimdrop._bpsw
     monkeypatch.setattr(dimdrop, "_bpsw", lambda n: tested.append(n) or bpsw(n))
+    counts = []
     for prev, cur in zip(stages[2:], stages[3:]):
         assert cur.k0 > 1 << 32
         tested.clear()
         validate_stage_step(prev, cur)
         assert tested.count(cur.k0) == 1
         assert tested.count(cur.k1) == 1
+        assert len(tested) == len(set(tested))
+        counts.append(len(tested))
+        validated = tested[:]
+        tested.clear()
+        assert next_stage(prev) == cur
+        assert tested == validated
+    assert counts == [5, 15, 21, 93]
 
 
 @pytest.fixture
@@ -226,37 +270,57 @@ STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
 CARMICHAEL = (561, 1105, 1729)
 
 
+def _is_prime(n: int) -> bool:
+    """n >= 2 decided by a one-number window."""
+    return list(_window_primes(n, 1)) == [n]
+
+
 @pytest.mark.parametrize("n", STRONG_BASE2_PSEUDOPRIMES
                          + STRONG_LUCAS_PSEUDOPRIMES + CARMICHAEL)
 def test_pseudoprimes_are_composite(n):
-    assert not _isprime(n)
+    assert not _is_prime(n)
+    assert n not in _window_primes(n - 100, 201)
     # each half of BPSW rejects the other half's pseudoprimes
     assert not _bpsw(n)
 
 
 @pytest.mark.parametrize("e", (521, 607, 1279))
 def test_mersenne_primes(e):
-    assert _isprime(2 ** e - 1)
-    assert not _isprime(2 ** e + 1)
+    assert _is_prime(2 ** e - 1)
+    assert not _is_prime(2 ** e + 1)
+    assert _next_prime(2 ** e - 2) == 2 ** e - 1
 
 
 def test_prime_search_small_values():
-    assert [n for n in range(30) if _isprime(n)] == [2, 3, 5, 7, 11, 13, 17,
-                                                      19, 23, 29]
-    assert [_nextprime(n) for n in (-5, 0, 1, 2, 3, 65520, 65521)] == [
+    assert list(_window_primes(2, 28)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [n for n in range(2, 30) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [_next_prime(n) for n in (-5, 0, 1, 2, 3, 65520, 65521)] == [
         2, 2, 2, 3, 5, 65521, 65537]
-    assert _nextprime(2 ** 32 - 6) == 2 ** 32 - 5
-    assert _nextprime(2 ** 32 - 5) == 2 ** 32 + 15
+    assert list(islice(_primes_above(-5), 4)) == [2, 3, 5, 7]
+    assert _next_prime(2 ** 32 - 6) == 2 ** 32 - 5
+    assert _next_prime(2 ** 32 - 5) == 2 ** 32 + 15
+
+
+@pytest.mark.parametrize("lo", (-5, 0, 1))
+def test_prime_window_refuses_a_start_below_two(lo):
+    # a window from 0 would pass 1 and strike 2 and 3 as multiples
+    with pytest.raises(ValueError, match="start at 2"):
+        _window_primes(lo, 20)
 
 
 def test_prime_search_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    assert [_isprime(n) for n in range(10 ** 5)] == [
-        sympy.isprime(n) for n in range(10 ** 5)]
+    assert [_is_prime(n) for n in range(2, 10 ** 5)] == [
+        sympy.isprime(n) for n in range(2, 10 ** 5)]
+    assert list(_window_primes(2, 10 ** 5 - 2)) == list(sympy.primerange(10 ** 5))
+    # one search runs on across its windows of 256
+    above = list(islice(_primes_above(10 ** 12), 100))
+    assert above == list(sympy.primerange(10 ** 12, above[-1] + 1))
     rng = random.Random(20260418)
     for _ in range(2000):
         n = rng.randrange(10 ** rng.randint(1, 60))
-        assert _nextprime(n) == sympy.nextprime(n), n
+        assert _next_prime(n) == sympy.nextprime(n), n
 
 
 def test_import_cli_does_not_load_sympy():
