@@ -139,12 +139,18 @@ def _next_prime(n: int) -> int:
     return next(_primes_above(n))
 
 
-def test_validate_stage_step_rejects_composite_k0():
+def test_validate_stage_step_rejects_composite_k0(monkeypatch):
     prev, cur = tower(4)[2:4]
     assert _stage_from(prev, cur.k0, cur.k1) == cur
-    # no factor below 2^16, so only the BPSW stage can reject it
-    a = _next_prime(math.isqrt(2 * prev.d))
-    bad = _stage_from(prev, a * _next_prime(a), cur.k1)
+    # k0, k1 = the first two numbers above 2d that survive the window's
+    # sieve, both composite: with every survivor passed, the proof window
+    # (2d, k1] yields exactly these two, so only BPSW can reject them
+    with monkeypatch.context() as m:
+        m.setattr(dimdrop, "_bpsw", lambda n: True)
+        k0, k1 = islice(_primes_above(2 * prev.d), 2)
+    assert k1 < cur.k0
+    assert not _trial_division_prime(k0) and not _trial_division_prime(k1)
+    bad = _stage_from(prev, k0, k1)
     with pytest.raises(AssertionError, match="first two primes"):
         validate_stage_step(prev, bad)
 
@@ -158,7 +164,7 @@ def test_validate_stage_step_rejects_skipped_prime_k1():
 
 def test_validate_stage_step_stops_at_a_third_prime(monkeypatch):
     # k1 a million above 2d: the proof window stops BPSW at its third prime,
-    # so a far k1 is refused at once and never tested itself
+    # so a far k1 is never tested itself (the sieve still spans (2d, k1])
     prev, cur = tower(4)[2:4]
     bad = dataclasses.replace(cur, k1=_next_prime(2 * prev.d + 10 ** 6))
     tested = []
