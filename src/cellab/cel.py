@@ -3,8 +3,8 @@ lower bounds, the constructive determinant-1 upper-bound path, and the
 principal-log geodesic oracle.
 
 The exact formulas (the scalar min-max formula, the ordered-log lower bound
-and CelBound) live in funalg, which needs no numpy; they are imported here
-under their old names. This module and numerics are the sampled layer, and
+and CelBound) live in funalg, which needs no numpy; this module imports from
+it only what it uses. This module and numerics are the sampled layer, and
 the only two that import numpy at load time.
 
 Sampled angle data is in radians (the exact formulas hold coefficients of
@@ -21,15 +21,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CommutatorError, FlavorError, SpectralCollisionError
-from .funalg import (  # noqa: F401  (re-exported: the exact formulas)
-    CelBound,
-    _check_window,
-    _max_over_branches,
-    _minmax_over_shifts,
-    cel_lower_ordered_log,
-    scalar_cel,
-    scalar_cel_certificate,
-)
+from .funalg import CelBound, _max_over_branches
+# perfbench reads and traces the ordered-log bound as cel.cel_lower_ordered_log
+from .funalg import cel_lower_ordered_log  # noqa: F401
 from .numerics import (
     TWO_PI,
     SampledMatrixField,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,17 +47,26 @@ class RunConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
+        # a bool is an int to Python, but never a count or a tolerance here
+        for name in ("grid_size", "seed", "jobs", "dense_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_size < MIN_GRID:
             raise ValueError(f"grid_size must be >= {MIN_GRID}, got {self.grid_size}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, value in dataclasses.asdict(self.tolerances).items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise ValueError(
+                    f"tolerance {name} must be a positive finite number, got {value!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict) or not isinstance(raw.get("tolerances", {}), dict):
+            raise ValueError("a config and its tolerances must be JSON objects")
         tol_raw = raw.pop("tolerances", {})
         tol = dataclasses.replace(DEFAULT_TOLERANCES, **tol_raw)
         return cls(tolerances=tol, **raw)

@@ -6,7 +6,9 @@ lower bound, with the CelBound they report in).
 
 Exact values are fractions.Fraction (the hot kernels compare cross-multiplied
 numerators and build one only for a value they keep), so every witness bound
-downstream evaluates with zero grid error. The layer imports numpy only
+downstream evaluates with zero grid error. A function is read at many points
+in one integer walk along its knots (`_walk`), and several functions at the
+union of their knots by `_union_values`. The layer imports numpy only
 where it takes sampled input, inside PiecewiseLinearFn.sample and the array
 branch of scalar_cel_certificate, so the exact commands never load it.
 """
@@ -17,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainRangeError, UnsupportedPaddingError, WindowError
@@ -51,6 +53,19 @@ def _lerp(a, b, p, q, x: int, y: int) -> tuple[int, int]:
     w = bn * ad - an * bd
     return (pn * qd * y * w + (qn * pd - pn * qd) * (x * ad - an * y) * bd,
             pd * qd * y * w)
+
+
+def _walk(knots, values, points):
+    """One walk along a function's knots and values (`_ints` pairs) at the
+    ascending points (x, y) of [0, 1]: per point, the index i of its piece
+    (knots[i] <= x/y), and None at knots[i] itself, else the unreduced `_lerp`."""
+    last = len(knots) - 1
+    i = 0
+    for x, y in points:
+        while i < last and knots[i + 1][0] * y <= x * knots[i + 1][1]:
+            i += 1
+        yield i, (None if knots[i] == (x, y) else
+                  _lerp(knots[i], knots[i + 1], values[i], values[i + 1], x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -127,33 +142,20 @@ class PiecewiseLinearFn:
         if t < 0 or t > 1:
             raise DomainRangeError(f"argument {t} outside [0,1]")
         i = bisect_right(self.breakpoints, t) - 1
-        if i == len(self.breakpoints) - 1:
-            return self.values[-1]
-        a, b = self.breakpoints[i], self.breakpoints[i + 1]
-        va, vb = self.values[i], self.values[i + 1]
-        return va + (vb - va) * (t - a) / (b - a)
+        if self.breakpoints[i] == t:
+            return self.values[i]
+        return Fraction(*_lerp(*_ints(self.breakpoints[i:i + 2] + self.values[i:i + 2]),
+                               t.numerator, t.denominator))
 
     def _values_at(self, ts: Sequence[Fraction]) -> list[Fraction]:
-        """The values at ascending points ts of [0, 1] (repeats allowed), in
-        one walk along the knots: the same Fractions as [self(t) for t in ts].
-        At one of its own knots the stored value is returned; inside a piece
-        the interpolation runs on integers and is normalized once. The points
-        are not checked: every caller passes knots of functions on [0, 1],
-        or values already checked to lie there."""
-        bps, vals = _ints(self.breakpoints), _ints(self.values)
-        last = len(bps) - 1
-        out = []
-        i = 0
-        for t in ts:
-            x, y = t.numerator, t.denominator
-            while i < last and bps[i + 1][0] * y <= x * bps[i + 1][1]:
-                i += 1
-            if bps[i] == (x, y):
-                out.append(self.values[i])
-            else:
-                out.append(Fraction(*_lerp(bps[i], bps[i + 1], vals[i], vals[i + 1],
-                                           x, y)))
-        return out
+        """The values at ascending points ts of [0, 1] (repeats allowed), read
+        in one `_walk`: the same Fractions as [self(t) for t in ts], a knot's
+        being the stored value itself. The points are not checked: every
+        caller passes knots of functions on [0, 1], or values already checked
+        to lie there."""
+        vals = self.values
+        return [vals[i] if v is None else Fraction(*v)
+                for i, v in _walk(_ints(self.breakpoints), _ints(vals), _ints(ts))]
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """Float evaluation on a float grid (np.interp is exactly piecewise
@@ -184,23 +186,15 @@ class PiecewiseLinearFn:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _aligned(self, other: "PiecewiseLinearFn"):
-        """The union of both functions' knots, ascending, and each
-        function's values there, read in one walk per function. The union
-        merges the two ascending knot runs (sorted finds them) and drops
-        repeats, with no hashing."""
-        bps = [t for t, _ in groupby(sorted(self.breakpoints + other.breakpoints))]
-        return bps, self._values_at(bps), other._values_at(bps)
-
     def __add__(self, other):
         if isinstance(other, PiecewiseLinearFn):
-            bps, va, vb = self._aligned(other)
+            bps, (va, vb) = _union_values((self, other))
             return PiecewiseLinearFn(tuple(bps), tuple(a + b for a, b in zip(va, vb)))
         return self + PiecewiseLinearFn.constant(other)
 
     def __sub__(self, other):
         if isinstance(other, PiecewiseLinearFn):
-            bps, va, vb = self._aligned(other)
+            bps, (va, vb) = _union_values((self, other))
             return PiecewiseLinearFn(tuple(bps), tuple(a - b for a, b in zip(va, vb)))
         return self + PiecewiseLinearFn.constant(-as_fraction(other))
 
@@ -214,27 +208,27 @@ class PiecewiseLinearFn:
     # -- composition ----------------------------------------------------------
 
     def compose(self, g: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        """self o g: self is evaluated once at each knot of g (g's values,
-        sorted once, are read in one walk along self), and a knot x of self
-        strictly inside g's range on a piece (a, b) pulls back to the t in
-        (a, b) with g(t) = x, where self's stored value at x is read."""
+        """self o g in one ordered pass along g's pieces: a piece (a, b) gives
+        its left knot, valued self(g(a)) (one call per knot of g), then each
+        knot x of self strictly between g(a) and g(b), valued as stored at the
+        t in (a, b) with g(t) = x (x descends on a falling piece, so t rises)."""
         lo, hi = g.range()
         if lo < 0 or hi > 1:
             raise DomainRangeError(
                 f"inner function range [{lo},{hi}] leaves the domain [0,1]")
-        xs = sorted(g.values)
-        at = dict(zip(xs, self._values_at(xs)))
-        pts = {t: at[v] for t, v in zip(g.breakpoints, g.values)}
+        knots, vals = [], []
         for a, b, ga, gb in zip(g.breakpoints, g.breakpoints[1:],
                                 g.values, g.values[1:]):
-            if ga == gb:
-                continue
+            knots.append(a)
+            vals.append(self(ga))
             i = bisect_right(self.breakpoints, min(ga, gb))
             j = bisect_left(self.breakpoints, max(ga, gb))
-            for x, v in zip(self.breakpoints[i:j], self.values[i:j]):
-                pts[a + (x - ga) * (b - a) / (gb - ga)] = v
-        bps = tuple(sorted(pts))
-        return PiecewiseLinearFn(bps, tuple(pts[t] for t in bps))
+            for k in (range(i, j) if ga < gb else range(j - 1, i - 1, -1)):
+                knots.append(a + (self.breakpoints[k] - ga) * (b - a) / (gb - ga))
+                vals.append(self.values[k])
+        knots.append(g.breakpoints[-1])
+        vals.append(self(g.values[-1]))
+        return PiecewiseLinearFn(tuple(knots), tuple(vals))
 
     def __repr__(self):
         pts = ", ".join(f"({b},{v})" for b, v in zip(self.breakpoints, self.values))
@@ -261,6 +255,13 @@ class PiecewiseLinearFn:
 
 
 ZERO_FN = PiecewiseLinearFn.constant(0)
+
+
+def _union_values(fns) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The ascending union of the functions' knots, and each function's
+    values there, read in one walk along it."""
+    knots = sorted(set().union(*[f.breakpoints for f in fns]))
+    return knots, [f._values_at(knots) for f in fns]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +296,8 @@ def merge_sorted_branches(entries: Sequence[tuple[PiecewiseLinearFn, int]]
         raise ValueError("multiplicities must be positive")
     fns = [f for f, _ in entries]
     mults = [m for _, m in entries]
-    base = sorted(set().union(*[f.breakpoints for f in fns]))
-    base_vals = list(zip(*[f._values_at(base) for f in fns]))
+    base, cols = _union_values(fns)
+    base_vals = list(zip(*cols))
     # per piece between cuts: its left cut, the values there (at an inner
     # cut, of the entries meeting there) and the slopes, each as integer
     # numerators over one denominator, and the entry order
@@ -391,13 +392,9 @@ class EigenvalueListField:
 def _against(f, g):
     """f's value and g's at each knot of f, as integer numerators over one
     positive denominator; f and g are their knots' and values' `_ints`."""
-    (fb, fv), (gb, gv) = f, g
-    last = len(gb) - 2
-    i = 0
-    for (x, y), (vn, vd) in zip(fb, fv):
-        while i < last and gb[i + 1][0] * y <= x * gb[i + 1][1]:
-            i += 1
-        n, d = _lerp(gb[i], gb[i + 1], gv[i], gv[i + 1], x, y)
+    (fb, fv), (_, gv) = f, g
+    for (vn, vd), (i, at) in zip(fv, _walk(*g, fb)):
+        n, d = gv[i] if at is None else at
         yield vn * d, n * vd
 
 
@@ -442,9 +439,8 @@ class SymbolicElement:
     def weighted_sum(self) -> PiecewiseLinearFn:
         """sum over entries of multiplicity * branch (exact), evaluated
         once at the union of the entries' knots, one walk per entry."""
-        knots = sorted(set(ZERO_FN.breakpoints).union(
-            *[f.breakpoints for f, _ in self.entries]))
-        cols = [[m * v for v in f._values_at(knots)] for f, m in self.entries]
+        knots, cols = _union_values([f for f, _ in self.entries])
+        cols = [[m * v for v in col] for (_, m), col in zip(self.entries, cols)]
         return PiecewiseLinearFn(tuple(knots), tuple(map(sum, zip(*cols))))
 
     def padded(self, extra: int) -> "SymbolicElement":

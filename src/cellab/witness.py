@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_DENSE_LIMIT, DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
 from .dimdrop import (
     TowerStage,
     boundary_check,
@@ -132,6 +132,15 @@ def _ordered_log_pi(blocks: list[tuple[PiecewiseLinearFn, int]]
     return bound.lower_pi, bound.certificate
 
 
+def _two_level(q: int, r: int = 0) -> tuple[PiecewiseLinearFn, PiecewiseLinearFn]:
+    """The two-level branches in h-units: the top (q-1)(t + 2^r - 1)/(q 2^r),
+    -(q-1) times the bottom -(t + 2^r - 1)/(q 2^r); at r = 0, (q-1)t/q and
+    -t/q."""
+    den = q << r
+    low = PiecewiseLinearFn.affine(Fraction(-1, den), Fraction(1 - (1 << r), den))
+    return low.scale(1 - q), low
+
+
 # ---------------------------------------------------------------------------
 # Finite-matrix witness
 # ---------------------------------------------------------------------------
@@ -158,8 +167,7 @@ class PanWangWitness:
 def pan_wang_witness(k: int) -> PanWangWitness:
     if k < 2:
         raise ValueError("k must be at least 2")
-    top = PiecewiseLinearFn.affine(Fraction(k - 1, k))
-    low = PiecewiseLinearFn.affine(Fraction(-1, k))
+    top, low = _two_level(k)
     branches = (top,) + (low,) * (k - 1)
     return PanWangWitness(k=k, branches=branches,
                           element=symbolic_element([(top, 1), (low, k - 1)]))
@@ -235,14 +243,12 @@ def chi_witness(L: int, x: SymbolicElement, c, d, *, pad: int = 0
 def stage_witness_element(stage: TowerStage) -> SymbolicElement:
     """Stage-m witness branches: (q-1)t/q with multiplicity p, -t/q with
     multiplicity d - p."""
-    q, p, d = stage.q, stage.p, stage.d
-    top = PiecewiseLinearFn.affine(Fraction(q - 1, q))
-    low = PiecewiseLinearFn.affine(Fraction(-1, q))
-    return symbolic_element([(top, p), (low, d - p)])
+    top, low = _two_level(stage.q)
+    return symbolic_element([(top, stage.p), (low, stage.d - stage.p)])
 
 
 def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
-                              *, dense_limit: int = 64,
+                              *, dense_limit: int = DEFAULT_DENSE_LIMIT,
                               tol: Tolerances = DEFAULT_TOLERANCES
                               ) -> SampledMatrixField:
     """Dense diagonal realization of the stage witness (for oracle
@@ -258,21 +264,6 @@ def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
     lows = np.tile(-TWO_PI / q * ts[:, None], (1, d - p))
     return SampledMatrixField.diagonal_unitary(
         np.concatenate([tops, lows], axis=1), tol=tol)
-
-
-def _mu_top(q: int, r: int) -> PiecewiseLinearFn:
-    """(q-1)(t + 2^r - 1) / (q 2^r) in h-units."""
-    den = q * (1 << r)
-    return PiecewiseLinearFn.from_pairs(
-        [(0, Fraction((q - 1) * ((1 << r) - 1), den)),
-         (1, Fraction(q - 1, q))])
-
-
-def _mu_bottom(q: int, r: int) -> PiecewiseLinearFn:
-    """-(t + 2^r - 1) / (q 2^r) in h-units."""
-    den = q * (1 << r)
-    return PiecewiseLinearFn.from_pairs(
-        [(0, Fraction(-((1 << r) - 1), den)), (1, Fraction(-1, q))])
 
 
 def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
@@ -297,7 +288,7 @@ def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:
     blocks = pushed.sorted_branches()
     top_fn, top_mult = blocks[-1]
     bottom_fn, _ = blocks[0]
-    mu_top, mu_bottom = _mu_top(q, r), _mu_bottom(q, r)
+    mu_top, mu_bottom = _two_level(q, r)
     prod_r1 = math.prod(stages[j].r1 for j in range(m, n))
     prod_k = math.prod(stages[j].k for j in range(m, n))
     # window envelope: branches below the top group stay within [-1/q, 1/q]

@@ -19,14 +19,18 @@ from cellab.cel import (
     cel_lower_ordered_log,
     cu_upper_bound_path,
     geodesic_upper_bound,
-    scalar_cel,
-    scalar_cel_certificate,
     winding_pass_slack,
 )
 from cellab.config import DEFAULT_TOLERANCES, Tolerances
 from cellab.dimdrop import tower
 from cellab.errors import CommutatorError, SpectralCollisionError, WindowError
-from cellab.funalg import EigenvalueListField, PiecewiseLinearFn
+from cellab.funalg import (
+    EigenvalueListField,
+    PiecewiseLinearFn,
+    _minmax_over_shifts,
+    scalar_cel,
+    scalar_cel_certificate,
+)
 from cellab.numerics import (
     SampledMatrixField,
     circular_gaps,
@@ -86,7 +90,6 @@ def test_scalar_cel_shift_invariance_exact():
 
 def test_scalar_cel_k_range_sufficiency(rng):
     # enlarging the scanned shift window never changes the result
-    from cellab.cel import _minmax_over_shifts
     for _ in range(50):
         vals = sorted(rng.uniform(-20, 20, 2))
         m, M = float(vals[0]), float(vals[1])
@@ -189,6 +192,37 @@ def test_conjugated_witnesses_keep_their_exact_values(seed):
         assert exact - eps <= b.lower <= exact + eps
         assert b.upper >= exact - eps
         assert b.lower <= b.upper + 1e-6
+
+
+def gapped_det1_branches(rng, n):
+    """n exact branches h_j (h-units) of a gapped determinant-1 diagonal
+    field: centres j/n - (n-1)/(2n), each with its own perturbation of at
+    most 1/(4n^2) on knots of the 1/64 grid, less their mean. The mean moves
+    every branch alike, so two branches stay at least 1/n - 1/(2n^2) apart
+    mod 1, and the branches sum to 0 exactly."""
+    deltas = [random_plf(rng, n_knots=int(rng.integers(2, 7)), lo=-1, hi=1)
+              .scale(F(1, 4 * n * n)) for _ in range(n)]
+    mean = sum(deltas[1:], deltas[0]).scale(F(1, n))
+    return [d - mean + (F(j, n) - F(n - 1, 2 * n)) for j, d in enumerate(deltas)]
+
+
+def test_gapped_fields_certify_their_exact_value():
+    # the exact layer as an oracle for the sampled one: diag(e^{2 pi i h_j})
+    # with no two branches meeting mod 1 has the exact value
+    # max_j scalar_cel(2 h_j) pi, and grid 2049 samples every 1/64 knot
+    rng = np.random.default_rng(1901)
+    ts = np.linspace(0.0, 1.0, 2049)
+    for case in range(24):
+        hs = gapped_det1_branches(rng, int(rng.integers(2, 8)))
+        assert sum(hs[1:], hs[0]) == PLF.constant(0)
+        exact = float(max(scalar_cel(h.scale(2)) for h in hs)) * PI
+        u = SampledMatrixField.diagonal_unitary(
+            np.stack([2 * PI * h.sample(ts) for h in hs], axis=1))
+        for field in (u, conjugated_field(u, 1901 + case)):
+            b = bound_sandwich(field)
+            assert abs(b.lower - exact) <= b.epsilon_report + 1e-12, (case, b)
+            # and no path is shorter than the exact value
+            assert b.upper >= exact - 1e-12, (case, b)
 
 
 def test_lower_distinct_refuses_interior_winding_pass():

@@ -36,7 +36,7 @@ def test_scalar_cel_sampled_sine_matches_exact_refinement(capsys):
     value = float(out.split()[0])
     ts = np.linspace(0, 1, 2561)
     fine = np.pi * np.sin(np.pi * ts)
-    from cellab.cel import scalar_cel
+    from cellab.funalg import scalar_cel
     assert abs(value - scalar_cel(fine)) < 1e-6
 
 
@@ -269,3 +269,17 @@ def test_bad_config_exit2(tmp_path, capsys):
                            "--stages", "1")
     assert code == 2
     assert "bad config" in err
+    # a value of the wrong type is refused up front, before any work: a
+    # count must be an int, a tolerance a positive finite number (a bool is
+    # neither), and the config and its tolerances JSON objects
+    for bad in ({"grid_size": "129"}, {"grid_size": 129.5}, {"seed": True},
+                {"jobs": "2"}, {"dense_limit": "x"}, {"dense_limit": 2.5},
+                {"tolerances": {"gap_tol": "x"}}, {"tolerances": {"gap_tol": True}},
+                {"tolerances": {"tie_tol": float("nan")}},
+                {"tolerances": {"eps_jitter": float("inf")}},
+                [129], {"tolerances": 1e-8}):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "witness",
+                                 "pan-wang", "--k", "3")
+        assert (code, out) == (2, ""), bad
+        assert "bad config" in err, bad

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,6 +23,7 @@ from cellab.errors import DomainRangeError, UnsupportedPaddingError
 from cellab.funalg import (
     EigenvalueListField,
     PiecewiseLinearFn,
+    _union_values,
     chi_family,
     compose_spectral,
     merge_sorted_branches,
@@ -227,12 +228,43 @@ def test_plf_compose_evaluates_only_at_inner_knots(monkeypatch):
                                  (1, F(1, 10))]))]
     calls, walks = count_evaluations(monkeypatch)
     for outer, g in cases:
-        walks.clear()
+        calls.clear()
         outer.compose(g)
-        # one walk along the outer function, at g's sorted knot values
-        assert walks == [(outer, sorted(g.values))]
-        assert len(walks[0][1]) == len(g.breakpoints)
-    assert calls == []
+        # one call per knot of g, at its values in the order of its knots
+        assert calls == list(g.values)
+        assert len(calls) == len(g.breakpoints)
+    # and no walk: the pulled-back knots read the outer's stored values
+    assert walks == []
+
+
+def sorting_compose(f, g):
+    """compose as it was before its one ordered pass along g, kept as the
+    oracle: f read at g's sorted values, two Fraction-keyed dicts and a
+    final sort of the knots."""
+    xs = sorted(g.values)
+    at = dict(zip(xs, fraction_values_at(f, xs)))
+    pts = {t: at[v] for t, v in zip(g.breakpoints, g.values)}
+    for a, b, ga, gb in zip(g.breakpoints, g.breakpoints[1:],
+                            g.values, g.values[1:]):
+        if ga == gb:
+            continue
+        i = bisect_right(f.breakpoints, min(ga, gb))
+        j = bisect_left(f.breakpoints, max(ga, gb))
+        for x, v in zip(f.breakpoints[i:j], f.values[i:j]):
+            pts[a + (x - ga) * (b - a) / (gb - ga)] = v
+    bps = tuple(sorted(pts))
+    return PLF(bps, tuple(pts[t] for t in bps))
+
+
+@given(huge_grid_plfs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_plf_compose_matches_the_sorting_oracle(f, data):
+    # g has constant, rising and falling pieces, with values often on f's
+    # knots; f's values have numerators up to 10**30
+    g = data.draw(inner_plfs(f))
+    h = f.compose(g)
+    assert h == sorting_compose(f, g)
+    assert all(type(v) is F for v in h.values)
 
 
 def fraction_values_at(f, ts):
@@ -760,8 +792,9 @@ def test_eigenvalue_list_field_of_a_merged_family_makes_no_call(monkeypatch):
 
 
 def pointwise_aligned(f, g):
-    """_aligned as it was before the one-walk kernel, kept as the oracle:
-    both functions evaluated through __call__ at each knot of either."""
+    """The knot union of two functions and their values there as read before
+    the one-walk kernel, kept as the oracle: both functions evaluated
+    through __call__ at each knot of either."""
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
     return bps, [f(t) for t in bps], [g(t) for t in bps]
 
@@ -780,7 +813,7 @@ def test_eigenvalue_list_field_agrees_with_the_pointwise_oracle(f, g, h):
     for lo, hi in ((f, g), (g, f), (f, g + F(1, 6)), (g, f + F(1, 6)),
                    (h + f, h + g), (h + g, h + f)):
         bps, va, vb = pointwise_aligned(lo, hi)
-        assert lo._aligned(hi) == (bps, va, vb)
+        assert _union_values((lo, hi)) == (bps, [va, vb])
         sorted_ = all(a <= b for a, b in zip(va, vb))
         if sorted_:
             EigenvalueListField(exact=(lo, hi))

@@ -38,5 +38,5 @@ def test_every_public_name_resolves():
     assert sorted(cellab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(cellab, name) is not None
-    assert cellab.scalar_cel is cellab.cel.scalar_cel
+    assert cellab.scalar_cel is cellab.funalg.scalar_cel
     assert cellab.cel.cel_lower_ordered_log is cellab.funalg.cel_lower_ordered_log
