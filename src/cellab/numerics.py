@@ -47,41 +47,17 @@ _SWEEP_TOL = 1e-14  # Jacobi stop: largest off-diagonal entry / Frobenius norm
 _MAX_SWEEPS = 60
 
 
-def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
-    """Eigendecomposition of hermitian matrices by cyclic Jacobi rotations.
-
-    a: (..., n, n) complex hermitian. Returns (w, v) with w ascending along
-    the last axis and v unitary, A v[..., :, j] = w[..., j] v[..., :, j];
-    (w, None) when compute_v is False. Rotations are applied to the whole
-    batch at once, so fields of matrices cost one sweep loop, not one per
-    grid point. The batch is held last, as (n, n, batch), so a rotated row
-    or column is one contiguous (n, batch) block. Eigenvector columns carry
-    a deterministic phase (largest entry real positive).
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise ValueError("matrices must be square")
-    batch_shape = a.shape[:-2]
-    A = a.reshape(-1, n, n)
-    A = (A + adjoint(A)) / 2.0
-    nb = A.shape[0]
-
-    if n == 1:
-        w = A[:, 0, 0].real.reshape(*batch_shape, 1)
-        if compute_v:
-            return w, np.ones((*batch_shape, 1, 1), dtype=np.complex128)
-        return w, None
-
-    # summed batch-first, in the order of the contiguous (n, n) blocks
-    scale = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
-    thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
-    offdiag_mask = ~np.eye(n, dtype=bool)
-    A = np.ascontiguousarray(A.transpose(1, 2, 0))
-    V = np.eye(n, dtype=np.complex128)[:, :, None].repeat(nb, 2) if compute_v else None
-
+def _sweep(A: np.ndarray, V: np.ndarray | None, thr: np.ndarray) -> None:
+    """Cyclic Jacobi sweeps on A (n, n, batch) in place, until every matrix's
+    largest off-diagonal |a_pq| is at most thr; V accumulates the rotations
+    unless it is None. The row and column views die with the call."""
+    n = A.shape[0]
     for _ in range(_MAX_SWEEPS):
-        off = np.max(np.abs(A[offdiag_mask]), axis=0)
+        # largest off-diagonal |a_pq| per matrix (a max is exact, diagonal 0)
+        mags = np.abs(A)
+        mags[range(n), range(n)] = 0.0
+        off = np.max(mags, axis=(0, 1))
+        del mags
         if np.all(off <= thr):
             break
         for p in range(n - 1):
@@ -107,15 +83,53 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
                 A[:, p], A[:, q] = c * colp - spc * colq, sp * colp + c * colq
                 rowp, rowq = A[p], A[q]
                 A[p], A[q] = c * rowp - sp * rowq, spc * rowp + c * rowq
-                if compute_v:
+                if V is not None:
                     vp, vq = V[:, p], V[:, q]
                     V[:, p], V[:, q] = c * vp - spc * vq, sp * vp + c * vq
     else:
         raise ArithmeticError("jacobi_eigh failed to converge")
 
+
+def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
+    """Eigendecomposition of hermitian matrices by cyclic Jacobi rotations.
+
+    a: (..., n, n) complex hermitian. Returns (w, v) with w ascending along
+    the last axis and v unitary, A v[..., :, j] = w[..., j] v[..., :, j];
+    (w, None) when compute_v is False. Rotations are applied to the whole
+    batch at once, so fields of matrices cost one sweep loop, not one per
+    grid point. The batch is held last, as (n, n, batch), so a rotated row
+    or column is one contiguous (n, batch) block. Eigenvector columns carry
+    a deterministic phase (largest entry real positive).
+
+    Peak working set, at a sweep's stop test: A's batch-last copy, V and
+    |A| besides the input (2.5 times its bytes).
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError("matrices must be square")
+    batch_shape = a.shape[:-2]
+    A = a.reshape(-1, n, n)
+    A = (A + adjoint(A)) / 2.0
+    nb = A.shape[0]
+
+    if n == 1:
+        w = A[:, 0, 0].real.reshape(*batch_shape, 1)
+        if compute_v:
+            return w, np.ones((*batch_shape, 1, 1), dtype=np.complex128)
+        return w, None
+
+    # summed batch-first, in the order of the contiguous (n, n) blocks
+    scale = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
+    thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
+    A = np.ascontiguousarray(A.transpose(1, 2, 0))
+    V = np.eye(n, dtype=np.complex128)[:, :, None].repeat(nb, 2) if compute_v else None
+    _sweep(A, V, thr)
+
     w = np.real(np.einsum("iib->bi", A))
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
+    del A
     if compute_v:
         V = np.take_along_axis(V.transpose(2, 0, 1), order[:, None, :], axis=2)
         # deterministic column phases
@@ -124,7 +138,7 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
         entries = np.take_along_axis(V, lead[:, None, :], axis=1)[:, 0, :]
         mod = np.abs(entries)
         ph = np.where(mod > 0, entries / np.where(mod > 0, mod, 1.0), 1.0)
-        V = V * np.conjugate(ph)[:, None, :]
+        np.multiply(V, np.conjugate(ph)[:, None, :], out=V)
         return w.reshape(*batch_shape, n), V.reshape(*batch_shape, n, n)
     return w.reshape(*batch_shape, n), None
 
@@ -154,15 +168,18 @@ def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
 
     Returns (lam, v, residual): lam (..., n) complex on the unit circle,
     v unitary columns, residual = max entry of |U v - v diag(lam)|.
+
+    Peak working set, at the cluster solve's stop test: v, the masked b and
+    that solve's A, V and |A| besides u (4.5 times u's bytes).
     """
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[-1]
     batch_shape = u.shape[:-2]
     U = u.reshape(-1, n, n)
     h1 = (U + adjoint(U)) / 2.0
-    h2 = (U - adjoint(U)) / 2.0j
     w1, v = jacobi_eigh(h1)
-    b = adjoint(v) @ h2 @ v
+    del h1
+    b = adjoint(v) @ ((U - adjoint(U)) / 2.0j) @ v  # H2 lives only in this product
     b = (b + adjoint(b)) / 2.0
     # zero b outside clusters of w1; jacobi then acts blockwise
     gaps = np.diff(w1, axis=1) > tol.cluster_tol
@@ -171,7 +188,9 @@ def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     mask = cluster_id[:, :, None] == cluster_id[:, None, :]
     b = np.where(mask, b, 0.0)
     _, wrot = jacobi_eigh(b)
+    del b
     v2 = v @ wrot
+    del v, wrot
     uv = U @ v2
     lam = np.sum(np.conjugate(v2) * uv, axis=1)
     residual = float(np.max(np.abs(uv - v2 * lam[:, None, :])))
@@ -196,6 +215,8 @@ class SampledMatrixField:
         samples = np.array(samples, dtype=np.complex128)
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValueError("samples must have shape (grid_size, n, n)")
+        if samples.shape[1] == 0:
+            raise ValueError(f"samples of shape {samples.shape} hold 0 x 0 matrices")
         if samples.shape[0] < 2:
             raise ValueError("need at least two grid points")
         if flavor not in FLAVORS:
@@ -367,12 +388,15 @@ def lift_angle_array(angles: np.ndarray, tie_tol: float
 
 def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
                 ) -> SampledMatrixField:
-    """Pointwise exp(iH(t)) of a selfadjoint field."""
+    """Pointwise exp(iH(t)) of a selfadjoint field. Peak working set, at
+    the result's unitarity check: the product, the field's copy of it, and
+    the check's A* and A*A (about 4 times h's bytes)."""
     if h.flavor != "selfadjoint":
         raise FlavorError("unitary_exp needs a selfadjoint field")
     w, v = jacobi_eigh(h.samples)
     phases = np.exp(1j * w)
     samples = np.einsum("bij,bj,bkj->bik", v, phases, np.conjugate(v))
+    del w, v
     return SampledMatrixField(samples, "unitary", tol=tol)
 
 
@@ -446,4 +470,5 @@ def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,
         if peak > max_log_norm:
             h *= max_log_norm / peak
     hf = SampledMatrixField(h, "selfadjoint", tol=tol)
+    del h
     return unitary_exp(hf, tol)

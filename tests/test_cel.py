@@ -225,6 +225,61 @@ def test_gapped_fields_certify_their_exact_value():
             assert b.upper >= exact - 1e-12, (case, b)
 
 
+def winding_det1_branches(rng, n):
+    """n >= 3 exact branches h_j (h-units) of a gapped determinant-1 diagonal
+    field whose branch 0 winds past 1/2. Branch 0 starts at a in
+    [13/32, 31/64] and rises by a drift d >= 0 with d(0) = 0 and max 1/4,
+    so its range has its midpoint above 1/2; the other n - 1 branches fall
+    by d/(n - 1), so the branches sum to a constant integer. Branch j >= 1
+    starts e_j below branch 0, e_j on the 1/64 grid, drawn again until every
+    pair stays at least 1/16 apart mod 1. (A det-1 pair cannot wind this
+    way: its two branches meet at -1 when one of them crosses 1/2.)"""
+    gap = F(1, 16)
+    bps = [0, *sorted(rng.choice(np.arange(1, 64), size=3, replace=False)), 64]
+    vals = [0, *rng.integers(0, 17, size=4)]
+    vals[int(rng.integers(1, 5))] = 16
+    d = PLF.from_pairs((F(int(t), 64), F(int(v), 64)) for t, v in zip(bps, vals))
+    a = F(int(rng.integers(26, 32)), 64)
+    # branch 0 gains n/(n - 1) * max d = n/(4(n - 1)) on every other branch
+    hi = 1 - gap - F(n, 4 * (n - 1))
+    while True:
+        e = [F(int(x), 64) for x in rng.integers(4, int(hi * 64) + 1, size=n - 2)]
+        e.append((n * a - sum(e)) % 1)
+        if gap <= e[-1] <= hi and all(abs(x - y) >= gap for i, x in enumerate(e)
+                                      for y in e[:i]):
+            return [d + a] + [d.scale(F(-1, n - 1)) + (a - x) for x in e]
+
+
+def test_winding_fields_certify_their_exact_value():
+    # a branch that winds past 1/2 from where the lift starts (its principal
+    # angle at t = 0) has least shift -1, so a shift solver stuck at 0
+    # reports too much; the expected value scans the shifts -3..3 itself.
+    # The branch crosses -1 between samples, where the geodesic upper of
+    # bound_sandwich is no path length (ROADMAP item 1), so the lower bound
+    # and the constructive path are checked on their own.
+    rng = np.random.default_rng(3801)
+    ts = np.linspace(0.0, 1.0, 2049)
+
+    def sup(h, c):
+        return max(abs(h.min_value() + c), abs(h.max_value() + c))
+
+    for case in range(12):
+        hs = winding_det1_branches(rng, int(rng.integers(3, 6)))
+        total = sum(hs[1:], hs[0])
+        assert total.is_constant() and total(0).denominator == 1
+        assert min(range(-3, 4), key=lambda c: sup(hs[0], c)) == -1
+        exact = float(max(min(sup(h, c) for c in range(-3, 4)) for h in hs)) * 2 * PI
+        u = SampledMatrixField.diagonal_unitary(
+            np.stack([2 * PI * h.sample(ts) for h in hs], axis=1))
+        for field in (u, conjugated_field(u, 3801 + case)):
+            b = cel_lower_distinct(field)
+            assert abs(b.lower - exact) <= b.epsilon_report + 1e-12, (case, b)
+            # and no path is shorter than the exact value
+            path = cu_upper_bound_path(field)
+            assert path.length >= exact - path.eps_report - 1e-12, (case, path.length)
+            assert path.endpoint_error < 1e-9, (case, path.endpoint_error)
+
+
 def test_lower_distinct_refuses_interior_winding_pass():
     ts = np.linspace(0, 1, 513)
     lam = 1.2 * PI * np.sin(PI * ts)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import (
     random_unitary,
 )
 
-from cellab.cel import geodesic_upper_bound
+from cellab.cel import bound_sandwich, geodesic_upper_bound
 from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import FlavorError, SpectralCollisionError
 from cellab.numerics import (
@@ -184,6 +185,38 @@ def test_field_flavor_validation():
                                    (4, 1, 1)), "selfadjoint")
     with pytest.raises(FlavorError):
         SampledMatrixField(np.tile(2 * np.eye(2), (4, 1, 1)), "unitary")
+    # 0 x 0 matrices are refused by shape, before any flavor check
+    for flavor in ("selfadjoint", "unitary", "general"):
+        with pytest.raises(ValueError, match=r"\(17, 0, 0\)"):
+            SampledMatrixField(np.zeros((17, 0, 0)), flavor)
+
+
+def _peak_bytes(fn):
+    """fn() and the most bytes it held at once beyond those held before the
+    call, as tracemalloc counts them (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_working_set_is_a_few_fields():
+    # the certify benchmark's det1-k8-44 field (k = 8, grid 2049, 2.1 MB):
+    # every full-size intermediate of the eigensolver, the normal
+    # decomposition and the exponential is freed after its last reader, so
+    # neither generating the field nor bounding it holds more than 6.5
+    # fields at once (7.6 and 9.4 fields while every one lived to return)
+    rng = np.random.default_rng(1709472040)
+    u, generate = _peak_bytes(lambda: random_unitary_field(
+        rng, 8, 2049, amplitude=0.96, det_one=True))
+    _, sandwich = _peak_bytes(lambda: bound_sandwich(u))
+    field = u.samples.nbytes
+    assert generate <= 6.5 * field, generate / field
+    assert sandwich <= 6.5 * field, sandwich / field
 
 
 def test_field_immutable():
