@@ -3,9 +3,10 @@ lower bounds, the constructive determinant-1 upper-bound path, and the
 principal-log geodesic oracle.
 
 The exact formulas (the scalar min-max formula, the ordered-log lower bound
-and CelBound) live in funalg, which needs no numpy; this module imports from
-it only what it uses. This module and numerics are the sampled layer, and
-the only two that import numpy at load time.
+and CelBound) and the one integer-shift solver live in funalg, which needs
+no numpy; this module imports from it only what it uses. This module and
+numerics are the sampled layer, and the only two that import numpy at load
+time.
 
 Sampled angle data is in radians (the exact formulas hold coefficients of
 pi). Every public result here is a certified bound, never a point value.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CommutatorError, FlavorError, SpectralCollisionError
-from .funalg import CelBound, _max_over_branches
+from .funalg import CelBound, _integer_shifts, _max_over_branches
 # perfbench reads and traces the ordered-log bound as cel.cel_lower_ordered_log
 from .funalg import cel_lower_ordered_log  # noqa: F401
 from .numerics import (
@@ -192,48 +193,13 @@ def _winding_pass(h: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
-def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
-                            ) -> np.ndarray:
-    """Integer shifts c_j with sum c = total minimizing max_j ||h_j + c_j||.
-
-    The achievable max-norms form a finite candidate set (one value per
-    branch and integer shift in a bounded window); feasibility of a cap M
-    reduces to per-branch shift intervals, so the optimum is found by a
-    scan and ties break toward the lexicographically smallest vector.
-    """
-    nb = mins.shape[0]
-    cands: set[float] = set()
-    for j in range(nb):
-        center = -(maxs[j] + mins[j]) / 2.0
-        for c in range(int(math.floor(center)) - 2, int(math.ceil(center)) + 3):
-            cands.add(max(maxs[j] + c, -(mins[j] + c)))
-    eps = 1e-12
-    for cap in sorted(cands):
-        lo = np.ceil(-cap - mins - eps).astype(np.int64)
-        hi = np.floor(cap - maxs + eps).astype(np.int64)
-        if np.all(lo <= hi) and lo.sum() <= total <= hi.sum():
-            break
-    else:
-        raise ArithmeticError("no feasible integer shift vector")
-    shifts = np.empty(nb, dtype=np.int64)
-    remaining = total
-    for j in range(nb):
-        tail_hi = hi[j + 1:].sum()
-        c = max(lo[j], remaining - tail_hi)
-        shifts[j] = c
-        remaining -= c
-    if remaining != 0:
-        raise AssertionError(f"shift vector misses its total by {remaining}")
-    return shifts
-
-
 def cu_upper_bound_path(u: SampledMatrixField, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> CuPathResult:
     """Constructive path from a determinant-1 unitary field to the identity.
 
     Lifts the (jittered, if necessary) eigenvalue branches, normalizes
-    their sum to zero by integer shifts chosen to minimize the largest
-    branch norm, and rotates each spectral projection home:
+    their sum to zero by the exact integer shifts (funalg) that minimize
+    the largest branch norm, and rotates each spectral projection home:
     v_s = sum_j e^{2 pi i (1-s) h_j} p_j. For a dim-k field the minimized
     branch norms stay below (k-1)/k (up to jitter slack), so the exact
     length 2 pi max_j ||h_j|| is at most 2 pi (k-1)/k + eps_report.
@@ -276,6 +242,8 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
     """The certified part of the constructive path, without building it:
     the winding-pass refusal, integer shifts and the (k-1)/k norm limit.
     Returns (max_norm, normalized branches h (n, grid), winding, eps_report).
+    The shifts c sum to -winding; the solver, whose shift k takes alpha to
+    alpha - k, gets the ranges of -h, as |h_j + c| = |(-h_j) - c|.
 
     _field_spectrum refused every branch-sum step of pi or more, so for a
     det-1 field the sum keeps its t = 0 winding (plus the tiny jitter
@@ -292,8 +260,9 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
         raise SpectralCollisionError(
             f"branches {i},{j} pass a winding level between grid indices {k}"
             f" and {k + 1}; constant shifts cannot confine them", t_index=k + 1)
-    shifts = _minimax_integer_shifts(h.min(axis=1), h.max(axis=1), -winding)
-    h_norm = h + shifts[:, None]
+    shifts = _integer_shifts((-h.max(axis=1)).tolist(),
+                             (-h.min(axis=1)).tolist(), 1, -winding)
+    h_norm = h + np.array(shifts)[:, None]
     max_norm = float(np.max(np.abs(h_norm)))
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
     limit = (n - 1) / n + eps_report / TWO_PI + 1e-9

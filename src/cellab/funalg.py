@@ -2,7 +2,8 @@
 functions, their exact sorted-branch merge, eigenvalue lists, spectral
 composition for block homomorphisms, and the exact exponential-length
 formulas read from them (the scalar min-max formula and the ordered-log
-lower bound, with the CelBound they report in).
+lower bound, with the CelBound they report in), with the one integer-shift
+solver that they and the sampled layer's bounds and path share.
 
 Exact values are fractions.Fraction (the hot kernels compare cross-multiplied
 numerators and build one only for a value they keep), so every witness bound
@@ -540,29 +541,55 @@ class CelBound:
 
 # Scalar formula: cel(e^{i alpha}) = min_k max_t |alpha(t) - 2k pi|
 
-def _minmax_over_shifts(m, M, two: Fraction | float):
-    """min over integers k of sup_t |alpha(t) - k*two|, where alpha has
-    range [m, M] and `two` represents one full turn in the working unit
-    (Fraction(2) for pi units, 2*pi for radians). The sup equals
-    max(M - k*two, k*two - m), which falls while k*two is below the range's
-    midpoint (m + M)/2 and rises after it. So the least minimizing k is
-    floor((m + M)/(2 two)) or the next integer; the scan covers one more
-    shift on each side, which absorbs float rounding of the midpoint, and
-    keeps the first (least) k on ties.
+def _integer_shifts(mins, maxs, two, total: int | None = None) -> list[int]:
+    """Integer shifts k_j for branches with ranges [mins[j], maxs[j]] in a
+    unit of which `two` is one turn (Fraction(2) for pi units, 2*pi for
+    radians, 1 for turns). Shift k moves a branch to alpha - k*two, of sup
+    norm max(M - k*two, k*two - m), least near the midpoint (m + M)/2.
+
+    With no total, each branch gets its least minimizing shift. With an
+    integer total, the shifts sum to it: the least cap on the largest norm
+    among the norms of each branch's shifts floor(mid) - 2 .. ceil(mid) + 2
+    (mid in turns), then the lexicographically smallest vector under it;
+    ArithmeticError if no cap admits one. Exact: each input (int, float or
+    Fraction) is read by as_integer_ratio, scaled to one common denominator
+    and compared as an integer; callers compute norms in their own arithmetic.
     """
-    def sup(k):
-        c = two * k
-        return max(M - c, c - m)  # == max(|M-c|, |m-c|) since m <= M
+    ratios = [x.as_integer_ratio() for x in (two, *mins, *maxs)]
+    d = math.lcm(*(q for _, q in ratios))
+    t, *ends = [p * (d // q) for p, q in ratios]
+    ranges = list(zip(ends[:len(mins)], ends[len(mins):]))
+    mids = [divmod(m + M, 2 * t) for m, M in ranges]  # floor(mid), 2t*frac(mid)
+    if total is None:
+        # floor(mid) + 1 has the smaller norm only past the half turn between
+        return [a + (r > t) for a, r in mids]
+    caps = sorted({max(M - k * t, k * t - m)
+                   for (m, M), (a, r) in zip(ranges, mids)
+                   for k in range(a - 2, a + (r > 0) + 3)})
+    for cap in caps:
+        least = [-((cap - M) // t) for _, M in ranges]
+        most = [(cap + m) // t for m, _ in ranges]
+        if (all(a <= b for a, b in zip(least, most))
+                and sum(least) <= total <= sum(most)):
+            break
+    else:
+        raise ArithmeticError("no feasible integer shift vector")
+    shifts, left, room = [], total, sum(most)
+    for a, b in zip(least, most):
+        room -= b
+        shifts.append(max(a, left - room))
+        left -= shifts[-1]
+    if left != 0:
+        raise AssertionError(f"shift vector misses its total by {left}")
+    return shifts
 
-    mid = math.floor((m + M) / (2 * two))
-    best_k = min(range(mid - 1, mid + 3), key=sup)  # the first of equal values
-    return sup(best_k), best_k
 
-
-def _max_over_branches(mins, maxs, two: Fraction | float):
-    """The scalar min-max of the branch with ranges [mins[j], maxs[j]] that
-    has the largest one: (first such branch j, its value, its shift)."""
-    per = [_minmax_over_shifts(lo, hi, two) for lo, hi in zip(mins, maxs)]
+def _max_over_branches(mins, maxs, two):
+    """The branch with ranges [mins[j], maxs[j]] of largest scalar min-max:
+    (first such j, its value max(M - k*two, k*two - m) in the inputs' own
+    arithmetic, its least minimizing shift k)."""
+    per = [(max(M - two * k, two * k - m), k)
+           for m, M, k in zip(mins, maxs, _integer_shifts(mins, maxs, two))]
     best_j = max(range(len(per)), key=lambda j: per[j][0])
     return best_j, *per[best_j]
 
@@ -581,14 +608,16 @@ def scalar_cel(alpha) -> Fraction | float:
 def scalar_cel_certificate(alpha):
     """scalar_cel plus the minimizing integer shift."""
     if isinstance(alpha, PiecewiseLinearFn):
-        return _minmax_over_shifts(alpha.min_value(), alpha.max_value(), Fraction(2))
+        return _max_over_branches(
+            [alpha.min_value()], [alpha.max_value()], Fraction(2))[1:]
     import numpy as np
     from .numerics import TWO_PI
 
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1:
         raise ValueError("sampled alpha must be one-dimensional")
-    return _minmax_over_shifts(float(arr.min()), float(arr.max()), TWO_PI)
+    return _max_over_branches(
+        [float(arr.min())], [float(arr.max())], TWO_PI)[1:]
 
 
 # Eigenvalue-list lower bound

@@ -212,7 +212,7 @@ class SampledMatrixField:
 
     def __init__(self, samples: np.ndarray, flavor: str = "general", *,
                  tol: Tolerances = DEFAULT_TOLERANCES):
-        samples = np.array(samples, dtype=np.complex128)
+        samples = np.array(samples, dtype=np.complex128, order="C")
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValueError("samples must have shape (grid_size, n, n)")
         if samples.shape[1] == 0:

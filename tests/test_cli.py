@@ -57,8 +57,8 @@ def test_scalar_cel_parse_failure_exit2(capsys, tmp_path):
 
 
 def test_scalar_cel_huge_amplitudes(capsys):
-    # the shift search looks at four shifts around the range's midpoint,
-    # however far from 0 the range lies
+    # the shift is read off the range's midpoint, however far from 0 the
+    # range lies
     code, out, _ = run_cli(capsys, "scalar-cel", '[[0,"1e300"],[1,0]]')
     assert (code, out) == (0, "5" + "0" * 299 + "·π\n")
     code, out, _ = run_cli(capsys, "scalar-cel", "sine:1e12")

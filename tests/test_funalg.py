@@ -23,6 +23,7 @@ from cellab.errors import DomainRangeError, UnsupportedPaddingError
 from cellab.funalg import (
     EigenvalueListField,
     PiecewiseLinearFn,
+    _integer_shifts,
     _union_values,
     chi_family,
     compose_spectral,
@@ -332,6 +333,69 @@ def test_plf_sample_matches_exact():
     fs = f.sample(ts)
     for t, v in zip(ts, fs):
         assert abs(v - float(f(F(t).limit_denominator(10 ** 9)))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# integer shifts: least minimizers per branch, or a least cap under a total
+# ---------------------------------------------------------------------------
+
+TAU = 2 * math.pi
+
+
+def brute_shifts(mins, maxs, two, total):
+    """The shift vector of _integer_shifts by exhaustive search of the box
+    [-4, 4]^n in exact arithmetic: per branch the least minimizer of
+    max(M - k*two, k*two - m); under a total, the vector of least largest
+    norm among those with that sum, the lexicographically smallest on ties."""
+    two, box = F(two), range(-4, 5)
+    norms = [{k: max(F(M) - k * two, k * two - F(m)) for k in box}
+             for m, M in zip(mins, maxs)]
+    if total is None:
+        return [min(box, key=norm.__getitem__) for norm in norms]
+    return list(min((v for v in itertools.product(box, repeat=len(norms))
+                     if sum(v) == total),
+                    key=lambda v: (max(map(dict.__getitem__, norms, v)), v)))
+
+
+@st.composite
+def shift_problems(draw):
+    """(mins, maxs, two, total): up to four ranges at most a turn wide
+    around midpoints within 5/4 turns of 0, so that every vector the solver
+    can return lies in brute_shifts' box. The ranges sit on a grid of
+    1/12 or 1/16 turn: Fractions in pi units, or floats in turns of 1.0 or
+    of the float 2*pi. A range whose midpoint lies half a turn between two
+    shifts, such as [0, 2] in pi units, ties. The total is None or within 1
+    of the rounded sum of the midpoints in turns (the det-1 path's
+    -winding, whose branches it negates)."""
+    n = draw(st.integers(1, 4))
+    two, q = draw(st.sampled_from([(F(2), 12), (1.0, 16), (TAU, 16)]))
+    mins, maxs, mid = [], [], F(0)
+    for _ in range(n):
+        c = draw(st.integers(-5 * q // 4, 5 * q // 4))
+        w = draw(st.integers(0, q // 2))
+        mid += F(c, q)
+        for ends, x in ((mins, c - w), (maxs, c + w)):
+            ends.append(F(x, q) * two if type(two) is F else x / q * two)
+    total = draw(st.none() | st.integers(-1, 1).map(lambda d: round(mid) + d))
+    return mins, maxs, two, total
+
+
+@given(shift_problems())
+@example(([F(0)], [F(2)], F(2), None))
+@example(([F(0), F(0)], [F(2), F(2)], F(2), 1))
+@example(([0.0, -0.25], [0.0, 0.25], 1.0, 1))
+@settings(max_examples=300, deadline=None)
+def test_integer_shifts_match_brute_force(problem):
+    mins, maxs, two, total = problem
+    shifts = _integer_shifts(mins, maxs, two, total)
+    assert all(type(k) is int for k in shifts)
+    assert shifts == brute_shifts(mins, maxs, two, total)
+
+
+def test_integer_shifts_refuse_an_unreachable_total():
+    # 8.5 turns beyond the sum of the midpoints: no candidate cap admits it
+    with pytest.raises(ArithmeticError, match="no feasible"):
+        _integer_shifts([F(0), F(0)], [F(1), F(1)], F(2), 9)
 
 
 # ---------------------------------------------------------------------------

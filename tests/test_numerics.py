@@ -16,6 +16,7 @@ from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import FlavorError, SpectralCollisionError
 from cellab.numerics import (
     SampledMatrixField,
+    adjoint,
     circular_gaps,
     cyclic_match,
     jacobi_eigh,
@@ -225,6 +226,16 @@ def test_field_immutable():
         f.flavor = "general"
     with pytest.raises(ValueError):
         f.samples[0, 0, 0] = 5
+
+
+def test_field_copies_any_memory_layout_to_c_order():
+    # adjoint(u.samples) keeps the transposed memory order of its swapaxes
+    # view; the field's copy is C-ordered, so the finiteness check can read
+    # it as pairs of float64
+    u = random_unitary_field(np.random.default_rng(3901), 3, 17)
+    v = SampledMatrixField(adjoint(u.samples), "unitary")
+    assert v.samples.flags.c_contiguous
+    assert np.array_equal(v.samples, np.conjugate(u.samples.transpose(0, 2, 1)))
 
 
 def test_sorted_eigenvalue_continuity(rng):

@@ -5,8 +5,11 @@ replaces.
 per grid point it matches the normalized branch values mod 1 against the
 jittered spectral angles by a cyclic shift and permutes the eigenvector
 columns to follow. `oracle_cu_path` is the constructive path built with
-it. `cu_upper_bound_path`, which reads the pairing from the lift, must give
-the same bytes: branches, eigenvectors, length, endpoint error and slack.
+it, and with `_minimax_integer_shifts`, the original float scan for the
+det-1 shifts (its ceil and floor widened by 1e-12), kept here verbatim.
+`cu_upper_bound_path`, which reads the pairing from the lift and its
+shifts from the exact solver, must give the same bytes: branches,
+eigenvectors, length, endpoint error and slack.
 """
 
 import math
@@ -16,11 +19,7 @@ import pytest
 
 from conftest import random_unitary
 
-from cellab.cel import (
-    _field_spectrum,
-    _minimax_integer_shifts,
-    cu_upper_bound_path,
-)
+from cellab.cel import _field_spectrum, cu_upper_bound_path
 from cellab.config import DEFAULT_TOLERANCES
 from cellab.numerics import (
     SampledMatrixField,
@@ -51,6 +50,41 @@ def pair_columns(vecs, angles, h):
     np.put_along_axis(perm, np.take_along_axis(tsort, slots, axis=1), hsort,
                       axis=1)
     return np.take_along_axis(vecs, perm[:, None, :], axis=2)
+
+
+def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
+                            ) -> np.ndarray:
+    """Integer shifts c_j with sum c = total minimizing max_j ||h_j + c_j||.
+
+    The achievable max-norms form a finite candidate set (one value per
+    branch and integer shift in a bounded window); feasibility of a cap M
+    reduces to per-branch shift intervals, so the optimum is found by a
+    scan and ties break toward the lexicographically smallest vector.
+    """
+    nb = mins.shape[0]
+    cands: set[float] = set()
+    for j in range(nb):
+        center = -(maxs[j] + mins[j]) / 2.0
+        for c in range(int(math.floor(center)) - 2, int(math.ceil(center)) + 3):
+            cands.add(max(maxs[j] + c, -(mins[j] + c)))
+    eps = 1e-12
+    for cap in sorted(cands):
+        lo = np.ceil(-cap - mins - eps).astype(np.int64)
+        hi = np.floor(cap - maxs + eps).astype(np.int64)
+        if np.all(lo <= hi) and lo.sum() <= total <= hi.sum():
+            break
+    else:
+        raise ArithmeticError("no feasible integer shift vector")
+    shifts = np.empty(nb, dtype=np.int64)
+    remaining = total
+    for j in range(nb):
+        tail_hi = hi[j + 1:].sum()
+        c = max(lo[j], remaining - tail_hi)
+        shifts[j] = c
+        remaining -= c
+    if remaining != 0:
+        raise AssertionError(f"shift vector misses its total by {remaining}")
+    return shifts
 
 
 def oracle_cu_path(u, tol=DEFAULT_TOLERANCES):
