@@ -126,11 +126,16 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+@functools.cache
 def _bpsw(n: int) -> bool:
     """Baillie-PSW probable-prime test for odd n > 2^16 (a prime equal to
     |D| would be refused): a strong Miller-Rabin test to base 2, then a
     strong Lucas test with P = 1, Q = (1 - D)/4 for the first D in 5, -7, 9,
-    -11, ... with Jacobi symbol (D/n) = -1 (Selfridge's method A)."""
+    -11, ... with Jacobi symbol (D/n) = -1 (Selfridge's method A).
+
+    A pure predicate of n, computed once per process: the search that finds
+    a stage's primes and the window that proves them ask for the same
+    survivors, and the second asks the memo."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     x = pow(2, (n - 1) >> s, n)
     if x != 1 and x != n - 1:
@@ -253,8 +258,10 @@ def _stage(index: int) -> TowerStage:
 def validate_stage_step(prev: TowerStage, cur: TowerStage) -> None:
     """Exact invariant checks for one tower step; raises on violation
     (d = p*q and gcd(p, q) = 1 hold for every TowerStage). The primes in
-    (2d, k1] must be exactly k0 and k1: one window sieve, independent of
-    the search, tests each survivor in it once, and stops at a third."""
+    (2d, k1] must be exactly k0 and k1: one window sieve of its own,
+    independent of the search, asks BPSW about each survivor in it once,
+    and stops at a third. The verdicts come from _bpsw's memo, so a step
+    validated in the process that searched for it costs no BPSW test."""
     if cur.index != prev.index + 1:
         raise AssertionError("stages are not consecutive")
     k0, k1, r0, r1 = cur.k0, cur.k1, cur.r0, cur.r1

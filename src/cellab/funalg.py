@@ -547,25 +547,29 @@ def _integer_shifts(mins, maxs, two, total: int | None = None) -> list[int]:
     radians, 1 for turns). Shift k moves a branch to alpha - k*two, of sup
     norm max(M - k*two, k*two - m), least near the midpoint (m + M)/2.
 
-    With no total, each branch gets its least minimizing shift. With an
-    integer total, the shifts sum to it: the least cap on the largest norm
-    among the norms of each branch's shifts floor(mid) - 2 .. ceil(mid) + 2
-    (mid in turns), then the lexicographically smallest vector under it;
-    ArithmeticError if no cap admits one. Exact: each input (int, float or
-    Fraction) is read by as_integer_ratio, scaled to one common denominator
-    and compared as an integer; callers compute norms in their own arithmetic.
+    With no total, each branch gets its least minimizing shift c. With an
+    integer total, the shifts sum to it: the least cap on the largest norm,
+    then the lexicographically smallest vector under it. That cap is the
+    norm of some branch's shift within |total - sum(c)| of its c (under it
+    every other branch reaches its own c), so any total is solved;
+    ArithmeticError for a nonzero total with no branches. Exact: each input
+    (int, float or Fraction) is read by as_integer_ratio, scaled to one
+    common denominator and compared as an integer; callers compute norms in
+    their own arithmetic.
     """
     ratios = [x.as_integer_ratio() for x in (two, *mins, *maxs)]
     d = math.lcm(*(q for _, q in ratios))
     t, *ends = [p * (d // q) for p, q in ratios]
     ranges = list(zip(ends[:len(mins)], ends[len(mins):]))
-    mids = [divmod(m + M, 2 * t) for m, M in ranges]  # floor(mid), 2t*frac(mid)
+    # floor(mid) + 1 has the smaller norm only past the half turn between
+    best = [a + (r > t) for a, r in (divmod(m + M, 2 * t) for m, M in ranges)]
     if total is None:
-        # floor(mid) + 1 has the smaller norm only past the half turn between
-        return [a + (r > t) for a, r in mids]
+        return best
+    delta = abs(total - sum(best))
+    # with no branches, cap 0 admits exactly the empty sum 0
     caps = sorted({max(M - k * t, k * t - m)
-                   for (m, M), (a, r) in zip(ranges, mids)
-                   for k in range(a - 2, a + (r > 0) + 3)})
+                   for (m, M), c in zip(ranges, best)
+                   for k in range(c - delta, c + delta + 1)} or {0})
     for cap in caps:
         least = [-((cap - M) // t) for _, M in ranges]
         most = [(cap + m) // t for m, _ in ranges]

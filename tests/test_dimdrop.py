@@ -228,6 +228,30 @@ def test_validate_stage_step_runs_bpsw_once_on_k0(monkeypatch):
     assert counts == [5, 15, 21, 93]
 
 
+def test_validation_after_a_build_computes_no_bpsw():
+    # the search and the proof window ask BPSW about the same survivors, so
+    # once tower(7) is built every verdict its validation needs is stored
+    stages = tower(7)
+    misses = dimdrop._bpsw.cache_info().misses
+    for prev, cur in zip(stages, stages[1:]):
+        validate_stage_step(prev, cur)
+    assert dimdrop._bpsw.cache_info().misses == misses
+
+
+def test_a_patched_bpsw_never_enters_the_memo(monkeypatch):
+    # the composite k0, k1 that a search passing every survivor finds (as in
+    # test_validate_stage_step_rejects_composite_k0) leave no verdict behind,
+    # so the proof still runs the true test on them
+    prev = tower(4)[2]
+    size = dimdrop._bpsw.cache_info().currsize
+    with monkeypatch.context() as m:
+        m.setattr(dimdrop, "_bpsw", lambda n: True)
+        k0, k1 = islice(_primes_above(2 * prev.d), 2)
+    assert dimdrop._bpsw.cache_info().currsize == size
+    with pytest.raises(AssertionError, match="first two primes"):
+        validate_stage_step(prev, _stage_from(prev, k0, k1))
+
+
 @pytest.fixture
 def counted_next_stage(monkeypatch):
     """Indices of the stages next_stage builds, from an empty stage cache."""

@@ -343,30 +343,47 @@ TAU = 2 * math.pi
 
 
 def brute_shifts(mins, maxs, two, total):
-    """The shift vector of _integer_shifts by exhaustive search of the box
-    [-4, 4]^n in exact arithmetic: per branch the least minimizer of
-    max(M - k*two, k*two - m); under a total, the vector of least largest
-    norm among those with that sum, the lexicographically smallest on ties."""
-    two, box = F(two), range(-4, 5)
-    norms = [{k: max(F(M) - k * two, k * two - F(m)) for k in box}
-             for m, M in zip(mins, maxs)]
+    """The shift vector of _integer_shifts by exhaustive search in exact
+    arithmetic of max(M - k*two, k*two - m). With no total, per branch the
+    least minimizer in [-4, 4]. Under a total, the vector of least largest
+    norm among those with that sum, the lexicographically smallest on ties:
+    a reference vector spreads the total evenly, and a vector that could
+    beat it has every branch norm at most the reference's largest norm N.
+    As |k*two - mid| is at most the norm of shift k, each of its shifts lies
+    within N of the branch's midpoint, and all such vectors are searched."""
+    two, n = F(two), len(mins)
+    ranges = [(F(m), F(M)) for m, M in zip(mins, maxs)]
+
+    def norm(j, k):
+        m, M = ranges[j]
+        return max(M - k * two, k * two - m)
+
     if total is None:
-        return [min(box, key=norm.__getitem__) for norm in norms]
-    return list(min((v for v in itertools.product(box, repeat=len(norms))
-                     if sum(v) == total),
-                    key=lambda v: (max(map(dict.__getitem__, norms, v)), v)))
+        return [min(range(-4, 5), key=lambda k: norm(j, k)) for j in range(n)]
+    q, rem = divmod(total, n)
+    cap = max(norm(j, q + (j < rem)) for j in range(n))
+    boxes = []
+    for m, M in ranges:
+        mid = (m + M) / 2
+        boxes.append(range(math.floor((mid - cap) / two),
+                           math.ceil((mid + cap) / two) + 1))
+    vectors = (v + (total - sum(v),)
+               for v in itertools.product(*boxes[:-1])
+               if total - sum(v) in boxes[-1])
+    return list(min(vectors, key=lambda v: (
+        max(norm(j, k) for j, k in enumerate(v)), v)))
 
 
 @st.composite
 def shift_problems(draw):
     """(mins, maxs, two, total): up to four ranges at most a turn wide
-    around midpoints within 5/4 turns of 0, so that every vector the solver
-    can return lies in brute_shifts' box. The ranges sit on a grid of
+    around midpoints within 5/4 turns of 0. The ranges sit on a grid of
     1/12 or 1/16 turn: Fractions in pi units, or floats in turns of 1.0 or
     of the float 2*pi. A range whose midpoint lies half a turn between two
-    shifts, such as [0, 2] in pi units, ties. The total is None or within 1
-    of the rounded sum of the midpoints in turns (the det-1 path's
-    -winding, whose branches it negates)."""
+    shifts, such as [0, 2] in pi units, ties. The total is None, or within
+    1 of the rounded sum of the midpoints in turns (the det-1 path's
+    -winding, whose branches it negates), or anywhere a vector of shifts in
+    [-4, 4] can reach, up to 4n turns from 0."""
     n = draw(st.integers(1, 4))
     two, q = draw(st.sampled_from([(F(2), 12), (1.0, 16), (TAU, 16)]))
     mins, maxs, mid = [], [], F(0)
@@ -376,7 +393,9 @@ def shift_problems(draw):
         mid += F(c, q)
         for ends, x in ((mins, c - w), (maxs, c + w)):
             ends.append(F(x, q) * two if type(two) is F else x / q * two)
-    total = draw(st.none() | st.integers(-1, 1).map(lambda d: round(mid) + d))
+    total = draw(st.none()
+                 | st.integers(-1, 1).map(lambda d: round(mid) + d)
+                 | st.integers(-4 * n, 4 * n))
     return mins, maxs, two, total
 
 
@@ -384,6 +403,9 @@ def shift_problems(draw):
 @example(([F(0)], [F(2)], F(2), None))
 @example(([F(0), F(0)], [F(2), F(2)], F(2), 1))
 @example(([0.0, -0.25], [0.0, 0.25], 1.0, 1))
+@example(([F(4)], [F(4)], F(2), -1))  # 3 turns below the one midpoint
+@example(([F(0), F(0)], [F(1), F(1)], F(2), 9))  # 8.5 turns above the sum
+@example(([-2.5, 2.5], [-2.5, 2.5], 1.0, 7))  # the far shift leaves [-4, 4]
 @settings(max_examples=300, deadline=None)
 def test_integer_shifts_match_brute_force(problem):
     mins, maxs, two, total = problem
@@ -393,9 +415,11 @@ def test_integer_shifts_match_brute_force(problem):
 
 
 def test_integer_shifts_refuse_an_unreachable_total():
-    # 8.5 turns beyond the sum of the midpoints: no candidate cap admits it
+    # integer shifts reach every total once there is a branch; with none,
+    # only the empty sum 0
+    assert _integer_shifts([], [], F(2), 0) == []
     with pytest.raises(ArithmeticError, match="no feasible"):
-        _integer_shifts([F(0), F(0)], [F(1), F(1)], F(2), 9)
+        _integer_shifts([], [], F(2), 1)
 
 
 # ---------------------------------------------------------------------------
