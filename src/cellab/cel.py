@@ -26,6 +26,7 @@ from .funalg import CelBound, _integer_shifts, _max_over_branches
 # perfbench reads and traces the ordered-log bound as cel.cel_lower_ordered_log
 from .funalg import cel_lower_ordered_log  # noqa: F401
 from .numerics import (
+    LIFT_MARGIN,
     TWO_PI,
     SampledMatrixField,
     jitter_spectrum,
@@ -88,13 +89,13 @@ class _FieldSpectrum:
     eps jitter_spectrum used (0.0 when the gap was open). thetas, cols
     (n, grid): the lift of the jittered angles and, for each branch, the
     column of lam and vecs it follows. The jittered gaps are at least
-    gap_tol, above the lift's collision gap, so repeated eigenvalues never
-    reach the lift; it refuses only a step too coarse to decide (a tie
-    between matchings or a half turn). The winding-pass guard on thetas
-    runs in its only reader, _lower_distinct. A lifted row is a bijection
-    onto its spectrum, so the branch sum lifts arg det (plus the jitter's
-    constant): _field_spectrum refuses the first step of it by pi - tie_tol
-    or more, at the step's end, for every bound. No determinant is needed.
+    gap_tol, above LIFT_MARGIN, so repeated eigenvalues never reach the
+    lift; it refuses only a step too coarse to decide (a tie between
+    matchings or a half turn). The winding-pass guard on thetas runs in its
+    only reader, _lower_distinct. A lifted row is a bijection onto its
+    spectrum, so the branch sum lifts arg det (plus the jitter's constant):
+    _field_spectrum refuses the first step of it by pi - LIFT_MARGIN or
+    more, at the step's end, for every bound. No determinant is needed.
     """
 
     lam: np.ndarray
@@ -111,9 +112,9 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
     lam, vecs, residual = normal_unitary_eig(u.samples, tol)
     jittered, eps_used = jitter_spectrum(lam, tol)
     angles = np.angle(jittered)
-    thetas, cols = lift_angle_array(angles, tol.tie_tol)
+    thetas, cols = lift_angle_array(angles)
     jumps = np.flatnonzero(
-        np.abs(np.diff(thetas.sum(axis=0))) >= math.pi - tol.tie_tol)
+        np.abs(np.diff(thetas.sum(axis=0))) >= math.pi - LIFT_MARGIN)
     if jumps.size:
         k = int(jumps[0]) + 1
         raise SpectralCollisionError(
@@ -266,7 +267,7 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
     max_norm = float(np.max(np.abs(h_norm)))
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
     limit = (n - 1) / n + eps_report / TWO_PI + 1e-9
-    if max_norm >= limit + 1e-12:
+    if max_norm >= limit:
         raise AssertionError(
             f"normalized branch norm {max_norm:.6f} exceeds (k-1)/k + slack "
             f"{limit:.6f} (impossible for det = 1 inputs)")

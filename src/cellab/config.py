@@ -16,11 +16,8 @@ class Tolerances:
     gap_tol: float = 1e-8        # minimal admissible spectral gap on the circle
     tol_sym: float = 1e-9        # hermitian flavor check
     tol_unitary: float = 1e-9    # unitary flavor check
-    tol_spec: float = 1e-9       # spectrum modulus / multiset re-enumeration
     tol_det: float = 1e-9        # determinant checks
-    tol_eig: float = 1e-9        # eigenpair residual
     tol_membership: float = 1e-9
-    tie_tol: float = 1e-12       # branch-matching ambiguity threshold
     # diag(1..n) jitter scale; n*eps_jitter bounds the angle shift, so the
     # default keeps jittered bounds within the 1e-6 slack used downstream
     # while staying above gap_tol.
@@ -54,6 +51,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_size < MIN_GRID:
             raise ValueError(f"grid_size must be >= {MIN_GRID}, got {self.grid_size}")
+        if self.seed < 0:  # numpy's default_rng takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, value in dataclasses.asdict(self.tolerances).items():

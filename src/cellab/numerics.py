@@ -291,19 +291,20 @@ def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray) -> np.ndarray:
     return np.max(np.abs(moves), axis=-1)
 
 
-# A previous row with a circular gap at most this small holds a repeated
-# eigenvalue: the sorted angles cannot tell which branch continues where.
-_COLLISION_GAP = 1e-9
-# Cost decisions closer than this to a threshold (a tie between shifts, a
-# step of pi) are refused: the recurrence reads the lifted values mod 2 pi,
-# which may differ from the principal angles in the last bits.
-_DECISION_MARGIN = 1e-9
+LIFT_MARGIN = 1e-9
+"""The lift's one decision margin, in radians. A previous row with a
+circular gap at most this holds a repeated eigenvalue, a shift costing
+within it of the best ties, and a best step within it of pi is a half
+turn: each is refused, never decided. It must sit far above the float
+error of np.angle and of one step of the mod-2 pi recurrence (a few ulps
+of 2 pi, ~1e-15), whose values may differ from the principal angles in the
+last bits, and below the default gap_tol (1e-8), so that a row
+jitter_spectrum opened is never read as a collision."""
 # Rows per cyclic_match batch: bounds the (rows, n, n) cost tensor.
 _MATCH_BATCH = 1 << 20
 
 
-def lift_angle_array(angles: np.ndarray, tie_tol: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrap an (grid, n) array of spectral angles into
     branch functions (n, grid) starting from the sorted angles at t = 0.
 
@@ -315,15 +316,14 @@ def lift_angle_array(angles: np.ndarray, tie_tol: float
     Step i matches the sorted principal angles of row i - 1 to those of
     row i by the cyclic shift of least bottleneck cost, all steps in one
     batched cyclic_match. A step is decided when exactly one shift lies
-    within tie_tol + _DECISION_MARGIN of the best, the best step is below
-    pi - tie_tol - _DECISION_MARGIN, and row i - 1 has a circular gap above
-    _COLLISION_GAP. The first undecided step raises SpectralCollisionError
-    with t_index i: repeated eigenvalues are opened by jitter_spectrum
-    before the lift, never tie-broken by it. A branch's slot in the sorted
-    row is carried along by the chosen shifts, which gives every branch its
-    matched target value c and column; the values follow the recurrence
-    theta_i = theta_{i-1} + wrap(c_i - mod(theta_{i-1}, 2 pi)), run along
-    the grid one branch at a time.
+    within LIFT_MARGIN of the best, the best step is below pi - LIFT_MARGIN,
+    and row i - 1 has a circular gap above LIFT_MARGIN. The first undecided
+    step raises SpectralCollisionError with t_index i: repeated eigenvalues
+    are opened by jitter_spectrum before the lift, never tie-broken by it.
+    A branch's slot in the sorted row is carried along by the chosen shifts,
+    which gives every branch its matched target value c and column; the
+    values follow the recurrence theta_i = theta_{i-1} + wrap(c_i -
+    mod(theta_{i-1}, 2 pi)), run along the grid one branch at a time.
     """
     grid, n = angles.shape
     start = np.sort(angles[0])
@@ -345,18 +345,16 @@ def lift_angle_array(angles: np.ndarray, tie_tol: float
         best = np.argmin(costs, axis=1)
         best_cost = np.take_along_axis(costs, best[:, None], axis=1)
         shifts[lo:lo + rows] = best
-        tied[lo:lo + rows] = np.sum(
-            costs - best_cost <= tie_tol + _DECISION_MARGIN, axis=1) != 1
-        half_turn[lo:lo + rows] = (
-            best_cost[:, 0] >= math.pi - tie_tol - _DECISION_MARGIN)
-    collided = circular_gaps(a_sorted) <= _COLLISION_GAP
+        tied[lo:lo + rows] = np.sum(costs - best_cost <= LIFT_MARGIN, axis=1) != 1
+        half_turn[lo:lo + rows] = best_cost[:, 0] >= math.pi - LIFT_MARGIN
+    collided = circular_gaps(a_sorted) <= LIFT_MARGIN
     undecided = collided | tied | half_turn
     if undecided.any():
         k = int(np.argmax(undecided))
         reasons = [text for failed, text in (
             (collided, f"repeated eigenvalue at grid index {k} (circular gap"
-                       f" <= {_COLLISION_GAP:g}), open the gap by jitter first"),
-            (tied, "two cyclic matchings within tie_tol of the best"),
+                       f" <= {LIFT_MARGIN:g}), open the gap by jitter first"),
+            (tied, "two cyclic matchings within LIFT_MARGIN of the best"),
             (half_turn, "branch step of pi or more")) if failed[k]]
         raise SpectralCollisionError(
             f"ambiguous branch continuation at grid index {k + 1}: "
@@ -409,7 +407,8 @@ def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     """Open a circular gap >= gap_tol in every row of an (m, n) spectrum;
     the one place that decides whether a spectrum is jittered, and the only
     mechanism for repeated eigenvalues: lift_angle_array refuses a row whose
-    gap is at most _COLLISION_GAP instead of breaking the tie.
+    gap is at most LIFT_MARGIN (below the default gap_tol) instead of
+    breaking the tie.
 
     A spectrum whose rows all have the gap comes back as is, with eps 0.0.
     Otherwise the j-th (angle-sorted) eigenvalue of every row is multiplied

@@ -152,7 +152,7 @@ def test_collided_witnesses_certify_through_jitter(grid):
         angles = np.angle(normal_unitary_eig(u.samples)[0])
         assert np.all(circular_gaps(angles) <= 1e-9)
         with pytest.raises(SpectralCollisionError, match="repeated eigenvalue"):
-            lift_angle_array(angles, DEFAULT_TOLERANCES.tie_tol)
+            lift_angle_array(angles)
         low = cel_lower_distinct(u)
         assert low.certificate["jitter"] > 0
         assert abs(low.lower - value) < 1e-6
@@ -450,7 +450,7 @@ def test_lift_never_passes_a_winding_level():
         walk = np.cumsum(rng.uniform(-step, step, (grid, n)), axis=0)
         ang = np.angle(np.exp(1j * walk))
         assert np.min(circular_gaps(ang)) >= DEFAULT_TOLERANCES.gap_tol
-        thetas, _ = lift_angle_array(ang, DEFAULT_TOLERANCES.tie_tol)
+        thetas, _ = lift_angle_array(ang)
         assert _winding_pass(thetas / (2 * PI)) is None
 
 
@@ -466,8 +466,8 @@ def test_cu_refuses_a_winding_pass(monkeypatch):
     assert cu_upper_bound_path(u).n_repairs == 0
     lift = cel_mod.lift_angle_array
 
-    def crossing_lift(angles, tie_tol):
-        return 2 * PI * np.stack([h, -h]), lift(angles, tie_tol)[1]
+    def crossing_lift(angles):
+        return 2 * PI * np.stack([h, -h]), lift(angles)[1]
 
     monkeypatch.setattr(cel_mod, "lift_angle_array", crossing_lift)
     with pytest.raises(SpectralCollisionError, match="winding level") as exc:
@@ -503,6 +503,23 @@ def test_branch_sum_jump_is_refused():
             assert exc.value.t_index == index
     finer = random_unitary_field(np.random.default_rng(2), 3, 129, amplitude=3.0)
     assert abs(cel_lower_distinct(finer).lower - 5.963445658271884) < 1e-9
+
+
+def test_lift_margin_places_the_branch_sum_step():
+    # both branches step by (pi - delta)/2, each decided by the lift, so
+    # the branch sum steps by pi - delta; the margin is pinned at 1e-9
+    # here, not read from numerics
+    margin = 1e-9
+    for delta, refused in ((margin / 2, True), (2 * margin, False)):
+        s = (PI - delta) / 2
+        u = SampledMatrixField.diagonal_unitary(np.array([[0.0, 1.0],
+                                                          [s, 1.0 + s]]))
+        if refused:
+            with pytest.raises(SpectralCollisionError, match="branch sum") as exc:
+                cel_lower_distinct(u)
+            assert exc.value.t_index == 1
+        else:
+            assert abs(cel_lower_distinct(u).lower - (1.0 + s)) < 1e-12
 
 
 def test_cu_length_bounds_chordal_measurement():

@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellab.cli import main, parse_fn_spec
+from cellab.config import RunConfig, Tolerances
 from cellab.funalg import PiecewiseLinearFn
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -270,12 +276,14 @@ def test_bad_config_exit2(tmp_path, capsys):
     assert code == 2
     assert "bad config" in err
     # a value of the wrong type is refused up front, before any work: a
-    # count must be an int, a tolerance a positive finite number (a bool is
-    # neither), and the config and its tolerances JSON objects
+    # count must be an int, a seed non-negative, a tolerance a positive
+    # finite number (a bool is neither), and the config and its tolerances
+    # JSON objects
     for bad in ({"grid_size": "129"}, {"grid_size": 129.5}, {"seed": True},
-                {"jobs": "2"}, {"dense_limit": "x"}, {"dense_limit": 2.5},
+                {"seed": -1}, {"jobs": "2"}, {"dense_limit": "x"},
+                {"dense_limit": 2.5},
                 {"tolerances": {"gap_tol": "x"}}, {"tolerances": {"gap_tol": True}},
-                {"tolerances": {"tie_tol": float("nan")}},
+                {"tolerances": {"cluster_tol": float("nan")}},
                 {"tolerances": {"eps_jitter": float("inf")}},
                 [129], {"tolerances": 1e-8}):
         cfg.write_text(json.dumps(bad))
@@ -283,3 +291,25 @@ def test_bad_config_exit2(tmp_path, capsys):
                                  "pan-wang", "--k", "3")
         assert (code, out) == (2, ""), bad
         assert "bad config" in err, bad
+
+
+def test_negative_seed_flag_exit2(capsys):
+    # numpy's default_rng takes no negative seed: the flag is refused as a
+    # bad config before the sampled criterion starts
+    code, out, err = run_cli(capsys, "--seed", "-5", "acceptance", "finite-cel")
+    assert (code, out) == (2, "")
+    assert "bad config" in err
+
+
+def test_readme_config_keys_match_the_dataclasses():
+    # README's --config paragraph lists every config and tolerance key, in
+    # field order, and no other
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    keys = re.search(r"A `--config` file is one JSON object with any of the"
+                     r" keys (.*?)\. ", text).group(1)
+    tols = re.search(r"`tolerances` is an object with any of (.*?), each a"
+                     r" positive finite number", text).group(1)
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+    assert named == [f.name for f in dataclasses.fields(RunConfig)]
+    assert re.findall(r"`(\w+)`", tols) == [
+        f.name for f in dataclasses.fields(Tolerances)]

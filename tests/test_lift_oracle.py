@@ -24,6 +24,7 @@ from conftest import jitter_unitary
 from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import SpectralCollisionError
 from cellab.numerics import (
+    LIFT_MARGIN,
     circular_gaps,
     jitter_spectrum,
     lift_angle_array,
@@ -32,11 +33,8 @@ from cellab.numerics import (
 )
 
 TWO_PI = 2 * math.pi
-TIE_TOL = DEFAULT_TOLERANCES.tie_tol
-# the lift's documented thresholds: a previous-row circular gap at most
-# COLLISION_GAP, and cost decisions within MARGIN of a tie or of a step of pi
-COLLISION_GAP = 1e-9
-MARGIN = 1e-9
+# the loop oracle's own tie threshold, independent of the lift's LIFT_MARGIN
+TIE_TOL = 1e-12
 
 
 class _Ambiguous(Exception):
@@ -79,7 +77,7 @@ def _loop_step(prev_thetas, new_angles, tie_tol):
     return deltas, cols
 
 
-def loop_lift(angles, tie_tol):
+def loop_lift(angles, tie_tol=TIE_TOL):
     """(thetas, cols), both (n, grid). At t = 0 the branches start at the
     sorted angles and take the columns of angles[0] in sorted order mod
     2 pi."""
@@ -100,13 +98,13 @@ def loop_lift(angles, tie_tol):
     return thetas, cols
 
 
-def first_undecided(angles, tie_tol):
+def first_undecided(angles):
     """The first grid index i whose step the documented rule leaves
     undecided, or None. Row i - 1 is matched to row i, both sorted mod
     2 pi, by cyclic shifts; the step is decided when row i - 1 has a
-    circular gap above COLLISION_GAP, exactly one shift costs within
-    tie_tol + MARGIN of the best, and the best is below
-    pi - tie_tol - MARGIN. A single branch is always decided."""
+    circular gap above LIFT_MARGIN, exactly one shift costs within
+    LIFT_MARGIN of the best, and the best is below pi - LIFT_MARGIN. A
+    single branch is always decided."""
     grid, n = angles.shape
     if n == 1:
         return None
@@ -117,16 +115,16 @@ def first_undecided(angles, tie_tol):
         costs = [float(np.max(np.abs(_wrap(np.roll(b, -s) - a))))
                  for s in range(n)]
         best = min(costs)
-        near = sum(c - best <= tie_tol + MARGIN for c in costs)
-        if (gap <= COLLISION_GAP or near != 1
-                or best >= math.pi - tie_tol - MARGIN):
+        near = sum(c - best <= LIFT_MARGIN for c in costs)
+        if (gap <= LIFT_MARGIN or near != 1
+                or best >= math.pi - LIFT_MARGIN):
             return i
     return None
 
 
 def _outcome(lift, angles):
     try:
-        return "ok", lift(angles, TIE_TOL)
+        return "ok", lift(angles)
     except SpectralCollisionError as exc:
         return "refused", exc.t_index
 
@@ -134,7 +132,7 @@ def _outcome(lift, angles):
 def assert_same_lift(angles):
     """The lift keeps its contract against the loop and the rule; returns
     the lift's outcome kind."""
-    undecided = first_undecided(angles, TIE_TOL)
+    undecided = first_undecided(angles)
     want = _outcome(loop_lift, angles)
     got = _outcome(lift_angle_array, angles)
     if undecided is None:
@@ -196,11 +194,11 @@ def test_exact_collision_rows_refuse():
     for field, collision in ((COLLIDING, 2), (COLLIDING_REFUSED, 0)):
         ang = diagonal_angles(*field, 33)
         gaps = circular_gaps(ang)
-        assert np.flatnonzero(gaps <= COLLISION_GAP)[0] == collision
+        assert np.flatnonzero(gaps <= LIFT_MARGIN)[0] == collision
         assert assert_same_lift(ang) == "refused"
         with pytest.raises(SpectralCollisionError,
                            match="repeated eigenvalue") as exc:
-            lift_angle_array(ang, TIE_TOL)
+            lift_angle_array(ang)
         assert exc.value.t_index == collision + 1
         # jitter opens every gap, and the jittered angles lift like the loop
         lam, eps = jitter_spectrum(np.exp(1j * ang))
@@ -222,7 +220,7 @@ def test_coarse_grid_refusals_carry_the_loop_index():
                         (half_turn, "branch step of pi")):
         assert assert_same_lift(ang) == "refused"
         with pytest.raises(SpectralCollisionError, match=reason) as exc:
-            lift_angle_array(ang, TIE_TOL)
+            lift_angle_array(ang)
         assert exc.value.t_index == 1
         with pytest.raises(SpectralCollisionError) as loop_exc:
             loop_lift(ang, TIE_TOL)
@@ -234,6 +232,6 @@ def test_lift_starts_at_the_sorted_first_row():
     for ang in (diagonal_angles([2, -1, 1], [1, 0, -3], 64),
                 diagonal_angles([5], [3], 33)):
         assert assert_same_lift(ang) == "ok"
-        thetas, cols = lift_angle_array(ang, TIE_TOL)
+        thetas, cols = lift_angle_array(ang)
         assert np.array_equal(thetas[:, 0], np.sort(ang[0]))
         assert np.array_equal(ang[0][cols[:, 0]], thetas[:, 0])

@@ -12,7 +12,6 @@ from conftest import (
 )
 
 from cellab.cel import bound_sandwich, geodesic_upper_bound
-from cellab.config import DEFAULT_TOLERANCES
 from cellab.errors import FlavorError, SpectralCollisionError
 from cellab.numerics import (
     SampledMatrixField,
@@ -48,7 +47,7 @@ def _lift(f: SampledMatrixField) -> np.ndarray:
     """Branches (n, grid) lifted from a unitary field's principal angles,
     starting at the sorted angles at t = 0."""
     angles = np.angle(normal_unitary_eig(f.samples)[0])
-    return lift_angle_array(angles, DEFAULT_TOLERANCES.tie_tol)[0]
+    return lift_angle_array(angles)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_lift_diagonal_pair_with_endpoint_collisions():
     # jitter opens both collisions, and the lift follows the pair within it
     lam, eps = jitter_spectrum(normal_unitary_eig(f.samples)[0])
     assert eps > 0
-    thetas, _ = lift_angle_array(np.angle(lam), DEFAULT_TOLERANCES.tie_tol)
+    thetas, _ = lift_angle_array(np.angle(lam))
     assert np.allclose(np.sort(thetas, axis=0).T, np.sort(ang, axis=1),
                        atol=2 * eps + 1e-12)
     assert np.max(np.abs(np.diff(thetas, axis=1))) < math.pi
@@ -311,6 +310,52 @@ def test_lift_ambiguous_half_turn_collision():
                        match="two cyclic matchings") as exc:
         _lift(f)
     assert exc.value.t_index == 1
+
+
+# The lift's one margin, pinned here rather than read from numerics: each
+# rule is placed by a pair of two-row inputs at 0.5x and 2x of it, on
+# different sides of it.
+MARGIN = 1e-9
+
+
+def _lift_reasons(angles):
+    """The lift's refusal reasons for an angle array, or None if decided."""
+    try:
+        lift_angle_array(np.array(angles))
+    except SpectralCollisionError as exc:
+        assert exc.t_index == 1
+        return str(exc).split(": ", 1)[1]
+    return None
+
+
+def test_lift_margin_places_the_collision_gap():
+    # row 0 holds two angles g apart; the third angle keeps every other
+    # shift far from the best, so the gap alone decides
+    assert _lift_reasons([[0.0, 2 * MARGIN, 2.0],
+                          [-0.01, 2 * MARGIN + 0.01, 2.0]]) is None
+    reasons = _lift_reasons([[0.0, MARGIN / 2, 2.0],
+                             [-0.01, MARGIN / 2 + 0.01, 2.0]])
+    assert reasons.startswith("repeated eigenvalue") and ";" not in reasons
+
+
+def test_lift_margin_places_the_tie():
+    # an antipodal pair stepping by c: the other shift costs pi - c, which
+    # is delta above the best c
+    def reasons(delta):
+        c = (math.pi - delta) / 2
+        return _lift_reasons([[0.0, math.pi], [c, math.pi + c]])
+
+    assert reasons(2 * MARGIN) is None
+    assert reasons(MARGIN / 2) == "two cyclic matchings within LIFT_MARGIN of the best"
+
+
+def test_lift_margin_places_the_half_turn():
+    # the best shift steps 0 -> pi - e and the other one 0 -> pi. No move
+    # exceeds pi, so with two or more branches a best step within the
+    # margin of pi also ties; the pair places the margin where both read it
+    assert _lift_reasons([[0.0, 2.0], [math.pi - 2 * MARGIN, math.pi]]) is None
+    reasons = _lift_reasons([[0.0, 2.0], [math.pi - MARGIN / 2, math.pi]])
+    assert reasons.endswith("branch step of pi or more")
 
 
 # ---------------------------------------------------------------------------
