@@ -212,9 +212,8 @@ def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
     member = dimdrop.membership_check(f, alg, tol)
     res.record("dense witness lies in I[2,6,3]", member.ok,
                f"defect={member.defect:.2e}")
-    low = cel.cel_lower_distinct(f, tol)
-    path = cel.cu_upper_bound_path(f, tol=tol)
-    geo = cel.geodesic_upper_bound(f, tol)
+    # the three bounds share one decomposition and lift of f
+    low, path, geo = cel._three_bounds(f, tol)
     upper = min(path.length, geo)
     lo_target = 4 * PI / 3
     frame_value = 2 * PI * 5 / 6

@@ -29,9 +29,11 @@ from .numerics import (
     LIFT_MARGIN,
     TWO_PI,
     SampledMatrixField,
+    _gram_norms,
     jitter_spectrum,
     lift_angle_array,
     normal_unitary_eig,
+    unitary_defect,
 )
 
 INF = math.inf
@@ -213,28 +215,48 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
     """
     if u.flavor != "unitary":
         raise FlavorError("cu_upper_bound_path needs a unitary field")
-    det = np.linalg.det(u.samples)
-    det_resid = float(np.max(np.abs(det - 1.0)))
+    det_resid = _det_residual(u, tol)
+    return _cu_path(u, _field_spectrum(u, tol), det_resid, tol)
+
+
+def _det_residual(u: SampledMatrixField, tol: Tolerances) -> float:
+    """sup_t |det u(t) - 1|; CommutatorError above tol_det."""
+    det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
     if det_resid > tol.tol_det:
         raise CommutatorError(
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
-    spec = _field_spectrum(u, tol)
+    return det_resid
+
+
+def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
+             tol: Tolerances) -> CuPathResult:
+    """cu_upper_bound_path from the field's spectrum. The path's endpoint
+    v_0 is never held whole: each chunk of it is built from the paired
+    eigenvector columns, checked for unitarity and compared with u as the
+    endpoint solve takes its chunks, so besides u and spec.vecs only that
+    solve's batch-last copy is the size of u."""
     max_norm, h_norm, winding, eps_report = _cu_branches(spec, u.dim, det_resid)
     cols = np.ascontiguousarray(spec.cols.T)    # (grid, n)
     lam = np.take_along_axis(spec.lam, cols, axis=1)
-    pair_err = float(np.max(np.abs(np.exp(2j * math.pi * h_norm.T) - lam)))
+    phases = np.exp(2j * math.pi * h_norm.T)
+    pair_err = float(np.max(np.abs(phases - lam)))
     if pair_err > u.dim * spec.eps_used + 1e-6:
         raise ArithmeticError(f"branch/eigenvalue pairing residual {pair_err:.3e}")
-    vecs = np.take_along_axis(spec.vecs, cols[:, None, :], axis=2)
-    v0 = SampledMatrixField(
-        np.einsum("bij,bj,bkj->bik", vecs, np.exp(2j * math.pi * h_norm.T),
-                  vecs.conj()), "unitary", tol=tol)
+
+    def endpoint_gap(s):
+        vecs = np.take_along_axis(spec.vecs[s], cols[s, None, :], axis=2)
+        v0 = np.einsum("bij,bj,bkj->bik", vecs, phases[s], vecs.conj())
+        if not unitary_defect(v0) <= tol.tol_unitary:
+            raise FlavorError("path endpoint v_0 is not unitary within tol_unitary")
+        return v0 - u.samples[s]
+
+    endpoint_error = float(np.max(_gram_norms(u.grid_size, u.dim, endpoint_gap)))
     # d v_s/ds has op norm 2 pi max_j |h_j(t)| pointwise, so the rectifiable
     # length is exactly 2 pi max_norm.
     return CuPathResult(
-        h=h_norm, vecs=vecs, length=TWO_PI * max_norm,
-        endpoint_error=v0.sup_distance(u),
+        h=h_norm, vecs=np.take_along_axis(spec.vecs, cols[:, None, :], axis=2),
+        length=TWO_PI * max_norm, endpoint_error=endpoint_error,
         eps_report=eps_report, winding=winding)
 
 
@@ -324,3 +346,16 @@ def bound_sandwich(u: SampledMatrixField, *,
         lower_method=low.lower_method, upper_method=method,
         epsilon_report=low.epsilon_report,
         certificate=low.certificate)
+
+
+def _three_bounds(u: SampledMatrixField, tol: Tolerances
+                  ) -> tuple[CelBound, CuPathResult, float]:
+    """cel_lower_distinct, cu_upper_bound_path and geodesic_upper_bound of
+    one field, from one decomposition and lift; each refusal is raised as
+    those three calls, made in that order, would raise it first."""
+    if u.flavor != "unitary":
+        raise FlavorError("cel_lower_distinct needs a unitary field")
+    spec = _field_spectrum(u, tol)
+    low = _lower_distinct(spec, u.dim)
+    path = _cu_path(u, spec, _det_residual(u, tol), tol)
+    return low, path, _geodesic(spec.lam, tol)

@@ -53,6 +53,8 @@ class RunConfig:
             raise ValueError(f"grid_size must be >= {MIN_GRID}, got {self.grid_size}")
         if self.seed < 0:  # numpy's default_rng takes no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dense_limit < 0:  # would silently drop every dense bound
+            raise ValueError(f"dense_limit must be >= 0, got {self.dense_limit}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, value in dataclasses.asdict(self.tolerances).items():

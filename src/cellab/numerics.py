@@ -28,15 +28,37 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
+# A batched temporary (a symmetrized, multiplied or compared copy of a field)
+# is made one chunk of about this many complex entries at a time, so that
+# none lives at full size. Elementwise maps, per-matrix products and
+# per-matrix reductions give a chunk the same bits as the whole batch.
+_CHUNK_ENTRIES = 1 << 12
+
+
+def _chunks(nb: int, n: int) -> list[slice]:
+    """Consecutive slices of a batch of nb n x n matrices, of near-equal
+    length and about _CHUNK_ENTRIES entries each."""
+    count = max(1, -(-nb * n * n // _CHUNK_ENTRIES))
+    step = max(1, -(-nb // count))
+    return [slice(lo, min(lo + step, nb)) for lo in range(0, nb, step)]
+
+
+def _batch_max(entries, a: np.ndarray) -> float:
+    """Largest value of entries(chunk) over the batch chunks of a (..., n, n)
+    array: the max entries(a) would give, without its full-size arrays."""
+    a = a.reshape(-1, *a.shape[-2:])
+    return float(np.max([np.max(entries(a[s])) for s in _chunks(*a.shape[:2])]))
+
+
 def hermitian_defect(a: np.ndarray) -> float:
     """Largest entry of |A - A*| over the whole batch."""
-    return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
+    return _batch_max(lambda c: np.abs(c - adjoint(c)), a) if a.size else 0.0
 
 
 def unitary_defect(a: np.ndarray) -> float:
     """Largest entry of |A*A - I| over the whole batch."""
-    n = a.shape[-1]
-    return float(np.max(np.abs(adjoint(a) @ a - np.eye(n))))
+    eye = np.eye(a.shape[-1])
+    return _batch_max(lambda c: np.abs(adjoint(c) @ c - eye), a)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +75,12 @@ def _sweep(A: np.ndarray, V: np.ndarray | None, thr: np.ndarray) -> None:
     unless it is None. The row and column views die with the call."""
     n = A.shape[0]
     for _ in range(_MAX_SWEEPS):
-        # largest off-diagonal |a_pq| per matrix (a max is exact, diagonal 0)
-        mags = np.abs(A)
-        mags[range(n), range(n)] = 0.0
-        off = np.max(mags, axis=(0, 1))
+        # largest off-diagonal |a_pq| per matrix, row by row (a max is exact)
+        off = np.zeros(A.shape[2])
+        for p in range(n):
+            mags = np.abs(A[p])
+            mags[p] = 0.0
+            np.maximum(off, np.max(mags, axis=0), out=off)
         del mags
         if np.all(off <= thr):
             break
@@ -101,28 +125,49 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     or column is one contiguous (n, batch) block. Eigenvector columns carry
     a deterministic phase (largest entry real positive).
 
-    Peak working set, at a sweep's stop test: A's batch-last copy, V and
-    |A| besides the input (2.5 times its bytes).
+    Peak working set: A's batch-last copy and V besides the input, plus
+    a few row blocks per rotation (2.6 times its bytes at n = 8, grid 2049).
+    The copy is written chunk by chunk, with no full-size (A + A*)/2, and
+    |A| is read one row at a time.
     """
     a = np.asarray(a, dtype=np.complex128)
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError("matrices must be square")
-    batch_shape = a.shape[:-2]
     A = a.reshape(-1, n, n)
-    A = (A + adjoint(A)) / 2.0
-    nb = A.shape[0]
+    w, v = _jacobi(A.shape[0], n, A.__getitem__, compute_v)
+    batch_shape = a.shape[:-2]
+    return w.reshape(*batch_shape, n), (
+        v.reshape(*batch_shape, n, n) if compute_v else None)
 
+
+def _hermitian_batch_last(nb: int, n: int, matrices
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The hermitian parts (A + A*)/2 of nb n x n matrices handed over
+    chunk by chunk (matrices(s) returns those of batch slice s), written
+    straight into one batch-last (n, n, nb) array, and their Frobenius
+    norms, each summed batch-first in the order of its (n, n) block."""
+    A = np.empty((n, n, nb), dtype=np.complex128)
+    scale = np.empty(nb)
+    for s in _chunks(nb, n):
+        c = matrices(s)
+        c = (c + adjoint(c)) / 2.0
+        scale[s] = np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
+        A[:, :, s] = c.transpose(1, 2, 0)
+    return A, scale
+
+
+def _jacobi(nb: int, n: int, matrices, compute_v: bool):
+    """jacobi_eigh on the hermitian parts of nb n x n matrices handed over
+    chunk by chunk, as _hermitian_batch_last takes them. The batch is never
+    split, since the sweep count is the batch maximum. Returns w (nb, n)
+    and v (nb, n, n), or None for v."""
+    A, scale = _hermitian_batch_last(nb, n, matrices)
     if n == 1:
-        w = A[:, 0, 0].real.reshape(*batch_shape, 1)
-        if compute_v:
-            return w, np.ones((*batch_shape, 1, 1), dtype=np.complex128)
-        return w, None
+        w = A[0, 0].real.reshape(nb, 1)
+        return w, np.ones((nb, 1, 1), dtype=np.complex128) if compute_v else None
 
-    # summed batch-first, in the order of the contiguous (n, n) blocks
-    scale = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
     thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
-    A = np.ascontiguousarray(A.transpose(1, 2, 0))
     V = np.eye(n, dtype=np.complex128)[:, :, None].repeat(nb, 2) if compute_v else None
     _sweep(A, V, thr)
 
@@ -130,27 +175,37 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     del A
-    if compute_v:
-        V = np.take_along_axis(V.transpose(2, 0, 1), order[:, None, :], axis=2)
+    if not compute_v:
+        return w, None
+    v = np.empty((nb, n, n), dtype=np.complex128)
+    for s in _chunks(nb, n):
+        vs = np.take_along_axis(V[:, :, s].transpose(2, 0, 1), order[s, None, :], axis=2)
         # deterministic column phases
-        mags = np.abs(V)
-        lead = np.argmax(mags, axis=1)
-        entries = np.take_along_axis(V, lead[:, None, :], axis=1)[:, 0, :]
+        lead = np.argmax(np.abs(vs), axis=1)
+        entries = np.take_along_axis(vs, lead[:, None, :], axis=1)[:, 0, :]
         mod = np.abs(entries)
         ph = np.where(mod > 0, entries / np.where(mod > 0, mod, 1.0), 1.0)
-        np.multiply(V, np.conjugate(ph)[:, None, :], out=V)
-        return w.reshape(*batch_shape, n), V.reshape(*batch_shape, n, n)
-    return w.reshape(*batch_shape, n), None
+        np.multiply(vs, np.conjugate(ph)[:, None, :], out=v[s])
+    return w, v
 
 
 def operator_norm(a: np.ndarray) -> np.ndarray | float:
     """Largest singular value, via the hermitian eigensolver on A*A."""
     a = np.asarray(a, dtype=np.complex128)
-    single = a.ndim == 2
-    g = adjoint(a) @ a
-    w, _ = jacobi_eigh(g, compute_v=False)
-    out = np.sqrt(np.maximum(w[..., -1], 0.0))
-    return float(out) if single else out
+    A = a.reshape(-1, *a.shape[-2:])
+    out = _gram_norms(A.shape[0], a.shape[-1], A.__getitem__).reshape(a.shape[:-2])
+    return float(out) if a.ndim == 2 else out
+
+
+def _gram_norms(nb: int, n: int, matrices) -> np.ndarray:
+    """operator_norm of nb matrices with n columns, handed over chunk by
+    chunk as _jacobi takes them; A*A is formed one chunk at a time."""
+    def gram(s):
+        c = matrices(s)
+        return adjoint(c) @ c
+
+    w, _ = _jacobi(nb, n, gram, False)
+    return np.sqrt(np.maximum(w[:, -1], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +224,44 @@ def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     Returns (lam, v, residual): lam (..., n) complex on the unit circle,
     v unitary columns, residual = max entry of |U v - v diag(lam)|.
 
-    Peak working set, at the cluster solve's stop test: v, the masked b and
-    that solve's A, V and |A| besides u (4.5 times u's bytes).
+    Peak working set, in the cluster solve: v and that solve's batch-last
+    copy and V besides u (3.3 times u's bytes at n = 8, grid 2049, and 3.5
+    at n = 6). H1, the compression and U v are formed one chunk of the
+    batch at a time; each product acts per matrix, so the chunks give the
+    bits of whole-batch products.
     """
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[-1]
     batch_shape = u.shape[:-2]
     U = u.reshape(-1, n, n)
-    h1 = (U + adjoint(U)) / 2.0
-    w1, v = jacobi_eigh(h1)
-    del h1
-    b = adjoint(v) @ ((U - adjoint(U)) / 2.0j) @ v  # H2 lives only in this product
-    b = (b + adjoint(b)) / 2.0
+    nb = U.shape[0]
+    w1, v = _jacobi(nb, n, lambda s: (U[s] + adjoint(U[s])) / 2.0, True)
     # zero b outside clusters of w1; jacobi then acts blockwise
     gaps = np.diff(w1, axis=1) > tol.cluster_tol
     cluster_id = np.concatenate(
         [np.zeros((w1.shape[0], 1), dtype=np.int64), np.cumsum(gaps, axis=1)], axis=1)
-    mask = cluster_id[:, :, None] == cluster_id[:, None, :]
-    b = np.where(mask, b, 0.0)
-    _, wrot = jacobi_eigh(b)
-    del b
-    v2 = v @ wrot
-    del v, wrot
-    uv = U @ v2
-    lam = np.sum(np.conjugate(v2) * uv, axis=1)
-    residual = float(np.max(np.abs(uv - v2 * lam[:, None, :])))
-    return lam.reshape(*batch_shape, n), v2.reshape(*batch_shape, n, n), residual
+    del w1, gaps
+
+    def compressed(s):
+        # H2 lives only in this product
+        b = adjoint(v[s]) @ ((U[s] - adjoint(U[s])) / 2.0j) @ v[s]
+        b = (b + adjoint(b)) / 2.0
+        mask = cluster_id[s, :, None] == cluster_id[s, None, :]
+        return np.where(mask, b, 0.0)
+
+    _, wrot = _jacobi(nb, n, compressed, True)
+    chunks = _chunks(nb, n)
+    for s in chunks:
+        v[s] = v[s] @ wrot[s]
+    del wrot
+    lam = np.empty((nb, n), dtype=np.complex128)
+    worst = []
+    for s in chunks:
+        uv = U[s] @ v[s]
+        lam[s] = np.sum(np.conjugate(v[s]) * uv, axis=1)
+        worst.append(np.max(np.abs(uv - v[s] * lam[s, None, :])))
+    return (lam.reshape(*batch_shape, n), v.reshape(*batch_shape, n, n),
+            float(np.max(worst)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +273,20 @@ class SampledMatrixField:
 
     The numeric stand-in for an element of M_n(C([0,1])). Immutable after
     construction; every sample is checked against the declared flavor.
+    An array that is already read-only, C-ordered complex128 and owns its
+    data (as the sampled layer hands over the arrays it builds) is held as
+    it is: whoever made it read-only gives up writing to it. Any other
+    input is copied.
     """
 
     __slots__ = ("samples", "flavor")
 
     def __init__(self, samples: np.ndarray, flavor: str = "general", *,
                  tol: Tolerances = DEFAULT_TOLERANCES):
-        samples = np.array(samples, dtype=np.complex128, order="C")
+        if not (type(samples) is np.ndarray and samples.dtype == np.complex128
+                and samples.flags.c_contiguous and samples.flags.owndata
+                and not samples.flags.writeable):
+            samples = np.array(samples, dtype=np.complex128, order="C")
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValueError("samples must have shape (grid_size, n, n)")
         if samples.shape[1] == 0:
@@ -242,12 +316,6 @@ class SampledMatrixField:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def sup_distance(self, other: "SampledMatrixField") -> float:
-        """sup over the grid of the operator-norm difference."""
-        if self.grid_size != other.grid_size or self.dim != other.dim:
-            raise ValueError("fields are not comparable")
-        return float(np.max(operator_norm(self.samples - other.samples)))
-
     @staticmethod
     def diagonal_unitary(angles: np.ndarray, **kw) -> "SampledMatrixField":
         """diag(e^{i angles[t, j]}) for an (grid_size, n) angle array."""
@@ -256,6 +324,7 @@ class SampledMatrixField:
         samples = np.zeros((grid_size, n, n), dtype=np.complex128)
         idx = np.arange(n)
         samples[:, idx, idx] = np.exp(1j * angles)
+        samples.setflags(write=False)
         return SampledMatrixField(samples, "unitary", **kw)
 
 
@@ -300,8 +369,9 @@ error of np.angle and of one step of the mod-2 pi recurrence (a few ulps
 of 2 pi, ~1e-15), whose values may differ from the principal angles in the
 last bits, and below the default gap_tol (1e-8), so that a row
 jitter_spectrum opened is never read as a collision."""
-# Rows per cyclic_match batch: bounds the (rows, n, n) cost tensor.
-_MATCH_BATCH = 1 << 20
+# Entries per cyclic_match batch: bounds each (rows, n, n) cost tensor to
+# 128 KB, a tenth of a field at n = 6 and grid 2049.
+_MATCH_BATCH = 1 << 14
 
 
 def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +441,8 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # prev + _wrap_to_pi(c - mod(prev, 2 pi)) bit for bit on floats: negating
     # a difference is exact, and float % is np.mod's fmod with its sign fix
     thetas = np.empty((n, grid))
-    for j, (prev, row) in enumerate(zip(start.tolist(), targets.T.tolist())):
+    for j, prev in enumerate(start.tolist()):
+        row = targets[:, j].tolist()    # one branch's floats at a time
         branch = [prev]
         for c in row:
             prev = prev - ((prev % TWO_PI - c + math.pi) % TWO_PI - math.pi)
@@ -386,15 +457,20 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
                 ) -> SampledMatrixField:
-    """Pointwise exp(iH(t)) of a selfadjoint field. Peak working set, at
-    the result's unitarity check: the product, the field's copy of it, and
-    the check's A* and A*A (about 4 times h's bytes)."""
+    """Pointwise exp(iH(t)) of a selfadjoint field. Peak working set, in
+    the eigensolve: 2.6 times h's bytes besides h at n = 8, grid 2049. The
+    product is built chunk by chunk into the result's own array, which
+    the field keeps without a copy."""
     if h.flavor != "selfadjoint":
         raise FlavorError("unitary_exp needs a selfadjoint field")
     w, v = jacobi_eigh(h.samples)
     phases = np.exp(1j * w)
-    samples = np.einsum("bij,bj,bkj->bik", v, phases, np.conjugate(v))
-    del w, v
+    del w
+    samples = np.empty_like(v)
+    for s in _chunks(h.grid_size, h.dim):
+        samples[s] = np.einsum("bij,bj,bkj->bik", v[s], phases[s], np.conjugate(v[s]))
+    del v
+    samples.setflags(write=False)
     return SampledMatrixField(samples, "unitary", tol=tol)
 
 
@@ -468,6 +544,7 @@ def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,
         peak = float(np.max(operator_norm(h)))
         if peak > max_log_norm:
             h *= max_log_norm / peak
+    h.setflags(write=False)
     hf = SampledMatrixField(h, "selfadjoint", tol=tol)
     del h
     return unitary_exp(hf, tol)

@@ -276,12 +276,13 @@ def test_bad_config_exit2(tmp_path, capsys):
     assert code == 2
     assert "bad config" in err
     # a value of the wrong type is refused up front, before any work: a
-    # count must be an int, a seed non-negative, a tolerance a positive
-    # finite number (a bool is neither), and the config and its tolerances
-    # JSON objects
+    # count must be an int, a seed and a dense limit non-negative (a
+    # negative limit once dropped the sampled upper bound and passed), a
+    # tolerance a positive finite number (a bool is neither), and the
+    # config and its tolerances JSON objects
     for bad in ({"grid_size": "129"}, {"grid_size": 129.5}, {"seed": True},
                 {"seed": -1}, {"jobs": "2"}, {"dense_limit": "x"},
-                {"dense_limit": 2.5},
+                {"dense_limit": 2.5}, {"dense_limit": -1},
                 {"tolerances": {"gap_tol": "x"}}, {"tolerances": {"gap_tol": True}},
                 {"tolerances": {"cluster_tol": float("nan")}},
                 {"tolerances": {"eps_jitter": float("inf")}},

@@ -25,6 +25,7 @@ from cellab.numerics import (
     SampledMatrixField,
     cyclic_match,
     jitter_spectrum,
+    operator_norm,
     random_unitary_field,
 )
 from cellab.witness import pan_wang_witness
@@ -107,7 +108,8 @@ def oracle_cu_path(u, tol=DEFAULT_TOLERANCES):
                   vecs.conj()), "unitary", tol=tol)
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
     return (h_norm, vecs, TWO_PI * float(np.max(np.abs(h_norm))),
-            v0.sup_distance(u), eps_report, spec.eps_used)
+            float(np.max(operator_norm(v0.samples - u.samples))), eps_report,
+            spec.eps_used)
 
 
 def assert_same_path(u):
