@@ -58,7 +58,6 @@ def criterion_finite_cel(cfg: RunConfig, res: CriterionResult) -> None:
     from . import cel, numerics
 
     rng = np.random.default_rng(cfg.seed + 1)
-    tol = cfg.tolerances
     for k in (2, 3, 4, 8):
         target_pi = Fraction(2 * (k - 1), k)
         target = float(target_pi) * PI
@@ -67,14 +66,14 @@ def criterion_finite_cel(cfg: RunConfig, res: CriterionResult) -> None:
                    rep.lower_pi == target_pi and rep.passed,
                    f"lower={witness.format_pi(rep.lower_pi)}")
         w = witness.pan_wang_witness(k)
-        fields = [w.field(cfg.grid_size, tol)]
+        fields = [w.field(cfg.grid_size)]
         fields += [numerics.random_unitary_field(
-            rng, k, cfg.grid_size, amplitude=0.6 + 0.12 * i, det_one=True,
-            tol=tol) for i in range(20)]
+            rng, k, cfg.grid_size, amplitude=0.6 + 0.12 * i, det_one=True)
+            for i in range(20)]
         worst_len = -math.inf
         worst_end = -math.inf
         for f in fields:
-            path = cel.cu_upper_bound_path(f, tol=tol)
+            path = cel.cu_upper_bound_path(f)
             worst_len = max(worst_len, path.length - target)
             worst_end = max(worst_end, path.endpoint_error)
         res.record(f"k={k} path length <= 2pi(k-1)/k + 1e-2 on 21 fields",
@@ -204,16 +203,15 @@ def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
     the order the k=6 frame value 2pi*5/6 dictates."""
     from . import cel
 
-    tol = cfg.tolerances
     stage1 = dimdrop.tower(1)[0]
     f = witness.dense_stage_witness_field(stage1, cfg.grid_size,
-                                          dense_limit=cfg.dense_limit, tol=tol)
+                                          dense_limit=cfg.dense_limit)
     alg = stage1.algebra()
-    member = dimdrop.membership_check(f, alg, tol)
+    member = dimdrop.membership_check(f, alg)
     res.record("dense witness lies in I[2,6,3]", member.ok,
                f"defect={member.defect:.2e}")
     # the three bounds share one decomposition and lift of f
-    low, path, geo = cel._three_bounds(f, tol)
+    low, path, geo = cel._three_bounds(f)
     upper = min(path.length, geo)
     lo_target = 4 * PI / 3
     frame_value = 2 * PI * 5 / 6

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import CommutatorError, FlavorError, SpectralCollisionError
 from .funalg import CelBound, _integer_shifts, _max_over_branches
 # perfbench reads and traces the ordered-log bound as cel.cel_lower_ordered_log
@@ -92,12 +92,14 @@ class _FieldSpectrum:
     (n, grid): the lift of the jittered angles and, for each branch, the
     column of lam and vecs it follows. The jittered gaps are at least
     gap_tol, above LIFT_MARGIN, so repeated eigenvalues never reach the
-    lift; it refuses only a step too coarse to decide (a tie between
-    matchings or a half turn). The winding-pass guard on thetas runs in its
-    only reader, _lower_distinct. A lifted row is a bijection onto its
-    spectrum, so the branch sum lifts arg det (plus the jitter's constant):
-    _field_spectrum refuses the first step of it by pi - LIFT_MARGIN or
-    more, at the step's end, for every bound. No determinant is needed.
+    lift; it refuses only a step too coarse to decide, a tie between
+    matchings (every half turn of two or more branches is one). The
+    winding-pass guard on thetas runs in its only reader, _lower_distinct.
+    A lifted row is a bijection onto its spectrum, so the branch sum lifts
+    arg det (plus the jitter's constant): _field_spectrum refuses the first
+    step of it by pi - LIFT_MARGIN or more, at the step's end, for every
+    bound, which covers a single branch's half turns. No determinant is
+    needed.
     """
 
     lam: np.ndarray
@@ -108,11 +110,11 @@ class _FieldSpectrum:
     cols: np.ndarray
 
 
-def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
+def _field_spectrum(u: SampledMatrixField) -> _FieldSpectrum:
     """Decompose and lift a unitary field, its spectral gap opened by
     jitter_spectrum where needed (the eigenbasis is untouched)."""
-    lam, vecs, residual = normal_unitary_eig(u.samples, tol)
-    jittered, eps_used = jitter_spectrum(lam, tol)
+    lam, vecs, residual = normal_unitary_eig(u.samples)
+    jittered, eps_used = jitter_spectrum(lam)
     angles = np.angle(jittered)
     thetas, cols = lift_angle_array(angles)
     jumps = np.flatnonzero(
@@ -126,8 +128,7 @@ def _field_spectrum(u: SampledMatrixField, tol: Tolerances) -> _FieldSpectrum:
     return _FieldSpectrum(lam, vecs, residual, eps_used, thetas, cols)
 
 
-def cel_lower_distinct(u: SampledMatrixField,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> CelBound:
+def cel_lower_distinct(u: SampledMatrixField) -> CelBound:
     """Lower bound max_j cel(e^{i theta_j}) over lifted eigenvalue branches.
 
     Valid because any path from u to 1 moves every continuous eigenvalue
@@ -139,7 +140,7 @@ def cel_lower_distinct(u: SampledMatrixField,
     """
     if u.flavor != "unitary":
         raise FlavorError("cel_lower_distinct needs a unitary field")
-    return _lower_distinct(_field_spectrum(u, tol), u.dim)
+    return _lower_distinct(_field_spectrum(u), u.dim)
 
 
 def _lower_distinct(spec: _FieldSpectrum, dim: int) -> CelBound:
@@ -196,8 +197,7 @@ def _winding_pass(h: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
-def cu_upper_bound_path(u: SampledMatrixField, *,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> CuPathResult:
+def cu_upper_bound_path(u: SampledMatrixField) -> CuPathResult:
     """Constructive path from a determinant-1 unitary field to the identity.
 
     Lifts the (jittered, if necessary) eigenvalue branches, normalizes
@@ -215,22 +215,22 @@ def cu_upper_bound_path(u: SampledMatrixField, *,
     """
     if u.flavor != "unitary":
         raise FlavorError("cu_upper_bound_path needs a unitary field")
-    det_resid = _det_residual(u, tol)
-    return _cu_path(u, _field_spectrum(u, tol), det_resid, tol)
+    det_resid = _det_residual(u)
+    return _cu_path(u, _field_spectrum(u), det_resid)
 
 
-def _det_residual(u: SampledMatrixField, tol: Tolerances) -> float:
+def _det_residual(u: SampledMatrixField) -> float:
     """sup_t |det u(t) - 1|; CommutatorError above tol_det."""
     det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
-    if det_resid > tol.tol_det:
+    if det_resid > DEFAULT_TOLERANCES.tol_det:
         raise CommutatorError(
             f"det(u) deviates from 1 by {det_resid:.3e} (> tol_det); "
             "not a CU element of the matrix algebra")
     return det_resid
 
 
-def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
-             tol: Tolerances) -> CuPathResult:
+def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float
+             ) -> CuPathResult:
     """cu_upper_bound_path from the field's spectrum. The path's endpoint
     v_0 is never held whole: each chunk of it is built from the paired
     eigenvector columns, checked for unitarity and compared with u as the
@@ -247,7 +247,7 @@ def _cu_path(u: SampledMatrixField, spec: _FieldSpectrum, det_resid: float,
     def endpoint_gap(s):
         vecs = np.take_along_axis(spec.vecs[s], cols[s, None, :], axis=2)
         v0 = np.einsum("bij,bj,bkj->bik", vecs, phases[s], vecs.conj())
-        if not unitary_defect(v0) <= tol.tol_unitary:
+        if not unitary_defect(v0) <= DEFAULT_TOLERANCES.tol_unitary:
             raise FlavorError("path endpoint v_0 is not unitary within tol_unitary")
         return v0 - u.samples[s]
 
@@ -300,8 +300,7 @@ def _cu_branches(spec: _FieldSpectrum, n: int, det_resid: float
 # Geodesic oracle
 # ---------------------------------------------------------------------------
 
-def geodesic_upper_bound(u: SampledMatrixField,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def geodesic_upper_bound(u: SampledMatrixField) -> float:
     """sup_t ||Log u(t)|| when the spectrum avoids -1, else +inf.
 
     The one-exponential path exp(i(1-s)H) has length ||H||, so this is
@@ -309,19 +308,18 @@ def geodesic_upper_bound(u: SampledMatrixField,
     """
     if u.flavor != "unitary":
         raise FlavorError("geodesic_upper_bound needs a unitary field")
-    lam, _, _ = normal_unitary_eig(u.samples, tol)
-    return _geodesic(lam, tol)
+    lam, _, _ = normal_unitary_eig(u.samples)
+    return _geodesic(lam)
 
 
-def _geodesic(lam: np.ndarray, tol: Tolerances) -> float:
+def _geodesic(lam: np.ndarray) -> float:
     peak = float(np.abs(np.angle(lam)).max())
-    if math.pi - peak < tol.gap_tol:
+    if math.pi - peak < DEFAULT_TOLERANCES.gap_tol:
         return INF
     return peak
 
 
-def bound_sandwich(u: SampledMatrixField, *,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> CelBound:
+def bound_sandwich(u: SampledMatrixField) -> CelBound:
     """Combined certified bounds: branch lower bound against the best of the
     geodesic and constructive uppers.
 
@@ -333,11 +331,11 @@ def bound_sandwich(u: SampledMatrixField, *,
     """
     if u.flavor != "unitary":
         raise FlavorError("bound_sandwich needs a unitary field")
-    spec = _field_spectrum(u, tol)
+    spec = _field_spectrum(u)
     low = _lower_distinct(spec, u.dim)
-    upper, method = _geodesic(spec.lam, tol), "principal-log-geodesic"
+    upper, method = _geodesic(spec.lam), "principal-log-geodesic"
     det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
-    if det_resid <= tol.tol_det:
+    if det_resid <= DEFAULT_TOLERANCES.tol_det:
         length = TWO_PI * _cu_branches(spec, u.dim, det_resid)[0]
         if length < upper:
             upper, method = length, "cu-constructive-path"
@@ -348,14 +346,14 @@ def bound_sandwich(u: SampledMatrixField, *,
         certificate=low.certificate)
 
 
-def _three_bounds(u: SampledMatrixField, tol: Tolerances
+def _three_bounds(u: SampledMatrixField
                   ) -> tuple[CelBound, CuPathResult, float]:
     """cel_lower_distinct, cu_upper_bound_path and geodesic_upper_bound of
     one field, from one decomposition and lift; each refusal is raised as
     those three calls, made in that order, would raise it first."""
     if u.flavor != "unitary":
         raise FlavorError("cel_lower_distinct needs a unitary field")
-    spec = _field_spectrum(u, tol)
+    spec = _field_spectrum(u)
     low = _lower_distinct(spec, u.dim)
-    path = _cu_path(u, spec, _det_residual(u, tol), tol)
-    return low, path, _geodesic(spec.lam, tol)
+    path = _cu_path(u, spec, _det_residual(u))
+    return low, path, _geodesic(spec.lam)

@@ -153,7 +153,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
                 raise ValueError("pan-wang needs --k")
             rep = witness.pan_wang_report(
                 args.k, grid_size=cfg.grid_size,
-                with_dense=args.k <= cfg.dense_limit, tol=cfg.tolerances)
+                with_dense=args.k <= cfg.dense_limit)
         elif name == "chi":
             if args.L is None:
                 raise ValueError("chi needs --L")

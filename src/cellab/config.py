@@ -1,17 +1,19 @@
-"""Run-wide configuration: tolerances, grid sizes, seeds."""
+"""Run-wide configuration: grid sizes and seeds, and the fixed record of
+the package's numeric thresholds."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances. Defaults follow the package-wide contracts."""
+    """Numeric thresholds. They are fixed: no config, flag or parameter
+    sets them, and every reader takes its value from DEFAULT_TOLERANCES
+    when it runs."""
 
     gap_tol: float = 1e-8        # minimal admissible spectral gap on the circle
     tol_sym: float = 1e-9        # hermitian flavor check
@@ -41,10 +43,9 @@ class RunConfig:
     jobs: int = 1  # accepted for old command lines and configs; no effect
     dense_limit: int = DEFAULT_DENSE_LIMIT
     output_format: str = "json"  # json | csv
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        # a bool is an int to Python, but never a count or a tolerance here
+        # a bool is an int to Python, but never a count here
         for name in ("grid_size", "seed", "jobs", "dense_limit"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -57,20 +58,13 @@ class RunConfig:
             raise ValueError(f"dense_limit must be >= 0, got {self.dense_limit}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        for name, value in dataclasses.asdict(self.tolerances).items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):
-                raise ValueError(
-                    f"tolerance {name} must be a positive finite number, got {value!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict) or not isinstance(raw.get("tolerances", {}), dict):
-            raise ValueError("a config and its tolerances must be JSON objects")
-        tol_raw = raw.pop("tolerances", {})
-        tol = dataclasses.replace(DEFAULT_TOLERANCES, **tol_raw)
-        return cls(tolerances=tol, **raw)
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
+        return cls(**raw)
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

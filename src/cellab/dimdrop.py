@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterator
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .funalg import (PiecewiseLinearFn, SymbolicElement, compose_spectral,
                      symbolic_element)
 
@@ -389,8 +389,8 @@ class MembershipReport:
         return self.ok
 
 
-def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipReport:
+def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra
+                     ) -> MembershipReport:
     """Endpoint block-structure test: f(0) in M_{m0} (x) 1, f(1) in
     1 (x) M_{m1} (with blocks laid out as a_ij * 1 at t=1); diagnostics
     carry the worst violating entry."""
@@ -408,7 +408,8 @@ def membership_check(f: SampledMatrixField, algebra: DimDropAlgebra,
     d1 = np.abs(f1 - np.kron(b, np.eye(r1)))
     worst0 = float(d0.max())
     worst1 = float(d1.max())
-    ok = worst0 <= tol.tol_membership and worst1 <= tol.tol_membership
+    limit = DEFAULT_TOLERANCES.tol_membership
+    ok = worst0 <= limit and worst1 <= limit
     if ok:
         return MembershipReport(ok=True, defect=max(worst0, worst1))
     if worst0 >= worst1:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import FlavorError, SpectralCollisionError
 
 TWO_PI = 2.0 * math.pi
@@ -52,7 +52,7 @@ def _batch_max(entries, a: np.ndarray) -> float:
 
 def hermitian_defect(a: np.ndarray) -> float:
     """Largest entry of |A - A*| over the whole batch."""
-    return _batch_max(lambda c: np.abs(c - adjoint(c)), a) if a.size else 0.0
+    return _batch_max(lambda c: np.abs(c - adjoint(c)), a)
 
 
 def unitary_defect(a: np.ndarray) -> float:
@@ -163,10 +163,6 @@ def _jacobi(nb: int, n: int, matrices, compute_v: bool):
     split, since the sweep count is the batch maximum. Returns w (nb, n)
     and v (nb, n, n), or None for v."""
     A, scale = _hermitian_batch_last(nb, n, matrices)
-    if n == 1:
-        w = A[0, 0].real.reshape(nb, 1)
-        return w, np.ones((nb, 1, 1), dtype=np.complex128) if compute_v else None
-
     thr = _SWEEP_TOL * np.maximum(scale, 1e-300)
     V = np.eye(n, dtype=np.complex128)[:, :, None].repeat(nb, 2) if compute_v else None
     _sweep(A, V, thr)
@@ -212,7 +208,7 @@ def _gram_norms(nb: int, n: int, matrices) -> np.ndarray:
 # Normal (unitary) eigendecomposition via the commuting hermitian pair
 # ---------------------------------------------------------------------------
 
-def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+def normal_unitary_eig(u: np.ndarray):
     """Joint eigendecomposition of unitary (normal) matrices.
 
     Diagonalizes H1 = (U+U*)/2, then the compression of H2 = (U-U*)/2i on
@@ -237,7 +233,7 @@ def normal_unitary_eig(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     nb = U.shape[0]
     w1, v = _jacobi(nb, n, lambda s: (U[s] + adjoint(U[s])) / 2.0, True)
     # zero b outside clusters of w1; jacobi then acts blockwise
-    gaps = np.diff(w1, axis=1) > tol.cluster_tol
+    gaps = np.diff(w1, axis=1) > DEFAULT_TOLERANCES.cluster_tol
     cluster_id = np.concatenate(
         [np.zeros((w1.shape[0], 1), dtype=np.int64), np.cumsum(gaps, axis=1)], axis=1)
     del w1, gaps
@@ -281,8 +277,7 @@ class SampledMatrixField:
 
     __slots__ = ("samples", "flavor")
 
-    def __init__(self, samples: np.ndarray, flavor: str = "general", *,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, samples: np.ndarray, flavor: str = "general"):
         if not (type(samples) is np.ndarray and samples.dtype == np.complex128
                 and samples.flags.c_contiguous and samples.flags.owndata
                 and not samples.flags.writeable):
@@ -297,9 +292,11 @@ class SampledMatrixField:
             raise ValueError(f"unknown flavor {flavor!r}")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples contain non-finite entries")
-        if flavor == "selfadjoint" and hermitian_defect(samples) > tol.tol_sym:
+        if (flavor == "selfadjoint"
+                and hermitian_defect(samples) > DEFAULT_TOLERANCES.tol_sym):
             raise FlavorError("field is not selfadjoint within tol_sym")
-        if flavor == "unitary" and unitary_defect(samples) > tol.tol_unitary:
+        if (flavor == "unitary"
+                and unitary_defect(samples) > DEFAULT_TOLERANCES.tol_unitary):
             raise FlavorError("field is not unitary within tol_unitary")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -317,7 +314,7 @@ class SampledMatrixField:
         return self.samples.shape[1]
 
     @staticmethod
-    def diagonal_unitary(angles: np.ndarray, **kw) -> "SampledMatrixField":
+    def diagonal_unitary(angles: np.ndarray) -> "SampledMatrixField":
         """diag(e^{i angles[t, j]}) for an (grid_size, n) angle array."""
         angles = np.asarray(angles, dtype=float)
         grid_size, n = angles.shape
@@ -325,7 +322,7 @@ class SampledMatrixField:
         idx = np.arange(n)
         samples[:, idx, idx] = np.exp(1j * angles)
         samples.setflags(write=False)
-        return SampledMatrixField(samples, "unitary", **kw)
+        return SampledMatrixField(samples, "unitary")
 
 
 def _wrap_to_pi(x: np.ndarray) -> np.ndarray:
@@ -362,13 +359,15 @@ def cyclic_match(a_sorted: np.ndarray, b_sorted: np.ndarray) -> np.ndarray:
 
 LIFT_MARGIN = 1e-9
 """The lift's one decision margin, in radians. A previous row with a
-circular gap at most this holds a repeated eigenvalue, a shift costing
-within it of the best ties, and a best step within it of pi is a half
-turn: each is refused, never decided. It must sit far above the float
-error of np.angle and of one step of the mod-2 pi recurrence (a few ulps
-of 2 pi, ~1e-15), whose values may differ from the principal angles in the
-last bits, and below the default gap_tol (1e-8), so that a row
-jitter_spectrum opened is never read as a collision."""
+circular gap at most this holds a repeated eigenvalue, and a shift costing
+within it of the best ties: each is refused, never decided. No shift moves
+an angle by more than pi, so with two or more branches a best step within
+the margin of pi leaves every shift within it of the best: a half turn is
+refused as a tie. It must sit far above the float error of np.angle and of
+one step of the mod-2 pi recurrence (a few ulps of 2 pi, ~1e-15), whose
+values may differ from the principal angles in the last bits, and below
+gap_tol (1e-8), so that a row jitter_spectrum opened is never read as a
+collision."""
 # Entries per cyclic_match batch: bounds each (rows, n, n) cost tensor to
 # 128 KB, a tenth of a field at n = 6 and grid 2049.
 _MATCH_BATCH = 1 << 14
@@ -386,10 +385,12 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Step i matches the sorted principal angles of row i - 1 to those of
     row i by the cyclic shift of least bottleneck cost, all steps in one
     batched cyclic_match. A step is decided when exactly one shift lies
-    within LIFT_MARGIN of the best, the best step is below pi - LIFT_MARGIN,
-    and row i - 1 has a circular gap above LIFT_MARGIN. The first undecided
-    step raises SpectralCollisionError with t_index i: repeated eigenvalues
-    are opened by jitter_spectrum before the lift, never tie-broken by it.
+    within LIFT_MARGIN of the best and row i - 1 has a circular gap above
+    LIFT_MARGIN; a step of pi or more ties (see LIFT_MARGIN), and a single
+    branch's half turns are left to the branch-sum check of the sampled
+    bounds. The first undecided step raises SpectralCollisionError with
+    t_index i: repeated eigenvalues are opened by jitter_spectrum before
+    the lift, never tie-broken by it.
     A branch's slot in the sorted row is carried along by the chosen shifts,
     which gives every branch its matched target value c and column; the
     values follow the recurrence theta_i = theta_{i-1} + wrap(c_i -
@@ -408,7 +409,6 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a_sorted, b_sorted = by_angle[:-1], by_angle[1:]
     shifts = np.empty(grid - 1, dtype=np.intp)
     tied = np.empty(grid - 1, dtype=bool)
-    half_turn = np.empty(grid - 1, dtype=bool)
     rows = max(1, _MATCH_BATCH // (n * n))
     for lo in range(0, grid - 1, rows):
         costs = cyclic_match(a_sorted[lo:lo + rows], b_sorted[lo:lo + rows])
@@ -416,16 +416,15 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best_cost = np.take_along_axis(costs, best[:, None], axis=1)
         shifts[lo:lo + rows] = best
         tied[lo:lo + rows] = np.sum(costs - best_cost <= LIFT_MARGIN, axis=1) != 1
-        half_turn[lo:lo + rows] = best_cost[:, 0] >= math.pi - LIFT_MARGIN
     collided = circular_gaps(a_sorted) <= LIFT_MARGIN
-    undecided = collided | tied | half_turn
+    undecided = collided | tied
     if undecided.any():
         k = int(np.argmax(undecided))
         reasons = [text for failed, text in (
             (collided, f"repeated eigenvalue at grid index {k} (circular gap"
                        f" <= {LIFT_MARGIN:g}), open the gap by jitter first"),
-            (tied, "two cyclic matchings within LIFT_MARGIN of the best"),
-            (half_turn, "branch step of pi or more")) if failed[k]]
+            (tied, "two cyclic matchings within LIFT_MARGIN of the best"))
+            if failed[k]]
         raise SpectralCollisionError(
             f"ambiguous branch continuation at grid index {k + 1}: "
             + "; ".join(reasons), t_index=k + 1)
@@ -455,8 +454,7 @@ def lift_angle_array(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # exp from selfadjoint to unitary fields
 # ---------------------------------------------------------------------------
 
-def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
-                ) -> SampledMatrixField:
+def unitary_exp(h: SampledMatrixField) -> SampledMatrixField:
     """Pointwise exp(iH(t)) of a selfadjoint field. Peak working set, in
     the eigensolve: 2.6 times h's bytes besides h at n = 8, grid 2049. The
     product is built chunk by chunk into the result's own array, which
@@ -471,38 +469,38 @@ def unitary_exp(h: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
         samples[s] = np.einsum("bij,bj,bkj->bik", v[s], phases[s], np.conjugate(v[s]))
     del v
     samples.setflags(write=False)
-    return SampledMatrixField(samples, "unitary", tol=tol)
+    return SampledMatrixField(samples, "unitary")
 
 
 # ---------------------------------------------------------------------------
 # Jitter protocol for (near-)repeated eigenvalues
 # ---------------------------------------------------------------------------
 
-def jitter_spectrum(lam: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-                    ) -> tuple[np.ndarray, float]:
+def jitter_spectrum(lam: np.ndarray) -> tuple[np.ndarray, float]:
     """Open a circular gap >= gap_tol in every row of an (m, n) spectrum;
     the one place that decides whether a spectrum is jittered, and the only
     mechanism for repeated eigenvalues: lift_angle_array refuses a row whose
-    gap is at most LIFT_MARGIN (below the default gap_tol) instead of
-    breaking the tie.
+    gap is at most LIFT_MARGIN (below gap_tol) instead of breaking the tie.
 
     A spectrum whose rows all have the gap comes back as is, with eps 0.0.
     Otherwise the j-th (angle-sorted) eigenvalue of every row is multiplied
-    by e^{i j eps}; eps starts at tol.eps_jitter and grows on a
-    re-collision, up to five retries, then the collision is refused with
-    the grid index of the first row whose gap is below gap_tol.
+    by e^{i j eps}; eps starts at eps_jitter and grows on a re-collision,
+    up to five retries, then the collision is refused with the grid index
+    of the first row whose gap is below gap_tol. Both thresholds are fixed
+    in DEFAULT_TOLERANCES.
     """
+    gap_tol = DEFAULT_TOLERANCES.gap_tol
     gaps = circular_gaps(np.angle(lam))
-    if np.min(gaps) >= tol.gap_tol:
+    if np.min(gaps) >= gap_tol:
         return lam, 0.0
     ranks = np.argsort(np.argsort(np.angle(lam), axis=1, kind="stable"),
                        axis=1, kind="stable")
     for attempt in range(6):
-        eps = tol.eps_jitter * (1.7 ** attempt)
+        eps = DEFAULT_TOLERANCES.eps_jitter * (1.7 ** attempt)
         jittered = lam * np.exp(1j * eps * (ranks + 1))
-        if np.min(circular_gaps(np.angle(jittered))) >= tol.gap_tol:
+        if np.min(circular_gaps(np.angle(jittered))) >= gap_tol:
             return jittered, eps
-    bad = int(np.argmax(gaps < tol.gap_tol))
+    bad = int(np.argmax(gaps < gap_tol))
     raise SpectralCollisionError(
         f"jitter failed to open a spectral gap (grid index {bad})", t_index=bad)
 
@@ -522,8 +520,7 @@ def random_hermitian(rng: np.random.Generator, n: int, *, traceless: bool = Fals
 
 def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,
                          *, amplitude: float = 1.0, det_one: bool = False,
-                         max_log_norm: float | None = None,
-                         tol: Tolerances = DEFAULT_TOLERANCES
+                         max_log_norm: float | None = None
                          ) -> SampledMatrixField:
     """Smooth random unitary field u(t) = exp(iH(t)).
 
@@ -545,6 +542,6 @@ def random_unitary_field(rng: np.random.Generator, n: int, grid_size: int,
         if peak > max_log_norm:
             h *= max_log_norm / peak
     h.setflags(write=False)
-    hf = SampledMatrixField(h, "selfadjoint", tol=tol)
+    hf = SampledMatrixField(h, "selfadjoint")
     del h
-    return unitary_exp(hf, tol)
+    return unitary_exp(hf)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_DENSE_LIMIT, DEFAULT_GRID, DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_DENSE_LIMIT, DEFAULT_GRID
 from .dimdrop import (
     TowerStage,
     boundary_check,
@@ -154,14 +154,13 @@ class PanWangWitness:
     branches: tuple[PiecewiseLinearFn, ...]   # h-units, top branch first
     element: SymbolicElement
 
-    def field(self, grid_size: int = DEFAULT_GRID,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> SampledMatrixField:
+    def field(self, grid_size: int = DEFAULT_GRID) -> SampledMatrixField:
         import numpy as np
         from .numerics import TWO_PI, SampledMatrixField
 
         ts = np.linspace(0.0, 1.0, grid_size)
         angles = np.stack([TWO_PI * b.sample(ts) for b in self.branches], axis=1)
-        return SampledMatrixField.diagonal_unitary(angles, tol=tol)
+        return SampledMatrixField.diagonal_unitary(angles)
 
 
 def pan_wang_witness(k: int) -> PanWangWitness:
@@ -174,8 +173,7 @@ def pan_wang_witness(k: int) -> PanWangWitness:
 
 
 def pan_wang_report(k: int, *, grid_size: int = DEFAULT_GRID,
-                    with_dense: bool = False,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> WitnessReport:
+                    with_dense: bool = False) -> WitnessReport:
     w = pan_wang_witness(k)
     target = Fraction(2 * (k - 1), k)
     lower_pi, cert = _ordered_log_pi(w.element.sorted_branches())
@@ -185,7 +183,7 @@ def pan_wang_report(k: int, *, grid_size: int = DEFAULT_GRID,
     if with_dense:
         from .cel import cu_upper_bound_path
 
-        res = cu_upper_bound_path(w.field(grid_size, tol), tol=tol)
+        res = cu_upper_bound_path(w.field(grid_size))
         upper = res.length
         extras.update({"endpoint_error": res.endpoint_error,
                        "eps_report": res.eps_report})
@@ -248,8 +246,7 @@ def stage_witness_element(stage: TowerStage) -> SymbolicElement:
 
 
 def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
-                              *, dense_limit: int = DEFAULT_DENSE_LIMIT,
-                              tol: Tolerances = DEFAULT_TOLERANCES
+                              *, dense_limit: int = DEFAULT_DENSE_LIMIT
                               ) -> SampledMatrixField:
     """Dense diagonal realization of the stage witness (for oracle
     cross-checks); guarded by the dense dimension limit."""
@@ -263,7 +260,7 @@ def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
     tops = np.tile(TWO_PI * (q - 1) / q * ts[:, None], (1, p))
     lows = np.tile(-TWO_PI / q * ts[:, None], (1, d - p))
     return SampledMatrixField.diagonal_unitary(
-        np.concatenate([tops, lows], axis=1), tol=tol)
+        np.concatenate([tops, lows], axis=1))
 
 
 def jiangsu_witness(m: int, n: int, block_k: int = 1) -> WitnessReport:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cellab.config import DEFAULT_TOLERANCES, Tolerances
+from cellab.config import DEFAULT_TOLERANCES
 from cellab.funalg import PiecewiseLinearFn
 from cellab.numerics import (
     SampledMatrixField,
@@ -42,20 +42,19 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return jacobi_eigh(random_hermitian(rng, n))[1]
 
 
-def jitter_unitary(field: SampledMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
-                   ) -> tuple[SampledMatrixField, float]:
+def jitter_unitary(field: SampledMatrixField) -> tuple[SampledMatrixField, float]:
     """Multiply the j-th (angle-sorted) eigenvalue by e^{i j eps} pointwise.
 
     Rebuilds the field from jitter_spectrum's output in its own eigenbasis,
     so the result is within n*eps of the input in operator norm. A field
     that jitter_spectrum finds gapped comes back as is, with eps 0.0.
     """
-    lam, v, _ = normal_unitary_eig(field.samples, tol)
-    lam2, eps = jitter_spectrum(lam, tol)
+    lam, v, _ = normal_unitary_eig(field.samples)
+    lam2, eps = jitter_spectrum(lam)
     if eps == 0.0:
         return field, eps
     samples = np.einsum("bij,bj,bkj->bik", v, lam2, np.conjugate(v))
-    return SampledMatrixField(samples, "unitary", tol=tol), eps
+    return SampledMatrixField(samples, "unitary"), eps
 
 
 def conjugated_field(field: SampledMatrixField, seed: int) -> SampledMatrixField:

@@ -335,19 +335,16 @@ def test_ordered_log_window_violations():
 # refusals and the constructive path's endpoints
 # ---------------------------------------------------------------------------
 
-def test_jitter_refusal_carries_grid_index():
-    # diag(e^{i(c-t)}, e^{-i(c-t)}) on 11 points: at c = 1 the gap 2(1-t)
-    # first drops below 0.5 at t = 0.8 (grid index 8), and jitter of
-    # size ~1e-6 cannot open it to 0.5
-    tol = Tolerances(gap_tol=0.5)
+def test_jitter_refusal_carries_grid_index(monkeypatch):
+    import cellab.numerics as numerics_mod
+
+    # diag(e^{i(1-t)}, e^{-i(1-t)}) on 11 points: with gap_tol patched to
+    # 0.5, the gap 2(1-t) first drops below it at t = 0.8 (grid index 8),
+    # and jitter of size ~1e-6 cannot open it to 0.5
     ts = np.linspace(0, 1, 11)
-
-    def field(c):
-        return SampledMatrixField.diagonal_unitary(
-            np.stack([c - ts, ts - c], axis=1))
-
-    for refuse in (lambda: cel_lower_distinct(field(1.0), tol),
-                   lambda: jitter_unitary(field(1.0), tol)):
+    f = SampledMatrixField.diagonal_unitary(np.stack([1.0 - ts, ts - 1.0], axis=1))
+    monkeypatch.setattr(numerics_mod, "DEFAULT_TOLERANCES", Tolerances(gap_tol=0.5))
+    for refuse in (lambda: cel_lower_distinct(f), lambda: jitter_unitary(f)):
         with pytest.raises(SpectralCollisionError, match="jitter") as exc:
             refuse()
         assert exc.value.t_index == 8

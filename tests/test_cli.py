@@ -259,8 +259,7 @@ def test_jobs_parallel_deterministic(tmp_path, capsys):
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_size": 65, "seed": 5,
-                               "tolerances": {"eps_jitter": 3e-8}}))
+    cfg.write_text(json.dumps({"grid_size": 65, "seed": 5}))
     monkeypatch.setenv("CELLAB_CONFIG", str(cfg))
     code, out, _ = run_cli(capsys, "witness", "pan-wang", "--k", "2")
     assert code == 0
@@ -276,17 +275,13 @@ def test_bad_config_exit2(tmp_path, capsys):
     assert code == 2
     assert "bad config" in err
     # a value of the wrong type is refused up front, before any work: a
-    # count must be an int, a seed and a dense limit non-negative (a
-    # negative limit once dropped the sampled upper bound and passed), a
-    # tolerance a positive finite number (a bool is neither), and the
-    # config and its tolerances JSON objects
-    for bad in ({"grid_size": "129"}, {"grid_size": 129.5}, {"seed": True},
+    # count must be an int (a bool is not one), a seed and a dense limit
+    # non-negative (a negative limit once dropped the sampled upper bound
+    # and passed), and the config a JSON object
+    for bad in ({"grid_size": "129"}, {"grid_size": 129.5},
+                {"grid_size": float("nan")}, {"seed": True},
                 {"seed": -1}, {"jobs": "2"}, {"dense_limit": "x"},
-                {"dense_limit": 2.5}, {"dense_limit": -1},
-                {"tolerances": {"gap_tol": "x"}}, {"tolerances": {"gap_tol": True}},
-                {"tolerances": {"cluster_tol": float("nan")}},
-                {"tolerances": {"eps_jitter": float("inf")}},
-                [129], {"tolerances": 1e-8}):
+                {"dense_limit": 2.5}, {"dense_limit": -1}, [129]):
         cfg.write_text(json.dumps(bad))
         code, out, err = run_cli(capsys, "--config", str(cfg), "witness",
                                  "pan-wang", "--k", "3")
@@ -303,13 +298,13 @@ def test_negative_seed_flag_exit2(capsys):
 
 
 def test_readme_config_keys_match_the_dataclasses():
-    # README's --config paragraph lists every config and tolerance key, in
-    # field order, and no other
+    # README's --config paragraph lists every config key, and the fixed
+    # thresholds paragraph every tolerance, in field order, and no other
     text = " ".join(README.read_text(encoding="utf-8").split())
     keys = re.search(r"A `--config` file is one JSON object with any of the"
                      r" keys (.*?)\. ", text).group(1)
-    tols = re.search(r"`tolerances` is an object with any of (.*?), each a"
-                     r" positive finite number", text).group(1)
+    tols = re.search(r"no config key, flag or parameter sets (.*?)\. ",
+                     text).group(1)
     named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
     assert named == [f.name for f in dataclasses.fields(RunConfig)]
     assert re.findall(r"`(\w+)`", tols) == [

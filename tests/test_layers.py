@@ -1,6 +1,8 @@
 """Layer rule: only the sampled layer (numerics, cel) imports numpy at load
 time. The exact CLI commands run with numpy blocked in tests/test_golden.py."""
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -40,3 +42,25 @@ def test_every_public_name_resolves():
         assert getattr(cellab, name) is not None
     assert cellab.scalar_cel is cellab.funalg.scalar_cel
     assert cellab.cel.cel_lower_ordered_log is cellab.funalg.cel_lower_ordered_log
+
+
+def test_every_threshold_is_read_and_none_is_a_parameter():
+    # each Tolerances field is read as DEFAULT_TOLERANCES.<field> somewhere
+    # outside config.py, and no function takes a tol parameter: the record
+    # is the thresholds' one source, and nothing can move them
+    read, params = set(), []
+    for path in sorted((SRC / "cellab").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "DEFAULT_TOLERANCES"):
+                read.add(node.attr)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params += [f"{path.name}: {arg.arg}" for arg in
+                           a.posonlyargs + a.args + a.kwonlyargs if arg.arg == "tol"]
+    fields = {f.name for f in dataclasses.fields(cellab.Tolerances)}
+    assert fields - read == set()
+    assert read <= fields
+    assert params == []

@@ -102,9 +102,11 @@ def first_undecided(angles):
     """The first grid index i whose step the documented rule leaves
     undecided, or None. Row i - 1 is matched to row i, both sorted mod
     2 pi, by cyclic shifts; the step is decided when row i - 1 has a
-    circular gap above LIFT_MARGIN, exactly one shift costs within
-    LIFT_MARGIN of the best, and the best is below pi - LIFT_MARGIN. A
-    single branch is always decided."""
+    circular gap above LIFT_MARGIN and exactly one shift costs within
+    LIFT_MARGIN of the best. A single branch is always decided. The half
+    turn clause (best >= pi - LIFT_MARGIN) is not in the lift, since with
+    two or more branches such a step ties; it is kept here, so a half turn
+    the lift decided would show as a mismatch."""
     grid, n = angles.shape
     if n == 1:
         return None
@@ -216,8 +218,9 @@ def test_lift_matches_loop_on_coarse_grids(field, grid):
 def test_coarse_grid_refusals_carry_the_loop_index():
     tie = np.array([[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]])
     half_turn = diagonal_angles([-4, -2], [-4, -4], 5)
+    # a half turn of two branches is refused as a tie
     for ang, reason in ((tie, "two cyclic matchings"),
-                        (half_turn, "branch step of pi")):
+                        (half_turn, "two cyclic matchings")):
         assert assert_same_lift(ang) == "refused"
         with pytest.raises(SpectralCollisionError, match=reason) as exc:
             lift_angle_array(ang)

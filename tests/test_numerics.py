@@ -383,10 +383,10 @@ def test_lift_margin_places_the_tie():
 def test_lift_margin_places_the_half_turn():
     # the best shift steps 0 -> pi - e and the other one 0 -> pi. No move
     # exceeds pi, so with two or more branches a best step within the
-    # margin of pi also ties; the pair places the margin where both read it
+    # margin of pi is refused as a tie, the lift's only rule for it
     assert _lift_reasons([[0.0, 2.0], [math.pi - 2 * MARGIN, math.pi]]) is None
     reasons = _lift_reasons([[0.0, 2.0], [math.pi - MARGIN / 2, math.pi]])
-    assert reasons.endswith("branch step of pi or more")
+    assert reasons == "two cyclic matchings within LIFT_MARGIN of the best"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import pytest
 from conftest import random_unitary
 
 from cellab.cel import _field_spectrum, cu_upper_bound_path
-from cellab.config import DEFAULT_TOLERANCES
 from cellab.numerics import (
     SampledMatrixField,
     cyclic_match,
@@ -88,15 +87,15 @@ def _minimax_integer_shifts(mins: np.ndarray, maxs: np.ndarray, total: int
     return shifts
 
 
-def oracle_cu_path(u, tol=DEFAULT_TOLERANCES):
+def oracle_cu_path(u):
     """(h, vecs, length, endpoint_error, eps_report, eps_used) of the
     constructive path paired by pair_columns. The fields used here have no
     winding pass, so the original repair loop would leave h unchanged and
     is left out."""
     n = u.dim
     det_resid = float(np.max(np.abs(np.linalg.det(u.samples) - 1.0)))
-    spec = _field_spectrum(u, tol)
-    angles = np.angle(jitter_spectrum(spec.lam, tol)[0])
+    spec = _field_spectrum(u)
+    angles = np.angle(jitter_spectrum(spec.lam)[0])
     h = spec.thetas / TWO_PI
     jitter_sum = spec.eps_used * n * (n + 1) / 2.0 / TWO_PI
     winding = int(round(float(h.sum(axis=0)[0]) - jitter_sum))
@@ -105,7 +104,7 @@ def oracle_cu_path(u, tol=DEFAULT_TOLERANCES):
     vecs = pair_columns(spec.vecs, angles, h_norm)
     v0 = SampledMatrixField(
         np.einsum("bij,bj,bkj->bik", vecs, np.exp(2j * math.pi * h_norm.T),
-                  vecs.conj()), "unitary", tol=tol)
+                  vecs.conj()), "unitary")
     eps_report = n * spec.eps_used + 10.0 * spec.residual + 2.0 * det_resid
     return (h_norm, vecs, TWO_PI * float(np.max(np.abs(h_norm))),
             float(np.max(operator_norm(v0.samples - u.samples))), eps_report,
