@@ -204,8 +204,7 @@ def criterion_oracle_dense(cfg: RunConfig, res: CriterionResult) -> None:
     from . import cel
 
     stage1 = dimdrop.tower(1)[0]
-    f = witness.dense_stage_witness_field(stage1, cfg.grid_size,
-                                          dense_limit=cfg.dense_limit)
+    f = witness.dense_stage_witness_field(stage1, cfg.grid_size)
     alg = stage1.algebra()
     member = dimdrop.membership_check(f, alg)
     res.record("dense witness lies in I[2,6,3]", member.ok,
@@ -245,7 +244,7 @@ SUITE_ORDER = list(CRITERIA)
 
 def run_suite(names: list[str], cfg: RunConfig) -> list[CriterionResult]:
     """Run the named criteria in order in the calling thread, each timed and
-    named by its CRITERIA key. cfg.jobs is accepted and has no effect."""
+    named by its CRITERIA key."""
     # an unknown name raises KeyError before any criterion runs
     criteria = [(name, CRITERIA[name]) for name in names]
     results = []

@@ -38,8 +38,6 @@ def _build_config(args) -> RunConfig:
         overrides["grid_size"] = args.grid
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
     if getattr(args, "format", None) is not None:
         overrides["output_format"] = args.format
     return cfg.replace(**overrides) if overrides else cfg
@@ -153,7 +151,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
                 raise ValueError("pan-wang needs --k")
             rep = witness.pan_wang_report(
                 args.k, grid_size=cfg.grid_size,
-                with_dense=args.k <= cfg.dense_limit)
+                with_dense=args.k <= witness.DENSE_LIMIT)
         elif name == "chi":
             if args.L is None:
                 raise ValueError("chi needs --L")
@@ -226,8 +224,9 @@ def cmd_curve(args, cfg: RunConfig) -> int:
             return USAGE_ERROR
         text = _csv_text(["n", "floor_over_pi", "floor_radians"], rows)
     elif kind == "branches":
-        if args.k is None:
-            print("error: branches curve needs --k", file=sys.stderr)
+        if args.k is None or args.k > witness.DENSE_LIMIT:  # k columns of samples
+            print("error: branches curve needs --k K, at most DENSE_LIMIT = "
+                  f"{witness.DENSE_LIMIT}", file=sys.stderr)
             return USAGE_ERROR
         import numpy as np
 
@@ -287,8 +286,6 @@ def _common_flags() -> argparse.ArgumentParser:
     c.add_argument("--config", help="JSON run config (fallback: $CELLAB_CONFIG)")
     c.add_argument("--grid", type=int, help="grid size (>= 17, default 2049)")
     c.add_argument("--seed", type=int, help="seed for randomized suites")
-    c.add_argument("--jobs", type=int,
-                   help="accepted, no effect: criteria run in order")
     c.add_argument("--format", choices=("json", "csv"), help="output format")
     c.add_argument("--out", help="write output to this path instead of stdout")
     return c

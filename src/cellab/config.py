@@ -31,7 +31,6 @@ DEFAULT_TOLERANCES = Tolerances()
 
 DEFAULT_GRID = 2049      # power of two plus one: supports halving refinement
 MIN_GRID = 17
-DEFAULT_DENSE_LIMIT = 64  # largest dim for which dense realizations are built
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,11 @@ class RunConfig:
 
     grid_size: int = DEFAULT_GRID
     seed: int = 20_240_601
-    jobs: int = 1  # accepted for old command lines and configs; no effect
-    dense_limit: int = DEFAULT_DENSE_LIMIT
     output_format: str = "json"  # json | csv
 
     def __post_init__(self):
         # a bool is an int to Python, but never a count here
-        for name in ("grid_size", "seed", "jobs", "dense_limit"):
+        for name in ("grid_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -54,8 +51,6 @@ class RunConfig:
             raise ValueError(f"grid_size must be >= {MIN_GRID}, got {self.grid_size}")
         if self.seed < 0:  # numpy's default_rng takes no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.dense_limit < 0:  # would silently drop every dense bound
-            raise ValueError(f"dense_limit must be >= 0, got {self.dense_limit}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

@@ -114,16 +114,16 @@ def _sweep(A: np.ndarray, V: np.ndarray | None, thr: np.ndarray) -> None:
         raise ArithmeticError("jacobi_eigh failed to converge")
 
 
-def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
+def jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of hermitian matrices by cyclic Jacobi rotations.
 
     a: (..., n, n) complex hermitian. Returns (w, v) with w ascending along
-    the last axis and v unitary, A v[..., :, j] = w[..., j] v[..., :, j];
-    (w, None) when compute_v is False. Rotations are applied to the whole
-    batch at once, so fields of matrices cost one sweep loop, not one per
-    grid point. The batch is held last, as (n, n, batch), so a rotated row
-    or column is one contiguous (n, batch) block. Eigenvector columns carry
-    a deterministic phase (largest entry real positive).
+    the last axis and v unitary, A v[..., :, j] = w[..., j] v[..., :, j].
+    Rotations are applied to the whole batch at once, so fields of matrices
+    cost one sweep loop, not one per grid point. The batch is held last, as
+    (n, n, batch), so a rotated row or column is one contiguous (n, batch)
+    block. Eigenvector columns carry a deterministic phase (largest entry
+    real positive).
 
     Peak working set: A's batch-last copy and V besides the input, plus
     a few row blocks per rotation (2.6 times its bytes at n = 8, grid 2049).
@@ -135,10 +135,9 @@ def jacobi_eigh(a: np.ndarray, *, compute_v: bool = True):
     if a.shape[-2] != n:
         raise ValueError("matrices must be square")
     A = a.reshape(-1, n, n)
-    w, v = _jacobi(A.shape[0], n, A.__getitem__, compute_v)
+    w, v = _jacobi(A.shape[0], n, A.__getitem__, True)
     batch_shape = a.shape[:-2]
-    return w.reshape(*batch_shape, n), (
-        v.reshape(*batch_shape, n, n) if compute_v else None)
+    return w.reshape(*batch_shape, n), v.reshape(*batch_shape, n, n)
 
 
 def _hermitian_batch_last(nb: int, n: int, matrices
@@ -231,7 +230,7 @@ def normal_unitary_eig(u: np.ndarray):
     batch_shape = u.shape[:-2]
     U = u.reshape(-1, n, n)
     nb = U.shape[0]
-    w1, v = _jacobi(nb, n, lambda s: (U[s] + adjoint(U[s])) / 2.0, True)
+    w1, v = _jacobi(nb, n, U.__getitem__, True)  # H1, the hermitian part
     # zero b outside clusters of w1; jacobi then acts blockwise
     gaps = np.diff(w1, axis=1) > DEFAULT_TOLERANCES.cluster_tol
     cluster_id = np.concatenate(
@@ -239,9 +238,8 @@ def normal_unitary_eig(u: np.ndarray):
     del w1, gaps
 
     def compressed(s):
-        # H2 lives only in this product
+        # H2 lives only in this product; _jacobi takes its hermitian part
         b = adjoint(v[s]) @ ((U[s] - adjoint(U[s])) / 2.0j) @ v[s]
-        b = (b + adjoint(b)) / 2.0
         mask = cluster_id[s, :, None] == cluster_id[s, None, :]
         return np.where(mask, b, 0.0)
 

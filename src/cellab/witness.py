@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_DENSE_LIMIT, DEFAULT_GRID
+from .config import DEFAULT_GRID
 from .dimdrop import (
     TowerStage,
     boundary_check,
@@ -43,6 +43,8 @@ from .funalg import (
 
 if TYPE_CHECKING:
     from .numerics import SampledMatrixField
+
+DENSE_LIMIT = 64  # largest dimension realized densely
 
 
 def format_pi(x: Fraction) -> str:
@@ -151,8 +153,13 @@ class PanWangWitness:
     determinant-1 unitary of the k x k matrix function algebra."""
 
     k: int
-    branches: tuple[PiecewiseLinearFn, ...]   # h-units, top branch first
+    top: PiecewiseLinearFn   # h-units, multiplicity 1
+    low: PiecewiseLinearFn   # h-units, multiplicity k - 1
     element: SymbolicElement
+
+    @property
+    def branches(self) -> tuple[PiecewiseLinearFn, ...]:  # k entries, top first
+        return (self.top,) + (self.low,) * (self.k - 1)
 
     def field(self, grid_size: int = DEFAULT_GRID) -> SampledMatrixField:
         import numpy as np
@@ -167,8 +174,7 @@ def pan_wang_witness(k: int) -> PanWangWitness:
     if k < 2:
         raise ValueError("k must be at least 2")
     top, low = _two_level(k)
-    branches = (top,) + (low,) * (k - 1)
-    return PanWangWitness(k=k, branches=branches,
+    return PanWangWitness(k=k, top=top, low=low,
                           element=symbolic_element([(top, 1), (low, k - 1)]))
 
 
@@ -245,13 +251,12 @@ def stage_witness_element(stage: TowerStage) -> SymbolicElement:
     return symbolic_element([(top, stage.p), (low, stage.d - stage.p)])
 
 
-def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID,
-                              *, dense_limit: int = DEFAULT_DENSE_LIMIT
+def dense_stage_witness_field(stage: TowerStage, grid_size: int = DEFAULT_GRID
                               ) -> SampledMatrixField:
     """Dense diagonal realization of the stage witness (for oracle
-    cross-checks); guarded by the dense dimension limit."""
-    if stage.d > dense_limit:
-        raise ValueError(f"stage dim {stage.d} exceeds dense_limit {dense_limit}")
+    cross-checks); a stage of dimension above DENSE_LIMIT is refused."""
+    if stage.d > DENSE_LIMIT:
+        raise ValueError(f"stage dim {stage.d} exceeds DENSE_LIMIT {DENSE_LIMIT}")
     import numpy as np
     from .numerics import TWO_PI, SampledMatrixField
 

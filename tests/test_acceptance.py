@@ -56,8 +56,8 @@ def test_oracle_consistency_dense_scale():
 
 
 def test_run_suite_sequential_in_calling_thread(monkeypatch):
-    # criteria run in the given order on the caller's thread whatever
-    # cfg.jobs holds; each result is named by its key and timed
+    # criteria run in the given order on the caller's thread; each result
+    # is named by its key and timed
     calls = []
 
     def stub(label):
@@ -68,7 +68,7 @@ def test_run_suite_sequential_in_calling_thread(monkeypatch):
 
     monkeypatch.setattr(acceptance, "CRITERIA",
                         {"first": stub("first"), "second": stub("second")})
-    results = run_suite(["second", "first"], RunConfig().replace(jobs=2))
+    results = run_suite(["second", "first"], RunConfig())
     me = threading.get_ident()
     assert calls == [("second", me), ("first", me)]
     assert [r.name for r in results] == ["second", "first"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellab.cli import main, parse_fn_spec
+from cellab.cli import _common_flags, main, parse_fn_spec
 from cellab.config import RunConfig, Tolerances
 from cellab.funalg import PiecewiseLinearFn
 
@@ -207,6 +207,13 @@ def test_curve_branches(capsys):
     assert len(lines) == 18
 
 
+def test_curve_branches_above_dense_limit_exit2(capsys):
+    # k columns of grid samples are refused up front above the dense limit
+    code, out, err = run_cli(capsys, "curve", "branches", "--k", "65")
+    assert (code, out) == (2, "")
+    assert "DENSE_LIMIT = 64" in err
+
+
 # ---------------------------------------------------------------------------
 # acceptance + determinism
 # ---------------------------------------------------------------------------
@@ -244,19 +251,6 @@ def test_byte_identical_outputs(tmp_path, capsys):
     assert pairs[0] == pairs[1]
 
 
-def test_jobs_parallel_deterministic(tmp_path, capsys):
-    # --jobs is accepted and has no effect: criteria run in order, so the
-    # payloads agree
-    outs = []
-    for jobs in ("1", "2"):
-        path = tmp_path / f"acc-{jobs}.txt"
-        code, _, _ = run_cli(capsys, "--jobs", jobs, "--seed", "3",
-                             "acceptance", "chi-witness", "--out", str(path))
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid_size": 65, "seed": 5}))
@@ -275,13 +269,11 @@ def test_bad_config_exit2(tmp_path, capsys):
     assert code == 2
     assert "bad config" in err
     # a value of the wrong type is refused up front, before any work: a
-    # count must be an int (a bool is not one), a seed and a dense limit
-    # non-negative (a negative limit once dropped the sampled upper bound
-    # and passed), and the config a JSON object
+    # count must be an int (a bool is not one), a seed non-negative, and
+    # the config a JSON object
     for bad in ({"grid_size": "129"}, {"grid_size": 129.5},
                 {"grid_size": float("nan")}, {"seed": True},
-                {"seed": -1}, {"jobs": "2"}, {"dense_limit": "x"},
-                {"dense_limit": 2.5}, {"dense_limit": -1}, [129]):
+                {"seed": -1}, [129]):
         cfg.write_text(json.dumps(bad))
         code, out, err = run_cli(capsys, "--config", str(cfg), "witness",
                                  "pan-wang", "--k", "3")
@@ -298,9 +290,14 @@ def test_negative_seed_flag_exit2(capsys):
 
 
 def test_readme_config_keys_match_the_dataclasses():
-    # README's --config paragraph lists every config key, and the fixed
-    # thresholds paragraph every tolerance, in field order, and no other
+    # README's global-flag list names every common flag, its --config
+    # paragraph every config key, and the fixed thresholds paragraph every
+    # tolerance, in declaration order, and no other
     text = " ".join(README.read_text(encoding="utf-8").split())
+    flags = re.search(r"Global flags \(before or after the subcommand\): (.*?)\."
+                      r" Exit codes", text).group(1)
+    assert re.findall(r"`(--[\w-]+)", flags) == [
+        a.option_strings[0] for a in _common_flags()._actions]
     keys = re.search(r"A `--config` file is one JSON object with any of the"
                      r" keys (.*?)\. ", text).group(1)
     tols = re.search(r"no config key, flag or parameter sets (.*?)\. ",

@@ -437,7 +437,7 @@ def _diag_field(branches, grid=65):
 
 def _eigenvalue_list(f: SampledMatrixField) -> np.ndarray:
     """Sorted eigenvalue branches (k, grid) of a selfadjoint field."""
-    return jacobi_eigh(f.samples, compute_v=False)[0].T
+    return jacobi_eigh(f.samples)[0].T
 
 
 def test_eigenvalue_list_two_crossing_lines():

@@ -127,8 +127,8 @@ def test_weyl_stability_on_random_pairs(rng):
         n = int(rng.integers(2, 9))
         a = random_hermitian(rng, n)
         b = a + 0.3 * random_hermitian(rng, n)
-        wa, _ = jacobi_eigh(a, compute_v=False)
-        wb, _ = jacobi_eigh(b, compute_v=False)
+        wa = jacobi_eigh(a)[0]
+        wb = jacobi_eigh(b)[0]
         assert np.max(np.abs(wa - wb)) <= operator_norm(a - b) + 1e-9
 
 
@@ -273,7 +273,7 @@ def test_sorted_eigenvalue_continuity(rng):
     ts = np.linspace(0, 1, 65)[:, None, None]
     a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
     h = SampledMatrixField(np.cos(ts) * a + np.sin(3 * ts) * b, "selfadjoint")
-    w, _ = jacobi_eigh(h.samples, compute_v=False)
+    w = jacobi_eigh(h.samples)[0]
     step_eig = np.max(np.abs(np.diff(w, axis=0)))
     step_field = np.max(operator_norm(np.diff(h.samples, axis=0)))
     assert step_eig <= step_field + 1e-9

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -72,6 +73,36 @@ def test_pan_wang_k5_exact_bound():
 def test_pan_wang_rejects_k1():
     with pytest.raises(ValueError):
         pan_wang_witness(1)
+
+
+def test_pan_wang_field_samples_top_then_k_minus_1_low_branches():
+    # the witness holds its two branches; the field is diag(e^{2 pi i h_j})
+    # over the top branch and k - 1 copies of the low one, bit for bit
+    from cellab.numerics import TWO_PI, SampledMatrixField
+
+    ts = np.linspace(0.0, 1.0, 129)
+    for k in (2, 3, 8):
+        w = pan_wang_witness(k)
+        assert w.branches == (w.top,) + (w.low,) * (k - 1)
+        angles = np.stack([TWO_PI * w.top.sample(ts)]
+                          + [TWO_PI * w.low.sample(ts)] * (k - 1), axis=1)
+        assert np.array_equal(w.field(129).samples,
+                              SampledMatrixField.diagonal_unitary(angles).samples)
+
+
+def test_pan_wang_report_memory_does_not_grow_with_k():
+    # the report reads two branches and their multiplicities, never a
+    # k-entry branch tuple (which took 16 MB at k = 10**6)
+    pan_wang_report(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = pan_wang_report(10**6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.lower_pi == F(2 * (10**6 - 1), 10**6) and rep.passed
+    assert peak < 1 << 20
 
 
 def test_pan_wang_report_with_dense_upper():
@@ -347,7 +378,7 @@ def test_dense_witness_membership_and_bounds():
 def test_dense_witness_respects_limit():
     s2 = tower(2)[1]
     with pytest.raises(ValueError):
-        dense_stage_witness_field(s2, 65, dense_limit=64)
+        dense_stage_witness_field(s2, 65)
 
 
 # ---------------------------------------------------------------------------
